@@ -14,13 +14,8 @@ class StructuralError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """An iteration left the finite range, or a series has no finite limit.
+    """A series or recursion has no finite limit.
 
-    ``step`` is the iterate index at which divergence was detected and
-    ``last_checkpoint`` the most recent finite checkpoint, when one exists.
+    Solver runs do not raise it: a non-finite iterate ends the run with the
+    trace flagged diverged.
     """
-
-    def __init__(self, message, step=None, last_checkpoint=None):
-        super().__init__(message)
-        self.step = step
-        self.last_checkpoint = last_checkpoint

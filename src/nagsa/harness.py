@@ -213,15 +213,17 @@ class _KeyedValues:
 
 
 def _parse_number(token: str) -> float:
-    """Decimal or exact rational literal like 8/9."""
-    token = token.strip()
-    if "/" in token:
-        num_s, _, den_s = token.partition("/")
-        num, den = float(num_s.strip()), float(den_s.strip())
-        if den == 0:
-            raise ValueError("zero denominator")
-        return num / den
-    return float(token)
+    """Finite decimal or exact rational literal like 8/9."""
+    num_s, slash, den_s = token.partition("/")
+    num = float(num_s)
+    den = float(den_s) if slash else 1.0
+    if den == 0:
+        raise ValueError("zero denominator")
+    value = num / den
+    # a finite num / den with den = inf would hide the inf as 0
+    if not (math.isfinite(den) and math.isfinite(value)):
+        raise ValueError("not a finite number")
+    return value
 
 
 @dataclass(frozen=True)

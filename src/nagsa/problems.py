@@ -283,7 +283,14 @@ def dump_instance(inst: ProblemInstance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _file_line(path, index: int) -> int:
+    """1-based line number of the index-th (0-based) non-blank line of a file."""
+    with open(path) as fh:
+        return [no for no, ln in enumerate(fh, 1) if ln.strip()][index]
+
+
 def load_instance(path) -> ProblemInstance:
+    """Read a `dump_instance` file; every number in it must be finite."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
@@ -294,6 +301,8 @@ def load_instance(path) -> ProblemInstance:
     kind, m, n, seed, lam = head[0], int(head[1]), int(head[2]), int(head[3]), float(head[4])
     if kind not in KINDS:
         raise ConfigurationError(f"unknown problem kind {kind!r}")
+    if not np.isfinite(lam):
+        raise ConfigurationError(f"{path} line {_file_line(path, 0)}: non-finite lambda")
     if len(lines) != m + 2:
         raise ConfigurationError(f"expected {m + 2} lines, found {len(lines)}")
     rows = np.empty((m, n))
@@ -304,6 +313,11 @@ def load_instance(path) -> ProblemInstance:
             raise ConfigurationError(f"row {i + 1} has {len(values)} values, expected {n + 1}")
         rows[i] = values[:n]
         targets[i] = values[n]
+    finite = np.isfinite(rows).all(axis=1) & np.isfinite(targets)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        line = _file_line(path, 1 + i)
+        raise ConfigurationError(f"{path} line {line}: non-finite entry in row {i + 1}")
     ref_line = lines[m + 1]
     if ref_line.strip() == "unset":
         reference = None
@@ -311,6 +325,9 @@ def load_instance(path) -> ProblemInstance:
         ref = np.array([float(tok) for tok in ref_line.split()])
         if ref.shape != (n,):
             raise ConfigurationError(f"reference line has {ref.size} values, expected {n}")
+        if not np.isfinite(ref).all():
+            line = _file_line(path, m + 1)
+            raise ConfigurationError(f"{path} line {line}: non-finite reference entry")
         reference = _freeze(ref)
     return ProblemInstance(
         kind=kind,

@@ -31,8 +31,6 @@ __all__ = [
     "constant_momentum",
     "harmonic_momentum",
     "power_momentum",
-    "step_at",
-    "momentum_at",
     "classify",
 ]
 
@@ -109,11 +107,8 @@ class MomentumSchedule:
 
     @property
     def is_nonincreasing(self) -> bool:
-        if self.family == "constant":
-            return True
-        if self.family == "harmonic":
-            return True
-        return True  # power with p >= 0 never increases in k
+        """Always true: constant is flat, harmonic decays, and power has p >= 0."""
+        return True
 
     @property
     def is_constant(self) -> bool:
@@ -150,14 +145,6 @@ def harmonic_momentum(s: float) -> MomentumSchedule:
 
 def power_momentum(c: float, s: float, p: float) -> MomentumSchedule:
     return MomentumSchedule("power", c=c, s=s, p=p)
-
-
-def step_at(schedule: StepSchedule, k: int) -> float:
-    return schedule.at(k)
-
-
-def momentum_at(schedule: MomentumSchedule, k: int) -> float:
-    return schedule.at(k)
 
 
 def classify(schedule: StepSchedule) -> ValidityReport:

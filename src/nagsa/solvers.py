@@ -12,7 +12,11 @@ and differ in how the sampled oracle turns x_{k+1} into v_{k+1}:
 
 A run starts from v_1 = v_2 (standard normal by default) and advances to the
 iterate with index N; the update producing v_{k+1} consumes schedule values
-alpha_k, theta_k, so the first executable step index is k = 2.
+alpha_k, theta_k, so the first executable step index is k = 2. ``run`` is one
+loop over the pair (v_{k-1}, v_k): each step extrapolates once, draws one row
+index and applies the method's update rule, which is chosen once per run.
+A non-finite v_{k+1} ends the run with ``diverged_at = k + 1`` and the
+checkpoints recorded so far.
 
 Run RNG stream layout (fixed, documented for bitwise reproducibility): the
 init vector consumes Box-Muller normals first when init is gaussian, then
@@ -21,13 +25,14 @@ each step draws exactly one uniform row index.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from ._rng import RNG_ID, STREAM_RUN, make_generator, normals
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError
 from .problems import (
     ConstraintSet,
     ProblemInstance,
@@ -44,13 +49,9 @@ from .schedules import MomentumSchedule, StepSchedule, classify
 __all__ = [
     "METHODS",
     "SolverConfig",
-    "SolverState",
     "Checkpoint",
     "SolverTrace",
     "extrapolate",
-    "ssgd_step",
-    "prox_rm_step",
-    "composite_step",
     "run",
 ]
 
@@ -76,22 +77,14 @@ class SolverConfig:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.iterations < 2:
             raise ConfigurationError(f"iteration budget must be >= 2, got {self.iterations}")
-        if not self.stride > 1.0:
-            raise ConfigurationError(f"checkpoint stride must exceed 1, got {self.stride}")
+        if not 1.0 < self.stride < float("inf"):
+            raise ConfigurationError(
+                f"checkpoint stride must be finite and exceed 1, got {self.stride}"
+            )
         if self.composite_order not in COMPOSITE_ORDERS:
             raise ConfigurationError(f"unknown composite order {self.composite_order!r}")
         if self.init not in ("gaussian", "zeros"):
             raise ConfigurationError(f"unknown init {self.init!r}")
-
-
-@dataclass
-class SolverState:
-    """Adjacent iterate pair (v_{k-1}, v_k) plus the index k and run stream."""
-
-    v_prev: np.ndarray
-    v_curr: np.ndarray
-    k: int
-    rng: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -132,62 +125,37 @@ def extrapolate(v_curr: np.ndarray, v_prev: np.ndarray, theta: float) -> np.ndar
     return v_curr + theta * (v_curr - v_prev)
 
 
-def _advance(state: SolverState, v_next: np.ndarray) -> SolverState:
-    if not np.all(np.isfinite(v_next)):
-        raise DivergenceError(
-            f"iterate {state.k + 1} left the finite range", step=state.k + 1
-        )
-    return SolverState(v_prev=state.v_curr, v_curr=v_next, k=state.k + 1, rng=state.rng)
+def _update_rule(
+    config: SolverConfig, inst: ProblemInstance
+) -> Callable[[np.ndarray, int, float], np.ndarray]:
+    """The configured method's map (x_{k+1}, sampled row i, alpha_k) -> v_{k+1}.
 
-
-def ssgd_step(
-    state: SolverState,
-    inst: ProblemInstance,
-    alpha: float,
-    theta: float,
-    constraint: ConstraintSet,
-) -> SolverState:
-    """Projected subgradient step at the extrapolated point."""
-    x = extrapolate(state.v_curr, state.v_prev, theta)
-    i = sample_index(inst, state.rng)
-    g = subgrad(inst, x, i).subgradient
-    return _advance(state, project(x - alpha * g, constraint))
-
-
-def prox_rm_step(
-    state: SolverState, inst: ProblemInstance, alpha: float, theta: float
-) -> SolverState:
-    """Sampled proximal step at the extrapolated point."""
-    x = extrapolate(state.v_curr, state.v_prev, theta)
-    i = sample_index(inst, state.rng)
-    return _advance(state, prox_sample(inst, x, i, alpha))
-
-
-def composite_step(
-    state: SolverState,
-    inst: ProblemInstance,
-    alpha: float,
-    theta: float,
-    order: str = "explicit_first",
-) -> SolverState:
-    """Two-stage step splitting the sampled quadratic from the l1 term.
-
-    explicit_first: v_mid = x - alpha g_quadratic(x), then soft threshold
-    with alpha lambda. implicit_first: v_mid = proximal step on the sampled
-    quadratic, then an explicit subgradient step on lambda ||.||_1 with the
-    sign(0) = 0 convention.
+    The l1 subgradient step of implicit_first uses the sign(0) = 0 convention.
     """
-    if order not in COMPOSITE_ORDERS:
-        raise ValueError(f"unknown composite order {order!r}")
-    x = extrapolate(state.v_curr, state.v_prev, theta)
-    i = sample_index(inst, state.rng)
-    if order == "explicit_first":
-        v_mid = x - alpha * subgrad(inst, x, i).subgradient
-        v_next = prox_l1(v_mid, alpha * inst.lam)
+    if config.method == "ssgd":
+        constraint = config.constraint
+
+        def update(x, i, alpha):
+            return project(x - alpha * subgrad(inst, x, i).subgradient, constraint)
+
+    elif config.method == "prox_rm":
+
+        def update(x, i, alpha):
+            return prox_sample(inst, x, i, alpha)
+
+    elif config.composite_order == "explicit_first":
+
+        def update(x, i, alpha):
+            v_mid = x - alpha * subgrad(inst, x, i).subgradient
+            return prox_l1(v_mid, alpha * inst.lam)
+
     else:
-        v_mid = prox_sample(inst, x, i, alpha)
-        v_next = v_mid - alpha * inst.lam * np.sign(v_mid)
-    return _advance(state, v_next)
+
+        def update(x, i, alpha):
+            v_mid = prox_sample(inst, x, i, alpha)
+            return v_mid - alpha * inst.lam * np.sign(v_mid)
+
+    return update
 
 
 def _checkpoint_indices(n_final: int, stride: float) -> list[int]:
@@ -209,10 +177,9 @@ def _validity_metadata(cfg: SolverConfig) -> dict[str, str]:
         profile = "no-momentum"
     elif cfg.momentum.is_constant and lo > 0.0:
         profile = "constant-momentum"
-    elif cfg.momentum.is_nonincreasing:
-        profile = "nonincreasing-momentum"
     else:
-        profile = "unverified"
+        # every momentum family is nonincreasing (MomentumSchedule.is_nonincreasing)
+        profile = "nonincreasing-momentum"
     return {
         "valid.step_diverges_sum": str(report.diverges_sum).lower(),
         "valid.step_square_summable": str(report.square_summable).lower(),
@@ -228,8 +195,9 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
 
     Checkpoints land on k in {1, 2} cup {geometric stride} cup {N} and record
     dist to the reference optimum, objective gap, iterate increment, and the
-    schedule values at that index. A divergent step ends the run early with
-    the partial trace flagged diverged.
+    schedule values at that index. A step whose v_{k+1} is not finite ends
+    the run early: the trace keeps the checkpoints so far, with diverged set
+    and diverged_at = k + 1.
     """
     if inst.reference_optimum is None:
         raise ConfigurationError(
@@ -238,11 +206,8 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     ref = inst.reference_optimum
     f_ref = objective(inst, ref)
     g = make_generator(STREAM_RUN, config.seed)
-    if config.init == "gaussian":
-        v0 = normals(g, inst.n)
-    else:
-        v0 = np.zeros(inst.n)
-    state = SolverState(v_prev=v0.copy(), v_curr=v0.copy(), k=2, rng=g)
+    # iterates are never modified in place, so v_1 and v_2 may share storage
+    v_prev = v_curr = normals(g, inst.n) if config.init == "gaussian" else np.zeros(inst.n)
 
     marks = set(_checkpoint_indices(config.iterations, config.stride))
     checkpoints: list[Checkpoint] = []
@@ -250,22 +215,20 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         [] if config.instrument else None
     )
 
-    def record(k: int, v_curr: np.ndarray, v_prev: np.ndarray, first: bool = False):
-        inc = 0.0 if first else float(np.linalg.norm(v_curr - v_prev))
+    def record(k: int, v_curr: np.ndarray, v_prev: np.ndarray) -> None:
         checkpoints.append(
             Checkpoint(
                 k=k,
                 dist=float(np.linalg.norm(v_curr - ref)),
                 obj_gap=objective(inst, v_curr) - f_ref,
-                increment=inc,
+                increment=float(np.linalg.norm(v_curr - v_prev)),
                 alpha=config.step.at(k),
                 theta=config.momentum.at(k),
             )
         )
 
-    record(1, state.v_curr, state.v_prev, first=True)
-    if 2 in marks:
-        record(2, state.v_curr, state.v_prev)
+    record(1, v_curr, v_prev)
+    record(2, v_curr, v_prev)
 
     metadata = {
         "package": f"nagsa {__version__}",
@@ -296,6 +259,7 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     trace = SolverTrace(
         checkpoints=checkpoints, metadata=metadata, instrumentation=instrumentation
     )
+    update = _update_rule(config, inst)
 
     # exploding iterates are detected by the finiteness check, so the
     # intermediate overflow warnings are noise
@@ -303,29 +267,21 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         for k in range(2, config.iterations):
             alpha = config.step.at(k)
             theta = config.momentum.at(k)
-            if config.instrument:
-                x_pre = extrapolate(state.v_curr, state.v_prev, theta)
+            x = extrapolate(v_curr, v_prev, theta)
+            if instrumentation is not None:
                 instrumentation.append(
                     (
                         k,
-                        float(np.linalg.norm(x_pre - state.v_curr)),
-                        theta * float(np.linalg.norm(state.v_curr - state.v_prev)),
+                        float(np.linalg.norm(x - v_curr)),
+                        theta * float(np.linalg.norm(v_curr - v_prev)),
                     )
                 )
-            try:
-                if config.method == "ssgd":
-                    state = ssgd_step(state, inst, alpha, theta, config.constraint)
-                elif config.method == "prox_rm":
-                    state = prox_rm_step(state, inst, alpha, theta)
-                else:
-                    state = composite_step(
-                        state, inst, alpha, theta, config.composite_order
-                    )
-            except DivergenceError as err:
+            v_next = update(x, sample_index(inst, g), alpha)
+            if not np.all(np.isfinite(v_next)):
                 trace.diverged = True
-                trace.diverged_at = err.step
-                err.last_checkpoint = checkpoints[-1] if checkpoints else None
+                trace.diverged_at = k + 1
                 return trace
-            if state.k in marks:
-                record(state.k, state.v_curr, state.v_prev)
+            v_prev, v_curr = v_curr, v_next
+            if k + 1 in marks:
+                record(k + 1, v_curr, v_prev)
     return trace

@@ -520,6 +520,38 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+@pytest.mark.parametrize(
+    "command, key, template",
+    [
+        ("run", "m", "{}"),
+        ("run", "n", "{}"),
+        ("run", "N", "{}"),
+        ("run", "problem.seed", "{}"),
+        ("run", "lambda", "{}"),
+        ("run", "stride", "{}"),
+        ("run", "step.c", "{}"),
+        ("run", "step.p", "{}"),
+        ("run", "step.c", "1/{}"),
+        ("run", "mom.sweep", "0,{}"),
+        ("run", "constraint", "ball:{}"),
+        ("run", "constraint", "box:-1:{}"),
+        ("lemma", "paths", "{}"),
+        ("lemma", "length", "{}"),
+    ],
+)
+def test_cli_nonfinite_numbers_exit_two(tmp_path, capsys, command, key, template, value):
+    base = TINY_RUN if command == "run" else "lemmas = relay\n"
+    lines = [ln for ln in base.splitlines() if ln.split("=")[0].strip() != key]
+    lines.append(f"{key} = {template.format(value)}")
+    config = _write(tmp_path / "c.txt", "\n".join(lines) + "\n")
+    rc = main([command, "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"line {len(lines)}" in err
+
+
 def test_cli_lemma_pass(tmp_path, capsys):
     config = _write(
         tmp_path / "l.txt", "lemmas = relay\npaths = 10\nlength = 300\nbranches = 40\n"

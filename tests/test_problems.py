@@ -472,6 +472,29 @@ def test_load_rejects_malformed(tmp_path):
         load_instance(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_load_rejects_nonfinite_entries(tmp_path, token):
+    inst = gen("least_squares", m=5, n=3, seed=23)
+    path = tmp_path / "instance.txt"
+    dump_instance(inst, path)
+    clean = path.read_text().splitlines()
+    # (line index, field index): lambda, a row entry, a target, a reference entry
+    for line, field in ((0, 4), (3, 1), (4, 3), (6, 2)):
+        lines = list(clean)
+        fields = lines[line].split()
+        fields[field] = token
+        lines[line] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=f"line {line + 1}: non-finite"):
+            load_instance(path)
+    # blank lines are skipped but still count in the reported line number
+    lines = list(clean)
+    lines[3] = " ".join([token] + lines[3].split()[1:])
+    path.write_text("\n".join(lines[:1] + ["", ""] + lines[1:]) + "\n")
+    with pytest.raises(ConfigurationError, match="line 6: non-finite entry in row 3"):
+        load_instance(path)
+
+
 def test_with_reference_shape_check():
     inst = gen("lasso", m=6, n=3, seed=22, lam=0.1)
     with pytest.raises(ValueError):

@@ -16,10 +16,8 @@ from nagsa.schedules import (
     constant_momentum,
     constant_step,
     harmonic_momentum,
-    momentum_at,
     power_momentum,
     power_step,
-    step_at,
 )
 
 
@@ -192,10 +190,11 @@ def test_diverging_sum_flag_matches_partial_sums():
 
 
 def test_module_level_helpers():
-    sched = power_step(0.1, 3.0, 0.5)
-    assert step_at(sched, 5) == sched.at(5)
-    mom = harmonic_momentum(3.0)
-    assert momentum_at(mom, 5) == mom.at(5)
+    assert constant_step(0.25) == StepSchedule("constant", 0.25)
+    assert power_step(0.1, 3.0, 0.5) == StepSchedule("power", 0.1, 3.0, 0.5)
+    assert constant_momentum(0.5) == MomentumSchedule("constant", theta=0.5)
+    assert harmonic_momentum(3.0) == MomentumSchedule("harmonic", s=3.0)
+    assert power_momentum(0.9, 2.0, 0.3) == MomentumSchedule("power", c=0.9, s=2.0, p=0.3)
 
 
 @given(

@@ -1,5 +1,6 @@
-"""Single steps against hand-computed values, whole runs against an
-independent in-test reference loop, and the solver contract details:
+"""Single steps against hand-computed values (read off every-step
+checkpoints of short runs), whole runs against an independent in-test
+reference loop, and the solver contract details:
 checkpoint placement, divergence flagging, constraint feasibility, and the
 extrapolation identity."""
 
@@ -7,14 +8,13 @@ import numpy as np
 import pytest
 
 from nagsa._rng import STREAM_RUN, make_generator, normals
-from nagsa.errors import ConfigurationError, DivergenceError
+from nagsa.errors import ConfigurationError
 from nagsa.problems import (
     ProblemInstance,
     ball,
     box,
     gen,
     lasso_reference,
-    whole_space,
     with_reference,
 )
 from nagsa.schedules import (
@@ -23,15 +23,7 @@ from nagsa.schedules import (
     harmonic_momentum,
     power_step,
 )
-from nagsa.solvers import (
-    SolverConfig,
-    SolverState,
-    composite_step,
-    extrapolate,
-    prox_rm_step,
-    run,
-    ssgd_step,
-)
+from nagsa.solvers import SolverConfig, extrapolate, run
 
 
 def _hand_instance(kind, rows, targets, lam=0.0):
@@ -44,9 +36,33 @@ def _hand_instance(kind, rows, targets, lam=0.0):
     )
 
 
-def _state(v, k=2, seed=0):
-    v = np.asarray(v, dtype=float)
-    return SolverState(v_prev=v.copy(), v_curr=v.copy(), k=k, rng=make_generator(9, seed))
+def _origin_referenced(inst):
+    """The instance with its reference moved to the origin, so dist is ||v_k||
+    (|v_k| when n = 1)."""
+    return with_reference(inst, np.zeros(inst.n))
+
+
+def _every_step(method, inst, alpha, theta, iterations=6, seed=2, **kw):
+    """Constant-step run whose stride just above 1 checkpoints every k.
+
+    Seed 2 starts from v_1 = v_2 = -0.98957... when n = 1.
+    """
+    config = SolverConfig(
+        method=method,
+        step=constant_step(alpha),
+        momentum=constant_momentum(theta),
+        iterations=iterations,
+        seed=seed,
+        stride=1.0 + 1e-9,
+        **kw,
+    )
+    trace = run(config, inst)
+    assert [cp.k for cp in trace.checkpoints] == list(range(1, len(trace.checkpoints) + 1))
+    return trace
+
+
+def _dists(trace):
+    return {cp.k: cp.dist for cp in trace.checkpoints}
 
 
 def test_extrapolate_hand_case():
@@ -72,65 +88,73 @@ def test_extrapolate_validation():
 
 
 def test_ssgd_step_hand_case():
-    # single row e1, b=0: gradient 2x_1 e1, so x - 0.1 g = 0.8 x_1 e1
-    inst = _hand_instance("least_squares", [[1.0, 0.0]], [0.0])
-    state = ssgd_step(_state([1.0, 0.0]), inst, alpha=0.1, theta=0.0, constraint=whole_space())
-    assert np.allclose(state.v_curr, [0.8, 0.0], atol=1e-15)
-    assert state.k == 3
-    assert np.array_equal(state.v_prev, [1.0, 0.0])
+    # single row 1, b = 0: gradient 2 v, so every step maps v to 0.8 v
+    inst = _origin_referenced(_hand_instance("least_squares", [[1.0]], [0.0]))
+    trace = _every_step("ssgd", inst, alpha=0.1, theta=0.0)
+    dist = _dists(trace)
+    assert dist[1] == dist[2] > 0.5
+    for k in range(3, 7):
+        assert dist[k] == pytest.approx(0.8 * dist[k - 1], rel=1e-14)
+    assert trace.checkpoints[2].increment == pytest.approx(0.2 * dist[2], rel=1e-14)
 
 
 def test_ssgd_step_momentum_noop_on_equal_pair():
-    # v_prev = v_curr makes the extrapolation exact, so theta plays no role yet
-    inst = _hand_instance("least_squares", [[1.0]], [0.0])
-    state = ssgd_step(_state([1.0]), inst, alpha=0.1, theta=0.5, constraint=whole_space())
-    assert state.v_curr[0] == 0.8
+    # v_1 = v_2 makes the first extrapolation exact, so theta plays no role yet
+    inst = _origin_referenced(_hand_instance("least_squares", [[1.0]], [0.0]))
+    with_momentum = _dists(_every_step("ssgd", inst, alpha=0.1, theta=0.5))
+    without = _dists(_every_step("ssgd", inst, alpha=0.1, theta=0.0))
+    assert with_momentum[3] == without[3]
+    assert with_momentum[4] != without[4]
 
 
 def test_prox_rm_step_hand_case():
     # generous alpha zeroes the absolute-deviation residual outright
-    inst = _hand_instance("least_absolute", [[1.0, 0.0]], [0.0])
-    state = prox_rm_step(_state([1.0, 0.0]), inst, alpha=10.0, theta=0.0)
-    assert np.allclose(state.v_curr, [0.0, 0.0], atol=1e-15)
+    inst = _origin_referenced(_hand_instance("least_absolute", [[1.0]], [0.0]))
+    trace = _every_step("prox_rm", inst, alpha=10.0, theta=0.0)
+    dist = _dists(trace)
+    assert dist[3] == 0.0
+    assert trace.checkpoints[2].increment == dist[2]
 
 
 def test_composite_step_explicit_first():
-    inst = _hand_instance("lasso", [[1.0, 0.0]], [0.0], lam=1.0)
-    state = composite_step(_state([1.0, 0.0]), inst, alpha=0.1, theta=0.0, order="explicit_first")
-    # gradient step to 0.8, then soft threshold by 0.1
-    assert np.allclose(state.v_curr, [0.7, 0.0], atol=1e-15)
+    # gradient step to 0.8 v, then soft threshold by alpha lambda = 0.1
+    inst = _origin_referenced(_hand_instance("lasso", [[1.0]], [0.0], lam=1.0))
+    dist = _dists(_every_step("composite", inst, alpha=0.1, theta=0.0))
+    for k in range(3, 7):
+        assert dist[k] == pytest.approx(max(0.8 * dist[k - 1] - 0.1, 0.0), rel=1e-12)
+    assert dist[6] > 0.0
 
 
 def test_composite_step_implicit_first():
-    inst = _hand_instance("lasso", [[1.0, 0.0]], [0.0], lam=1.0)
-    state = composite_step(_state([1.0, 0.0]), inst, alpha=0.1, theta=0.0, order="implicit_first")
-    # proximal quadratic step to 5/6, then subtract alpha lambda sign
-    assert np.allclose(state.v_curr, [5.0 / 6.0 - 0.1, 0.0], atol=1e-15)
-
-
-def test_composite_step_rejects_unknown_order():
-    inst = _hand_instance("lasso", [[1.0, 0.0]], [0.0], lam=1.0)
-    with pytest.raises(ValueError):
-        composite_step(_state([1.0, 0.0]), inst, 0.1, 0.0, order="middle_first")
+    # proximal quadratic step to 5/6 v, then subtract alpha lambda sign(v)
+    inst = _origin_referenced(_hand_instance("lasso", [[1.0]], [0.0], lam=1.0))
+    dist = _dists(
+        _every_step("composite", inst, alpha=0.1, theta=0.0, composite_order="implicit_first")
+    )
+    for k in range(3, 7):
+        assert dist[k] == pytest.approx(abs(5.0 / 6.0 * dist[k - 1] - 0.1), rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "least_absolute"])
 def test_steps_fix_the_optimum(kind):
-    inst = gen(kind, m=1, n=4, seed=5)
-    ref = inst.reference_optimum
-    state = ssgd_step(_state(ref), inst, 0.3, 0.7, whole_space())
-    assert np.allclose(state.v_curr, ref, atol=1e-12)
-    state = prox_rm_step(_state(ref), inst, 0.3, 0.7)
-    assert np.allclose(state.v_curr, ref, atol=1e-12)
+    # zero targets put an optimum at the origin; a run started there stays,
+    # momentum included
+    rows = gen(kind, m=1, n=4, seed=5).rows
+    inst = _origin_referenced(_hand_instance(kind, rows, [0.0]))
+    for method in ("ssgd", "prox_rm"):
+        trace = _every_step(method, inst, alpha=0.3, theta=0.7, iterations=20, init="zeros")
+        assert all(cp.dist == 0.0 for cp in trace.checkpoints)
 
 
-def test_divergence_error_carries_step():
-    inst = _hand_instance("least_squares", [[1.0, 0.0]], [0.0])
-    state = _state([1e200, 0.0], k=17)
+def test_divergence_records_first_nonfinite_step():
+    # v_3 = (1 - 2e200) v_2 is still finite (its squared norm is not); the
+    # step to v_4 overflows, so the trace ends with the checkpoint at k = 3
+    inst = _origin_referenced(_hand_instance("least_squares", [[1.0]], [0.0]))
     with np.errstate(over="ignore"):
-        with pytest.raises(DivergenceError) as info:
-            ssgd_step(state, inst, 1e200, 0.0, whole_space())
-    assert info.value.step == 18
+        trace = _every_step("ssgd", inst, alpha=1e200, theta=0.0, iterations=10)
+    assert trace.diverged
+    assert trace.diverged_at == 4
+    assert [cp.k for cp in trace.checkpoints] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -148,27 +172,79 @@ def _small_config(method="ssgd", theta=0.5, iterations=300, seed=1, **kw):
     )
 
 
-def test_run_matches_reference_sgd_for_zero_momentum():
-    """With theta = 0 the solver is plain projected SSGD; an independent loop
-    over the same stream must reproduce every checkpoint distance bitwise."""
-    inst = gen("least_squares", m=50, n=6, seed=8)
-    config = _small_config(theta=0.0, iterations=300, seed=4)
-    trace = run(config, inst)
+def _reference_update(case, inst, x, i, alpha):
+    """One update rule written out from the documented formulas, with the
+    solver's operation order, so the comparison below can be bitwise."""
+    method, kind, extra = case
+    a = inst.rows[i - 1]
+    r = float(a @ x - inst.targets[i - 1])
+    if method == "ssgd":
+        g = np.sign(r) * a if kind == "least_absolute" else (2.0 * r) * a
+        y = x - alpha * g
+        if extra == "ball":
+            dist = np.linalg.norm(y)
+            return y if dist <= 0.5 * (1.0 + 1e-12) else (0.5 / dist) * y
+        if extra == "box":
+            return np.clip(y, -0.25, 0.25)
+        return y
+    q = float(a @ a)
+    if method == "prox_rm" or extra == "implicit_first":
+        if kind == "least_absolute":
+            gamma = np.sign(r) * min(alpha, abs(r) / q)
+        else:
+            gamma = 2.0 * alpha * r / (1.0 + 2.0 * alpha * q)
+        v = x - gamma * a
+        if method == "prox_rm":
+            return v
+        return v - alpha * inst.lam * np.sign(v)
+    v = x - alpha * ((2.0 * r) * a)
+    return np.sign(v) * np.maximum(np.abs(v) - alpha * inst.lam, 0.0)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("ssgd", "least_squares", "none"),
+        ("ssgd", "least_squares", "ball"),
+        ("ssgd", "least_squares", "box"),
+        ("ssgd", "least_absolute", "none"),
+        ("prox_rm", "least_squares", None),
+        ("prox_rm", "least_absolute", None),
+        ("composite", "lasso", "explicit_first"),
+        ("composite", "lasso", "implicit_first"),
+    ],
+    ids=lambda case: "-".join(str(part) for part in case if part is not None),
+)
+def test_run_matches_reference_loop(case):
+    """An independent loop over the same stream must reproduce every
+    checkpoint distance and increment bitwise, momentum included."""
+    method, kind, extra = case
+    kw = {}
+    if method == "composite":
+        inst = gen("lasso", m=50, n=6, seed=8, lam=0.3)
+        inst = with_reference(inst, lasso_reference(inst))
+        kw["composite_order"] = extra
+    else:
+        inst = gen(kind, m=50, n=6, seed=8)
+    if extra == "ball":
+        kw["constraint"] = ball(0.5)
+    elif extra == "box":
+        kw["constraint"] = box(np.full(6, -0.25), np.full(6, 0.25))
+    trace = run(_small_config(method=method, theta=0.5, iterations=300, seed=4, **kw), inst)
 
     g = make_generator(STREAM_RUN, 4)
-    v = normals(g, 6)
+    v_prev = v = normals(g, 6)
     ref = inst.reference_optimum
-    dists = {1: float(np.linalg.norm(v - ref)), 2: float(np.linalg.norm(v - ref))}
+    expected = {1: (float(np.linalg.norm(v - ref)), 0.0), 2: (float(np.linalg.norm(v - ref)), 0.0)}
     for k in range(2, 300):
-        alpha = config.step.at(k)
+        alpha = (1.0 / 16.0) / (k + 3.0) ** (8.0 / 9.0)
+        x = v + 0.5 * (v - v_prev)
         i = int(g.integers(1, 51))
-        a = inst.rows[i - 1]
-        r = float(a @ v - inst.targets[i - 1])
-        v = v - alpha * ((2.0 * r) * a)
-        if k + 1 in (1, 2) or True:
-            dists[k + 1] = float(np.linalg.norm(v - ref))
+        v_prev, v = v, _reference_update(case, inst, x, i, alpha)
+        expected[k + 1] = (float(np.linalg.norm(v - ref)), float(np.linalg.norm(v - v_prev)))
+    assert not trace.diverged
     for cp in trace.checkpoints:
-        assert cp.dist == dists[cp.k], f"checkpoint {cp.k} diverged from reference"
+        assert (cp.dist, cp.increment) == expected[cp.k], f"checkpoint {cp.k} left the reference"
 
 
 def test_run_is_bitwise_deterministic():
@@ -244,24 +320,26 @@ def test_run_flags_divergence_instead_of_raising():
 def test_run_ball_constraint_feasibility():
     inst = gen("least_squares", m=30, n=4, seed=13)
     radius = 0.5 * float(np.linalg.norm(inst.reference_optimum))
-    state = SolverState(
-        v_prev=np.zeros(4), v_curr=np.zeros(4), k=2, rng=make_generator(STREAM_RUN, 3)
+    trace = _every_step(
+        "ssgd", _origin_referenced(inst), alpha=0.02, theta=0.5, iterations=200,
+        seed=3, constraint=ball(radius), init="zeros",
     )
-    cset = ball(radius)
-    for k in range(2, 200):
-        state = ssgd_step(state, inst, 0.02, 0.5, cset)
-        assert float(np.linalg.norm(state.v_curr)) <= radius * (1.0 + 1e-12)
+    dists = [cp.dist for cp in trace.checkpoints]
+    assert len(dists) == 200
+    assert max(dists) <= radius * (1.0 + 1e-12)
+    assert max(dists) >= radius * (1.0 - 1e-12)  # the projection was active
 
 
 def test_run_box_constraint_feasibility():
-    inst = gen("least_squares", m=30, n=4, seed=13)
-    cset = box(-np.ones(4), np.ones(4))
-    state = SolverState(
-        v_prev=np.zeros(4), v_curr=np.zeros(4), k=2, rng=make_generator(STREAM_RUN, 3)
+    inst = gen("least_squares", m=30, n=1, seed=13)
+    half = 0.5 * abs(float(inst.reference_optimum[0]))
+    trace = _every_step(
+        "ssgd", _origin_referenced(inst), alpha=0.05, theta=0.5, iterations=200,
+        seed=3, constraint=box([-half], [half]), init="zeros",
     )
-    for k in range(2, 200):
-        state = ssgd_step(state, inst, 0.05, 0.5, cset)
-        assert np.all(state.v_curr >= -1.0) and np.all(state.v_curr <= 1.0)
+    dists = [cp.dist for cp in trace.checkpoints]
+    assert len(dists) == 200
+    assert max(dists) == half  # |v_k| <= half everywhere, and the clip was active
 
 
 def test_prox_rm_stays_bounded_with_large_momentum():
@@ -346,6 +424,10 @@ def test_solver_config_validation():
         SolverConfig(method="ssgd", step=step, momentum=mom, iterations=1, seed=1)
     with pytest.raises(ConfigurationError):
         SolverConfig(method="ssgd", step=step, momentum=mom, iterations=10, seed=1, stride=1.0)
+    with pytest.raises(ConfigurationError):
+        SolverConfig(
+            method="ssgd", step=step, momentum=mom, iterations=10, seed=1, stride=float("inf")
+        )
     with pytest.raises(ConfigurationError):
         SolverConfig(
             method="composite", step=step, momentum=mom, iterations=10, seed=1,
