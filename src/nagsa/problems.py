@@ -172,15 +172,46 @@ def with_reference(inst: ProblemInstance, x: np.ndarray) -> ProblemInstance:
     return dataclasses.replace(inst, reference_optimum=ref)
 
 
-def sample_index(inst: ProblemInstance, rng: np.random.Generator) -> int:
-    """Uniform row index in {1..m}."""
-    return int(rng.integers(1, inst.m + 1))
+def sample_index(
+    inst: ProblemInstance, rng: np.random.Generator, size: int | None = None
+) -> int | np.ndarray:
+    """Uniform row index in {1..m}; with ``size``, an int64 array of that many.
+
+    A block of ``size`` draws equals as many scalar draws from the same
+    generator state, so a caller may draw in blocks without changing the
+    index sequence.
+    """
+    if size is None:
+        return int(rng.integers(1, inst.m + 1))
+    return rng.integers(1, inst.m + 1, size=size)
 
 
 def _row(inst: ProblemInstance, i: int) -> np.ndarray:
     if not 1 <= i <= inst.m:
         raise ValueError(f"row index {i} outside 1..{inst.m}")
     return inst.rows[i - 1]
+
+
+def _subgrad_row(a: np.ndarray, b: float, x: np.ndarray, absolute: bool):
+    """(value, subgradient) of the sample term of row a with target b at x."""
+    r = float(a @ x - b)
+    if absolute:
+        return abs(r), np.sign(r) * a
+    return r * r, (2.0 * r) * a
+
+
+def _prox_row(
+    a: np.ndarray, b: float, x: np.ndarray, q: float, alpha: float, absolute: bool
+) -> np.ndarray:
+    """Closed-form prox of the sample term of row a (q = ||a||^2, target b) at x."""
+    r = float(a @ x - b)
+    if q == 0.0:
+        return x.copy()
+    if absolute:
+        gamma = np.sign(r) * min(alpha, abs(r) / q)
+    else:
+        gamma = 2.0 * alpha * r / (1.0 + 2.0 * alpha * q)
+    return x - gamma * a
 
 
 def subgrad(inst: ProblemInstance, x: np.ndarray, i: int) -> SampleOracleResult:
@@ -192,10 +223,8 @@ def subgrad(inst: ProblemInstance, x: np.ndarray, i: int) -> SampleOracleResult:
     quadratic term only (unnormalized); the l1 part is handled by prox_l1.
     """
     a = _row(inst, i)
-    r = float(a @ x - inst.targets[i - 1])
-    if inst.kind == "least_absolute":
-        return SampleOracleResult(value=abs(r), subgradient=np.sign(r) * a, index=i)
-    return SampleOracleResult(value=r * r, subgradient=(2.0 * r) * a, index=i)
+    value, g = _subgrad_row(a, inst.targets[i - 1], x, inst.kind == "least_absolute")
+    return SampleOracleResult(value=value, subgradient=g, index=i)
 
 
 def prox_sample(inst: ProblemInstance, x: np.ndarray, i: int, alpha: float) -> np.ndarray:
@@ -210,15 +239,8 @@ def prox_sample(inst: ProblemInstance, x: np.ndarray, i: int, alpha: float) -> n
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     a = _row(inst, i)
-    r = float(a @ x - inst.targets[i - 1])
     q = float(a @ a)
-    if q == 0.0:
-        return x.copy()
-    if inst.kind == "least_absolute":
-        gamma = np.sign(r) * min(alpha, abs(r) / q)
-    else:
-        gamma = 2.0 * alpha * r / (1.0 + 2.0 * alpha * q)
-    return x - gamma * a
+    return _prox_row(a, inst.targets[i - 1], x, q, alpha, inst.kind == "least_absolute")
 
 
 def prox_l1(x: np.ndarray, tau: float) -> np.ndarray:
@@ -283,51 +305,72 @@ def dump_instance(inst: ProblemInstance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _file_line(path, index: int) -> int:
-    """1-based line number of the index-th (0-based) non-blank line of a file."""
+def _located(path, index: int, message: str) -> ConfigurationError:
+    """Error naming the 1-based file line of the index-th (0-based) non-blank
+    line; the file is scanned for it only on this error path."""
     with open(path) as fh:
-        return [no for no, ln in enumerate(fh, 1) if ln.strip()][index]
+        line = [no for no, ln in enumerate(fh, 1) if ln.strip()][index]
+    return ConfigurationError(f"{path} line {line}: {message}")
 
 
 def load_instance(path) -> ProblemInstance:
-    """Read a `dump_instance` file; every number in it must be finite."""
+    """Read a `dump_instance` file; every number in it must be finite.
+
+    A malformed file raises ConfigurationError naming the offending line.
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise ConfigurationError(f"empty instance file {path}")
     head = lines[0].split()
     if len(head) != 5:
-        raise ConfigurationError(f"bad instance header {lines[0]!r}")
-    kind, m, n, seed, lam = head[0], int(head[1]), int(head[2]), int(head[3]), float(head[4])
+        raise _located(path, 0, f"bad instance header {lines[0]!r}")
+    kind = head[0]
+    try:
+        m, n, seed, lam = int(head[1]), int(head[2]), int(head[3]), float(head[4])
+    except ValueError as exc:
+        raise _located(path, 0, f"bad instance header: {exc}") from None
     if kind not in KINDS:
-        raise ConfigurationError(f"unknown problem kind {kind!r}")
+        raise _located(path, 0, f"unknown problem kind {kind!r}")
+    if m < 1 or n < 1:
+        raise _located(path, 0, f"dimensions must be positive, got m={m} n={n}")
     if not np.isfinite(lam):
-        raise ConfigurationError(f"{path} line {_file_line(path, 0)}: non-finite lambda")
+        raise _located(path, 0, "non-finite lambda")
     if len(lines) != m + 2:
-        raise ConfigurationError(f"expected {m + 2} lines, found {len(lines)}")
+        raise _located(path, 0, f"{m} rows need {m + 2} non-blank lines, found {len(lines)}")
+
+    def row_values(i: int) -> list[float]:
+        try:
+            values = [float(tok) for tok in lines[1 + i].split()]
+        except ValueError as exc:
+            raise _located(path, 1 + i, f"row {i + 1}: {exc}") from None
+        if len(values) != n + 1:
+            raise _located(path, 1 + i, f"row {i + 1} has {len(values)} values, expected {n + 1}")
+        return values
+
+    row_values(0)  # a real row bounds n before the matrix is allocated
     rows = np.empty((m, n))
     targets = np.empty(m)
     for i in range(m):
-        values = [float(tok) for tok in lines[1 + i].split()]
-        if len(values) != n + 1:
-            raise ConfigurationError(f"row {i + 1} has {len(values)} values, expected {n + 1}")
+        values = row_values(i)
         rows[i] = values[:n]
         targets[i] = values[n]
     finite = np.isfinite(rows).all(axis=1) & np.isfinite(targets)
     if not finite.all():
         i = int(np.argmin(finite))
-        line = _file_line(path, 1 + i)
-        raise ConfigurationError(f"{path} line {line}: non-finite entry in row {i + 1}")
+        raise _located(path, 1 + i, f"non-finite entry in row {i + 1}")
     ref_line = lines[m + 1]
     if ref_line.strip() == "unset":
         reference = None
     else:
-        ref = np.array([float(tok) for tok in ref_line.split()])
+        try:
+            ref = np.array([float(tok) for tok in ref_line.split()])
+        except ValueError as exc:
+            raise _located(path, m + 1, f"reference: {exc}") from None
         if ref.shape != (n,):
-            raise ConfigurationError(f"reference line has {ref.size} values, expected {n}")
+            raise _located(path, m + 1, f"reference line has {ref.size} values, expected {n}")
         if not np.isfinite(ref).all():
-            line = _file_line(path, m + 1)
-            raise ConfigurationError(f"{path} line {line}: non-finite reference entry")
+            raise _located(path, m + 1, "non-finite reference entry")
         reference = _freeze(ref)
     return ProblemInstance(
         kind=kind,

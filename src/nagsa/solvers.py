@@ -13,14 +13,17 @@ and differ in how the sampled oracle turns x_{k+1} into v_{k+1}:
 A run starts from v_1 = v_2 (standard normal by default) and advances to the
 iterate with index N; the update producing v_{k+1} consumes schedule values
 alpha_k, theta_k, so the first executable step index is k = 2. ``run`` is one
-loop over the pair (v_{k-1}, v_k): each step extrapolates once, draws one row
-index and applies the method's update rule, which is chosen once per run.
-A non-finite v_{k+1} ends the run with ``diverged_at = k + 1`` and the
-checkpoints recorded so far.
+loop over the pair (v_{k-1}, v_k): each step extrapolates once, takes its row
+index and applies the method's update rule, which is chosen once per run and
+calls the private row kernels of ``problems`` directly. A non-finite v_{k+1}
+ends the run with ``diverged_at = k + 1`` and the checkpoints recorded so far.
 
 Run RNG stream layout (fixed, documented for bitwise reproducibility): the
-init vector consumes Box-Muller normals first when init is gaussian, then
-each step draws exactly one uniform row index.
+init vector consumes Box-Muller normals first when init is gaussian, then the
+N - 2 uniform row indices follow, one per step. They are drawn in blocks of
+at most ``_DRAW_BLOCK`` through ``sample_index(..., size=...)``; a block of K
+draws equals K scalar draws from the same generator state, which
+``test_block_index_draws_equal_scalar_draws`` pins.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from .errors import ConfigurationError
 from .problems import (
     ConstraintSet,
     ProblemInstance,
+    _prox_row,
+    _subgrad_row,
     objective,
     project,
     prox_l1,
-    prox_sample,
     sample_index,
-    subgrad,
     whole_space,
 )
 from .schedules import MomentumSchedule, StepSchedule, classify
@@ -57,6 +60,8 @@ __all__ = [
 
 METHODS = ("ssgd", "prox_rm", "composite")
 COMPOSITE_ORDERS = ("explicit_first", "implicit_first")
+# row indices drawn per sample_index call: 128 KB of int64 at most
+_DRAW_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -128,34 +133,62 @@ def extrapolate(v_curr: np.ndarray, v_prev: np.ndarray, theta: float) -> np.ndar
 def _update_rule(
     config: SolverConfig, inst: ProblemInstance
 ) -> Callable[[np.ndarray, int, float], np.ndarray]:
-    """The configured method's map (x_{k+1}, sampled row i, alpha_k) -> v_{k+1}.
+    """The configured method's map (x_{k+1}, 0-based sampled row i, alpha_k) -> v_{k+1}.
 
-    The l1 subgradient step of implicit_first uses the sign(0) = 0 convention.
+    Rows, targets and, for the proximal rules, the squared row norms are
+    bound once per run, so a step calls the row kernels directly: no index
+    check and no oracle result object. The l1 subgradient step of
+    implicit_first uses the sign(0) = 0 convention.
     """
+    rows = list(inst.rows)
+    targets = inst.targets.tolist()
+    absolute = inst.kind == "least_absolute"
+    lam = inst.lam
     if config.method == "ssgd":
         constraint = config.constraint
 
         def update(x, i, alpha):
-            return project(x - alpha * subgrad(inst, x, i).subgradient, constraint)
+            g = _subgrad_row(rows[i], targets[i], x, absolute)[1]
+            return project(x - alpha * g, constraint)
 
-    elif config.method == "prox_rm":
-
-        def update(x, i, alpha):
-            return prox_sample(inst, x, i, alpha)
-
-    elif config.composite_order == "explicit_first":
+    elif config.method == "composite" and config.composite_order == "explicit_first":
 
         def update(x, i, alpha):
-            v_mid = x - alpha * subgrad(inst, x, i).subgradient
-            return prox_l1(v_mid, alpha * inst.lam)
+            v_mid = x - alpha * _subgrad_row(rows[i], targets[i], x, absolute)[1]
+            return prox_l1(v_mid, alpha * lam)
 
     else:
+        norms = [float(a @ a) for a in rows]
+        if config.method == "prox_rm":
 
-        def update(x, i, alpha):
-            v_mid = prox_sample(inst, x, i, alpha)
-            return v_mid - alpha * inst.lam * np.sign(v_mid)
+            def update(x, i, alpha):
+                return _prox_row(rows[i], targets[i], x, norms[i], alpha, absolute)
+
+        else:
+
+            def update(x, i, alpha):
+                v_mid = _prox_row(rows[i], targets[i], x, norms[i], alpha, absolute)
+                return v_mid - alpha * lam * np.sign(v_mid)
 
     return update
+
+
+def _row_draws(inst: ProblemInstance, g: np.random.Generator, count: int):
+    """The run's ``count`` row indices, 0-based, drawn in blocks through
+    ``sample_index``; the sequence equals one scalar draw per step, and the
+    block size bounds memory for any iteration budget."""
+    for start in range(0, count, _DRAW_BLOCK):
+        yield from (sample_index(inst, g, size=min(_DRAW_BLOCK, count - start)) - 1).tolist()
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of v; when squaring overflows although v is finite,
+    s ||v / s|| with s = max_j |v_j| instead of inf."""
+    out = float(np.linalg.norm(v))
+    if out == np.inf and np.isfinite(v).all():
+        s = float(np.abs(v).max())
+        out = s * float(np.linalg.norm(v / s))
+    return out
 
 
 def _checkpoint_indices(n_final: int, stride: float) -> list[int]:
@@ -219,9 +252,9 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         checkpoints.append(
             Checkpoint(
                 k=k,
-                dist=float(np.linalg.norm(v_curr - ref)),
+                dist=_norm(v_curr - ref),
                 obj_gap=objective(inst, v_curr) - f_ref,
-                increment=float(np.linalg.norm(v_curr - v_prev)),
+                increment=_norm(v_curr - v_prev),
                 alpha=config.step.at(k),
                 theta=config.momentum.at(k),
             )
@@ -260,13 +293,16 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         checkpoints=checkpoints, metadata=metadata, instrumentation=instrumentation
     )
     update = _update_rule(config, inst)
+    step_at = config.step.at
+    momentum_at = config.momentum.at
+    draws = _row_draws(inst, g, config.iterations - 2)
 
     # exploding iterates are detected by the finiteness check, so the
     # intermediate overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, config.iterations):
-            alpha = config.step.at(k)
-            theta = config.momentum.at(k)
+        for k, i in zip(range(2, config.iterations), draws):
+            alpha = step_at(k)
+            theta = momentum_at(k)
             x = extrapolate(v_curr, v_prev, theta)
             if instrumentation is not None:
                 instrumentation.append(
@@ -276,8 +312,8 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
                         theta * float(np.linalg.norm(v_curr - v_prev)),
                     )
                 )
-            v_next = update(x, sample_index(inst, g), alpha)
-            if not np.all(np.isfinite(v_next)):
+            v_next = update(x, i, alpha)
+            if not np.isfinite(v_next).all():
                 trace.diverged = True
                 trace.diverged_at = k + 1
                 return trace

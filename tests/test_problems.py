@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nagsa._rng import make_generator
+from nagsa.cli import main
 from nagsa.errors import ConfigurationError
 from nagsa.problems import (
     ball,
@@ -493,6 +494,51 @@ def test_load_rejects_nonfinite_entries(tmp_path, token):
     path.write_text("\n".join(lines[:1] + ["", ""] + lines[1:]) + "\n")
     with pytest.raises(ConfigurationError, match="line 6: non-finite entry in row 3"):
         load_instance(path)
+
+
+def _replace_field(line, field, token):
+    fields = line.split()
+    fields[field] = token
+    return " ".join(fields)
+
+
+# each edit of a clean 4x3 least-squares dump (header, rows on lines 2-5,
+# reference on line 6) and the file line the error must name
+MALFORMED_DUMPS = {
+    "header-inf-count": (lambda ls: [_replace_field(ls[0], 1, "inf")] + ls[1:], 1),
+    "header-word-seed": (lambda ls: [_replace_field(ls[0], 3, "x")] + ls[1:], 1),
+    "header-four-fields": (lambda ls: [ls[0].rsplit(" ", 1)[0]] + ls[1:], 1),
+    "header-zero-width": (lambda ls: [_replace_field(ls[0], 2, "0")] + ls[1:], 1),
+    # refused at the first row, before an m x n matrix is allocated
+    "header-huge-width": (lambda ls: [_replace_field(ls[0], 2, str(10**12))] + ls[1:], 2),
+    "missing-row": (lambda ls: ls[:2] + ls[3:], 1),
+    "short-first-row": (lambda ls: ls[:1] + [ls[1].rsplit(" ", 1)[0]] + ls[2:], 2),
+    "short-row": (lambda ls: ls[:2] + [ls[2].rsplit(" ", 1)[0]] + ls[3:], 3),
+    "long-row": (lambda ls: ls[:2] + [ls[2] + " 1.5"] + ls[3:], 3),
+    "word-in-row": (lambda ls: ls[:3] + [_replace_field(ls[3], 2, "abc")] + ls[4:], 4),
+    "short-reference": (lambda ls: ls[:5] + [ls[5].rsplit(" ", 1)[0]], 6),
+    "word-in-reference": (lambda ls: ls[:5] + [_replace_field(ls[5], 0, "abc")], 6),
+    "blank-lines-counted": (lambda ls: ls[:1] + ["", ""] + [ls[1] + " 1.5"] + ls[2:], 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DUMPS))
+def test_cli_malformed_instance_names_line(tmp_path, capsys, case):
+    edit, line = MALFORMED_DUMPS[case]
+    path = tmp_path / "instance.txt"
+    dump_instance(gen("least_squares", m=4, n=3, seed=23), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    config = tmp_path / "c.txt"
+    config.write_text(
+        "method = ssgd\nkind = least_squares\nm = 4\nn = 3\nN = 10\nseeds = 1\n"
+        "step.family = constant\nstep.c = 0.01\nmom.family = constant\nmom.theta = 0\n"
+        f"instance = {path.as_posix()}\n"
+    )
+    rc = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert f"{path} line {line}:" in err
 
 
 def test_with_reference_shape_check():

@@ -4,6 +4,8 @@ reference loop, and the solver contract details:
 checkpoint placement, divergence flagging, constraint feasibility, and the
 extrapolation identity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -148,13 +150,18 @@ def test_steps_fix_the_optimum(kind):
 
 def test_divergence_records_first_nonfinite_step():
     # v_3 = (1 - 2e200) v_2 is still finite (its squared norm is not); the
-    # step to v_4 overflows, so the trace ends with the checkpoint at k = 3
+    # step to v_4 overflows, so the trace ends with the checkpoint at k = 3,
+    # whose distance and increment are recorded without overflow
     inst = _origin_referenced(_hand_instance("least_squares", [[1.0]], [0.0]))
     with np.errstate(over="ignore"):
         trace = _every_step("ssgd", inst, alpha=1e200, theta=0.0, iterations=10)
     assert trace.diverged
     assert trace.diverged_at == 4
     assert [cp.k for cp in trace.checkpoints] == [1, 2, 3]
+    last = trace.checkpoints[2]
+    v_2 = trace.checkpoints[1].dist
+    assert last.dist == pytest.approx((2e200 - 1.0) * v_2, rel=1e-15)
+    assert last.increment == pytest.approx(2e200 * v_2, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +214,8 @@ def _reference_update(case, inst, x, i, alpha):
         ("ssgd", "least_squares", "none"),
         ("ssgd", "least_squares", "ball"),
         ("ssgd", "least_squares", "box"),
+        ("ssgd", "least_squares", "harmonic"),
+        ("ssgd", "least_squares", "diverging"),
         ("ssgd", "least_absolute", "none"),
         ("prox_rm", "least_squares", None),
         ("prox_rm", "least_absolute", None),
@@ -216,8 +225,9 @@ def _reference_update(case, inst, x, i, alpha):
     ids=lambda case: "-".join(str(part) for part in case if part is not None),
 )
 def test_run_matches_reference_loop(case):
-    """An independent loop over the same stream must reproduce every
-    checkpoint distance and increment bitwise, momentum included."""
+    """An independent loop over the same stream, one scalar row draw per step,
+    must reproduce every checkpoint distance and increment bitwise, momentum
+    included, and a diverging run must stop at the same step."""
     method, kind, extra = case
     kw = {}
     if method == "composite":
@@ -230,21 +240,64 @@ def test_run_matches_reference_loop(case):
         kw["constraint"] = ball(0.5)
     elif extra == "box":
         kw["constraint"] = box(np.full(6, -0.25), np.full(6, 0.25))
-    trace = run(_small_config(method=method, theta=0.5, iterations=300, seed=4, **kw), inst)
+    config = _small_config(method=method, theta=0.5, iterations=300, seed=4, **kw)
+    if extra == "harmonic":
+        config = dataclasses.replace(config, momentum=harmonic_momentum(2.0))
+    elif extra == "diverging":
+        config = dataclasses.replace(config, step=constant_step(2.0))
+    trace = run(config, inst)
 
     g = make_generator(STREAM_RUN, 4)
     v_prev = v = normals(g, 6)
     ref = inst.reference_optimum
     expected = {1: (float(np.linalg.norm(v - ref)), 0.0), 2: (float(np.linalg.norm(v - ref)), 0.0)}
-    for k in range(2, 300):
-        alpha = (1.0 / 16.0) / (k + 3.0) ** (8.0 / 9.0)
-        x = v + 0.5 * (v - v_prev)
-        i = int(g.integers(1, 51))
-        v_prev, v = v, _reference_update(case, inst, x, i, alpha)
-        expected[k + 1] = (float(np.linalg.norm(v - ref)), float(np.linalg.norm(v - v_prev)))
-    assert not trace.diverged
+    diverged_at = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, 300):
+            if extra == "diverging":
+                alpha = 2.0
+            else:
+                alpha = (1.0 / 16.0) / (k + 3.0) ** (8.0 / 9.0)
+            theta = 1.0 / (k + 2.0) if extra == "harmonic" else 0.5
+            x = v + theta * (v - v_prev)
+            i = int(g.integers(1, 51))
+            v_next = _reference_update(case, inst, x, i, alpha)
+            if not np.isfinite(v_next).all():
+                diverged_at = k + 1
+                break
+            v_prev, v = v, v_next
+            expected[k + 1] = (
+                float(np.linalg.norm(v - ref)),
+                float(np.linalg.norm(v - v_prev)),
+            )
+    assert trace.diverged_at == diverged_at
+    assert trace.diverged == (extra == "diverging")
+    # a run that does not diverge checkpoints every mark; a diverged one stops early
+    marks = [cp.k for cp in run(_small_config(iterations=300), inst).checkpoints]
+    assert [cp.k for cp in trace.checkpoints] == [k for k in marks if k in expected]
     for cp in trace.checkpoints:
-        assert (cp.dist, cp.increment) == expected[cp.k], f"checkpoint {cp.k} left the reference"
+        want = expected[cp.k]
+        if not np.isfinite(want).all():
+            continue  # the plain norm overflowed on a finite iterate
+        assert (cp.dist, cp.increment) == want, f"checkpoint {cp.k} left the reference"
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 300, 2000, 10000, 2**31, 2**33])
+def test_block_index_draws_equal_scalar_draws(m):
+    """The run stream's row indices may be drawn in blocks: after the
+    Box-Muller init draw, consecutive integers(1, m + 1, size=K) blocks yield
+    the same indices as one scalar draw each and leave the generator in the
+    same state. Only the generator is exercised, so no size-m array is ever
+    allocated."""
+    for seed in (1, 4, 10):
+        block_gen = make_generator(STREAM_RUN, seed)
+        scalar_gen = make_generator(STREAM_RUN, seed)
+        normals(block_gen, 20)
+        normals(scalar_gen, 20)
+        blocks = [block_gen.integers(1, m + 1, size=size) for size in (700, 1, 299)]
+        scalar = [int(scalar_gen.integers(1, m + 1)) for _ in range(1000)]
+        assert np.concatenate(blocks).tolist() == scalar
+        assert block_gen.random() == scalar_gen.random()
 
 
 def test_run_is_bitwise_deterministic():
