@@ -28,7 +28,7 @@ from .harness import (
 )
 from .momentum_algebra import (
     head_coefficients,
-    head_product,
+    head_products,
     tail_coefficients,
 )
 from .problems import dump_instance, gen, lasso_reference, with_reference
@@ -109,8 +109,7 @@ def _cmd_algebra(args) -> int:
     thetas = schedule.values(n)
     tails = tail_coefficients(schedule, n + 1)
     print("k,theta,d,c,residual,t")
-    for k in range(1, n + 1):
-        state = head_product(thetas, k)
+    for k, state in enumerate(head_products(thetas), 1):
         d_k, c_k = head_coefficients(state)
         d_k, c_k = d_k + 0.0, c_k + 0.0  # normalize negative zero
         residual = (d_k - c_k) ** 2

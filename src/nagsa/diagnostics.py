@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from ._rng import STREAM_BRANCH, STREAM_PATH, make_generator
 from .errors import ConfigurationError, DivergenceError
@@ -122,7 +121,11 @@ class SummableSequence:
             return 0.0
         if self.family == "geometric":
             return self.scale * self.ratio**n / (1.0 - self.ratio)
-        return self.scale * float(_hurwitz_zeta(self.exponent, n))
+        # scipy costs about 0.2 s and 25 MB to import, and only this tail
+        # needs it, so the import waits for the first power-family tail
+        from scipy.special import zeta
+
+        return self.scale * float(zeta(self.exponent, n))
 
     def tails(self, count: int) -> np.ndarray:
         return np.array([self.tail(n) for n in range(1, count + 1)])

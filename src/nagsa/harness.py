@@ -212,6 +212,22 @@ class _KeyedValues:
         return int(value)
 
 
+# largest float64 array a config may ask for (256 MB): the m x n instance
+# matrix, a paths x length lemma ensemble, a branch sample
+_MAX_ENTRIES = 1 << 25
+
+
+def _check_entries(kv: _KeyedValues, keys: tuple[str, ...], sizes: tuple[int, ...]) -> None:
+    """Refuse an array of prod(sizes) entries above _MAX_ENTRIES, naming the
+    lines the sizes came from, before anything of that size is allocated."""
+    total = math.prod(sizes)
+    if total > _MAX_ENTRIES:
+        where = ", ".join(kv.where(k) for k in keys if k in kv.lines) or kv.where(keys[0])
+        raise ConfigurationError(
+            f"{where}: {' x '.join(keys)} = {total} entries exceeds the limit of {_MAX_ENTRIES}"
+        )
+
+
 def _parse_number(token: str) -> float:
     """Finite decimal or exact rational literal like 8/9."""
     num_s, slash, den_s = token.partition("/")
@@ -316,6 +332,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
     m = kv.integer("m")
     n = kv.integer("n")
+    for key, size in (("m", m), ("n", n)):
+        if size < 1:
+            raise kv.error(key, f"{key} must be positive, got {size}")
+    _check_entries(kv, ("m", "n"), (m, n))
     lam = kv.number("lambda", 0.0)
     problem_seed = kv.integer("problem.seed", 10)
     iterations = kv.integer("N")
@@ -459,6 +479,8 @@ def parse_lemma_config(text: str) -> LemmaSuiteConfig:
         raise kv.error("length", "need length >= 4")
     if branches < 30:
         raise kv.error("branches", "need at least 30 branches")
+    _check_entries(kv, ("paths", "length"), (paths, length))
+    _check_entries(kv, ("branches",), (branches,))
 
     control_raw = values.get("control", "none")
     control = None if control_raw == "none" else control_raw

@@ -22,9 +22,10 @@ that fixed-point family is (d_n - c_n)^2.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "TailCoefficients",
     "companion_matrix",
     "head_product",
+    "head_products",
     "head_coefficients",
     "fixed_point_matrix",
     "fixed_point_residual",
@@ -73,16 +75,23 @@ class ProductState:
             raise ValueError("product index must be >= 1")
 
 
+def head_products(thetas: Iterable[float]) -> Iterator[ProductState]:
+    """P_1, P_2, ... over the given momentum values, by one left fold:
+    P_n = P_{n-1} M(theta_n), so a table of n products costs n steps."""
+    p = None
+    for n, theta in enumerate(thetas, 1):
+        step = companion_matrix(theta)
+        p = step if p is None else p @ step
+        yield ProductState(entries=p, index=n, kind="head")
+
+
 def head_product(thetas: Sequence[float], n: int) -> ProductState:
     """P_n = M(theta_1) ... M(theta_n), multiplying new factors on the right."""
     if n < 1:
         raise ValueError(f"head product needs n >= 1, got {n}")
     if len(thetas) < n:
         raise ValueError(f"need at least {n} momentum values, got {len(thetas)}")
-    p = companion_matrix(thetas[0])
-    for k in range(1, n):
-        p = p @ companion_matrix(thetas[k])
-    return ProductState(entries=p, index=n, kind="head")
+    return next(itertools.islice(head_products(thetas), n - 1, None))
 
 
 def head_coefficients(state: ProductState) -> tuple[float, float]:
@@ -170,10 +179,11 @@ def tail_coefficients(
             horizon += 1
         seed = 0.0
     top = n_max + horizon
+    thetas = schedule.block(1, top)
     values = np.empty(n_max)
     t_next = seed
     for n in range(top, 0, -1):
-        t_here = (1.0 + t_next) * schedule.at(n)
+        t_here = (1.0 + t_next) * thetas[n - 1]
         if n <= n_max:
             values[n - 1] = t_here
         t_next = t_here

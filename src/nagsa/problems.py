@@ -192,23 +192,35 @@ def _row(inst: ProblemInstance, i: int) -> np.ndarray:
     return inst.rows[i - 1]
 
 
+def _sign(r: float) -> float:
+    """np.sign on a Python float without the ufunc call: sign(+-0) = +0 and
+    sign(nan) = nan."""
+    return 1.0 if r > 0.0 else -1.0 if r < 0.0 else r + 0.0
+
+
 def _subgrad_row(a: np.ndarray, b: float, x: np.ndarray, absolute: bool):
-    """(value, subgradient) of the sample term of row a with target b at x."""
-    r = float(a @ x - b)
+    """(value, subgradient) of the sample term of row a with Python float
+    target b at x.
+
+    ``a.dot(x)`` runs the same BLAS dot as ``a @ x`` with less dispatch, and
+    the residual is formed on Python floats.
+    """
+    r = float(a.dot(x)) - b
     if absolute:
-        return abs(r), np.sign(r) * a
+        return abs(r), _sign(r) * a
     return r * r, (2.0 * r) * a
 
 
 def _prox_row(
     a: np.ndarray, b: float, x: np.ndarray, q: float, alpha: float, absolute: bool
 ) -> np.ndarray:
-    """Closed-form prox of the sample term of row a (q = ||a||^2, target b) at x."""
-    r = float(a @ x - b)
+    """Closed-form prox of the sample term of row a (q = ||a||^2, Python
+    float target b) at x."""
+    r = float(a.dot(x)) - b
     if q == 0.0:
         return x.copy()
     if absolute:
-        gamma = np.sign(r) * min(alpha, abs(r) / q)
+        gamma = _sign(r) * min(alpha, abs(r) / q)
     else:
         gamma = 2.0 * alpha * r / (1.0 + 2.0 * alpha * q)
     return x - gamma * a
@@ -223,7 +235,8 @@ def subgrad(inst: ProblemInstance, x: np.ndarray, i: int) -> SampleOracleResult:
     quadratic term only (unnormalized); the l1 part is handled by prox_l1.
     """
     a = _row(inst, i)
-    value, g = _subgrad_row(a, inst.targets[i - 1], x, inst.kind == "least_absolute")
+    b = float(inst.targets[i - 1])
+    value, g = _subgrad_row(a, b, x, inst.kind == "least_absolute")
     return SampleOracleResult(value=value, subgradient=g, index=i)
 
 
@@ -240,7 +253,8 @@ def prox_sample(inst: ProblemInstance, x: np.ndarray, i: int, alpha: float) -> n
         raise ValueError(f"alpha must be positive, got {alpha}")
     a = _row(inst, i)
     q = float(a @ a)
-    return _prox_row(a, inst.targets[i - 1], x, q, alpha, inst.kind == "least_absolute")
+    b = float(inst.targets[i - 1])
+    return _prox_row(a, b, x, q, alpha, inst.kind == "least_absolute")
 
 
 def prox_l1(x: np.ndarray, tau: float) -> np.ndarray:

@@ -10,8 +10,14 @@ Momentum families:
     power       theta_k = c / (k + s)^p
 
 Indices are 1-based. Momentum values must stay inside [0, 1); constructors
-refuse anything else. ``classify`` reports the two summability properties the
-convergence arguments need: a divergent step sum and a convergent sum of
+refuse anything else. Each family's formula is written once, in ``block``,
+which evaluates it per index on Python floats; ``at`` and ``values`` take
+their values from it, so a block of values equals the scalar values bit for
+bit. (A vectorised ``c / (k + s) ** p`` over an index array does not: numpy's
+SIMD power differs from the scalar one in the last bit for some k.)
+
+``classify`` reports the two summability properties the convergence
+arguments need: a divergent step sum and a convergent sum of
 squares (p-series facts: sum k^-p diverges iff p <= 1, sum k^-2p converges
 iff p > 1/2).
 """
@@ -40,6 +46,12 @@ def _require_index(k: int) -> None:
         raise ValueError(f"schedule index must be >= 1, got {k}")
 
 
+def _power_block(c: float, s: float, p: float, start: int, count: int) -> list[float]:
+    """c / (k + s)^p for k = start .. start + count - 1, the power family of
+    both schedule kinds."""
+    return [c / (k + s) ** p for k in range(start, start + count)]
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     family: str
@@ -58,11 +70,15 @@ class StepSchedule:
             if self.p < 0:
                 raise ValueError("step exponent p must be non-negative")
 
-    def at(self, k: int) -> float:
-        _require_index(k)
+    def block(self, start: int, count: int) -> list[float]:
+        """alpha_start .. alpha_{start + count - 1}."""
+        _require_index(start)
         if self.family == "constant":
-            return self.c
-        return self.c / (k + self.s) ** self.p
+            return [self.c] * count
+        return _power_block(self.c, self.s, self.p, start, count)
+
+    def at(self, k: int) -> float:
+        return self.block(k, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -88,13 +104,18 @@ class MomentumSchedule:
             if not self.at(1) < 1.0:
                 raise ValueError("power momentum must start below 1")
 
-    def at(self, k: int) -> float:
-        _require_index(k)
+    def block(self, start: int, count: int) -> list[float]:
+        """theta_start .. theta_{start + count - 1}."""
+        _require_index(start)
         if self.family == "constant":
-            return self.theta
+            return [self.theta] * count
         if self.family == "harmonic":
-            return 1.0 / (k + self.s)
-        return self.c / (k + self.s) ** self.p
+            s = self.s
+            return [1.0 / (k + s) for k in range(start, start + count)]
+        return _power_block(self.c, self.s, self.p, start, count)
+
+    def at(self, k: int) -> float:
+        return self.block(k, 1)[0]
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -117,7 +138,7 @@ class MomentumSchedule:
 
     def values(self, count: int) -> np.ndarray:
         """Materialize theta_1 .. theta_count as an array."""
-        return np.array([self.at(k) for k in range(1, count + 1)])
+        return np.array(self.block(1, count))
 
 
 @dataclass(frozen=True)

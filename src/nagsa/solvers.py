@@ -18,16 +18,29 @@ index and applies the method's update rule, which is chosen once per run and
 calls the private row kernels of ``problems`` directly. A non-finite v_{k+1}
 ends the run with ``diverged_at = k + 1`` and the checkpoints recorded so far.
 
+Everything fixed for a whole run is settled before the loop. The momentum
+range is checked once (the loop computes v_k + theta_k (v_k - v_{k-1}) as
+``extrapolate`` does, without its per-call checks); the update rule binds
+rows, targets and squared row norms, and an unconstrained ssgd rule makes no
+projection call. Row indices and the schedule values alpha_k, theta_k come
+in blocks of at most ``_DRAW_BLOCK`` steps, so memory stays bounded for any
+N; the schedules' ``block`` applies their scalar formula per index, so the
+values equal ``at(k)`` bit for bit. Finiteness is decided by
+``math.isfinite(v.dot(v))``: a finite sum of squares means every entry is finite,
+and only when it is not does ``np.isfinite(v).all()`` decide, which keeps a
+finite iterate whose squared norm overflows (|v| above about 1.3e154).
+
 Run RNG stream layout (fixed, documented for bitwise reproducibility): the
 init vector consumes Box-Muller normals first when init is gaussian, then the
-N - 2 uniform row indices follow, one per step. They are drawn in blocks of
-at most ``_DRAW_BLOCK`` through ``sample_index(..., size=...)``; a block of K
-draws equals K scalar draws from the same generator state, which
+N - 2 uniform row indices follow, one per step. They are drawn in blocks
+through ``sample_index(..., size=...)``; a block of K draws equals K scalar
+draws from the same generator state, which
 ``test_block_index_draws_equal_scalar_draws`` pins.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -60,7 +73,8 @@ __all__ = [
 
 METHODS = ("ssgd", "prox_rm", "composite")
 COMPOSITE_ORDERS = ("explicit_first", "implicit_first")
-# row indices drawn per sample_index call: 128 KB of int64 at most
+# steps per block of row indices and schedule values: 128 KB of int64 and
+# two 16384-entry float lists at most
 _DRAW_BLOCK = 1 << 14
 
 
@@ -144,7 +158,12 @@ def _update_rule(
     targets = inst.targets.tolist()
     absolute = inst.kind == "least_absolute"
     lam = inst.lam
-    if config.method == "ssgd":
+    if config.method == "ssgd" and config.constraint.kind == "whole_space":
+
+        def update(x, i, alpha):
+            return x - alpha * _subgrad_row(rows[i], targets[i], x, absolute)[1]
+
+    elif config.method == "ssgd":
         constraint = config.constraint
 
         def update(x, i, alpha):
@@ -173,12 +192,19 @@ def _update_rule(
     return update
 
 
-def _row_draws(inst: ProblemInstance, g: np.random.Generator, count: int):
-    """The run's ``count`` row indices, 0-based, drawn in blocks through
-    ``sample_index``; the sequence equals one scalar draw per step, and the
-    block size bounds memory for any iteration budget."""
-    for start in range(0, count, _DRAW_BLOCK):
-        yield from (sample_index(inst, g, size=min(_DRAW_BLOCK, count - start)) - 1).tolist()
+def _steps(config: SolverConfig, inst: ProblemInstance, g: np.random.Generator):
+    """(k, 0-based row index, alpha_k, theta_k) for k = 2 .. N - 1, produced
+    in blocks of at most ``_DRAW_BLOCK`` steps. The indices equal one scalar
+    draw per step and the schedule values equal ``at(k)``."""
+    stop = config.iterations
+    for start in range(2, stop, _DRAW_BLOCK):
+        count = min(_DRAW_BLOCK, stop - start)
+        yield from zip(
+            range(start, start + count),
+            (sample_index(inst, g, size=count) - 1).tolist(),
+            config.step.block(start, count),
+            config.momentum.block(start, count),
+        )
 
 
 def _norm(v: np.ndarray) -> float:
@@ -236,6 +262,10 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         raise ConfigurationError(
             "instance has no reference optimum; compute one before running"
         )
+    # the one momentum-range check of the run; the loop extrapolates unchecked
+    lo, hi = config.momentum.bounds
+    if not (0.0 <= lo and hi < 1.0):
+        raise ValueError(f"momentum must lie in [0, 1), got values in [{lo}, {hi}]")
     ref = inst.reference_optimum
     f_ref = objective(inst, ref)
     g = make_generator(STREAM_RUN, config.seed)
@@ -293,17 +323,12 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         checkpoints=checkpoints, metadata=metadata, instrumentation=instrumentation
     )
     update = _update_rule(config, inst)
-    step_at = config.step.at
-    momentum_at = config.momentum.at
-    draws = _row_draws(inst, g, config.iterations - 2)
 
     # exploding iterates are detected by the finiteness check, so the
     # intermediate overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, i in zip(range(2, config.iterations), draws):
-            alpha = step_at(k)
-            theta = momentum_at(k)
-            x = extrapolate(v_curr, v_prev, theta)
+        for k, i, alpha, theta in _steps(config, inst, g):
+            x = v_curr + theta * (v_curr - v_prev)
             if instrumentation is not None:
                 instrumentation.append(
                     (
@@ -313,7 +338,7 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
                     )
                 )
             v_next = update(x, i, alpha)
-            if not np.isfinite(v_next).all():
+            if not math.isfinite(v_next.dot(v_next)) and not np.isfinite(v_next).all():
                 trace.diverged = True
                 trace.diverged_at = k + 1
                 return trace

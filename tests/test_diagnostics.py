@@ -3,11 +3,16 @@ ensembles against closed-form recursions, and the statistical checks against
 both calibrated positives and deliberately broken negatives."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import nagsa
 from nagsa.diagnostics import (
     LEMMA_IDS,
     PairSeries,
@@ -51,6 +56,25 @@ def test_power_tail_matches_hurwitz_zeta():
         with mpmath.workdps(30):
             expected = 3.0 * float(mpmath.zeta(2, n))
         assert abs(seq.tail(n) - expected) <= 1e-12 * expected
+
+
+def test_scipy_is_imported_only_for_power_tails():
+    """The CLI and the solvers never need scipy; the first power-family tail
+    imports it. Checked in a fresh interpreter."""
+    src = str(Path(nagsa.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import nagsa.cli\n"
+        "from nagsa.diagnostics import power_sequence\n"
+        "assert 'scipy' not in sys.modules, 'imported by nagsa.cli'\n"
+        "power_sequence(2.0).tail(3)\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_zero_sequence():

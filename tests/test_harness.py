@@ -242,6 +242,44 @@ def test_lemma_config_minimums():
         parse_lemma_config("lemmas = all\nbranches = 29\n")
 
 
+def test_config_sizes_bounded_before_allocation():
+    # only the parsers run: no refused size is ever allocated
+    big_instance = TINY_RUN.replace("m = 60", "m = 100000").replace("n = 6", "n = 100000")
+    with pytest.raises(ConfigurationError, match=r"^line 3, line 4: m x n = 10000000000 "):
+        parse_config(big_instance)
+    with pytest.raises(ConfigurationError, match=r"^line 2: m x n .* exceeds"):
+        parse_config("preset = lad-ssgd\nm = 1000000\n")
+    with pytest.raises(ConfigurationError, match=r"^line 2: n must be positive"):
+        parse_config("preset = lad-ssgd\nn = 0\n")
+    with pytest.raises(ConfigurationError, match=r"^line 2, line 3: paths x length .* exceeds"):
+        parse_lemma_config("lemmas = all\npaths = 100000\nlength = 100000\n")
+    with pytest.raises(ConfigurationError, match=r"^line 2: paths x length .* exceeds"):
+        parse_lemma_config("lemmas = all\nlength = 1000000000\n")
+    with pytest.raises(ConfigurationError, match=r"^line 2: branches .* exceeds"):
+        parse_lemma_config("lemmas = all\nbranches = 1e12\n")
+    # the largest allowed product still parses
+    limit = 1 << 25
+    config = parse_lemma_config(f"lemmas = all\npaths = {limit // 4096}\nlength = 4096\n")
+    assert config.paths * config.length == limit
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("gen", TINY_RUN.replace("n = 6", "n = 10000000")),
+        ("run", TINY_RUN.replace("m = 60", "m = 1e12")),
+        ("lemma", "lemmas = relay\npaths = 1000000\nlength = 1000000\n"),
+    ],
+)
+def test_cli_oversized_config_exits_two(tmp_path, capsys, command, text):
+    config = _write(tmp_path / "c.txt", text)
+    rc = main([command, "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: line " in err and "exceeds the limit" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_lemma_config_control_validation():
     config = parse_lemma_config("lemmas = all\ncontrol = drift\n")
     assert config.control == "drift"

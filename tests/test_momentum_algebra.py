@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nagsa.cli import main
 from nagsa.errors import DivergenceError, StructuralError
 from nagsa.momentum_algebra import (
     ProductState,
@@ -21,6 +22,7 @@ from nagsa.momentum_algebra import (
     fixed_point_residual,
     head_coefficients,
     head_product,
+    head_products,
     tail_coefficients,
     tail_product,
 )
@@ -75,6 +77,46 @@ def test_head_product_matches_direct_multiplication():
 def test_head_product_zero_momentum_is_idempotent():
     state = head_product([0.0] * 6, 6)
     assert np.allclose(state.entries, [[0.0, 0.0], [1.0, 1.0]], atol=0.0)
+
+
+def test_head_products_fold_equals_each_head_product():
+    thetas = harmonic_momentum(2.0).values(40)
+    states = list(head_products(thetas))
+    assert [state.index for state in states] == list(range(1, 41))
+    for n, state in enumerate(states, 1):
+        assert state.kind == "head"
+        assert np.array_equal(state.entries, head_product(thetas, n).entries)
+    assert list(head_products([])) == []
+
+
+@pytest.mark.parametrize(
+    "argv, schedule",
+    [
+        (["--family", "constant", "--theta", "0.9"], constant_momentum(0.9)),
+        (["--family", "harmonic", "--s", "2"], harmonic_momentum(2.0)),
+        (
+            ["--family", "power", "--c", "0.9", "--s", "1", "--p", "0.7"],
+            power_momentum(0.9, 1.0, 0.7),
+        ),
+    ],
+    ids=["constant", "harmonic", "power"],
+)
+def test_cli_algebra_table_equals_per_row_head_products(argv, schedule, capsys):
+    """The table folds the head products once; every row must equal the one
+    built from its own head_product(thetas, k), byte for byte."""
+    n = 60
+    assert main(["algebra", *argv, "--n", str(n)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    thetas = schedule.values(n)
+    tails = tail_coefficients(schedule, n + 1)
+    expected = ["k,theta,d,c,residual,t"]
+    for k in range(1, n + 1):
+        d, c = head_coefficients(head_product(thetas, k))
+        d, c = d + 0.0, c + 0.0
+        expected.append(
+            f"{k},{thetas[k - 1]:.17g},{d:.17g},{c:.17g},{(d - c) ** 2:.17g},{tails.t(k):.17g}"
+        )
+    assert table == expected
 
 
 def test_head_product_validation():

@@ -110,6 +110,33 @@ def test_values_matches_at():
     assert all(vals[k - 1] == sched.at(k) for k in range(1, 51))
 
 
+@pytest.mark.parametrize(
+    "sched, formula",
+    [
+        (constant_step(0.25), lambda k: 0.25),
+        (
+            power_step(1.0 / 16.0, 3.0, 8.0 / 9.0),
+            lambda k: (1.0 / 16.0) / (k + 3.0) ** (8.0 / 9.0),
+        ),
+        (constant_momentum(0.9), lambda k: 0.9),
+        (harmonic_momentum(2.0), lambda k: 1.0 / (k + 2.0)),
+        (power_momentum(0.9, 1.0, 8.0 / 9.0), lambda k: 0.9 / (k + 1.0) ** (8.0 / 9.0)),
+    ],
+    ids=["constant-step", "power-step", "constant-mom", "harmonic-mom", "power-mom"],
+)
+def test_block_equals_scalar_formula(sched, formula):
+    """A block of values is the scalar formula per index, bit for bit, at
+    any start; an np.power over an index array would not be."""
+    for start, count in ((1, 20000), (16383, 5), (16386, 1), (199_990, 20)):
+        block = sched.block(start, count)
+        assert len(block) == count
+        for k, value in zip(range(start, start + count), block):
+            assert value == formula(k) == sched.at(k), k
+    assert sched.block(5, 0) == []
+    with pytest.raises(ValueError):
+        sched.block(0, 3)
+
+
 def test_bounds_contain_log_spaced_prefix():
     schedules = [
         constant_momentum(0.9),

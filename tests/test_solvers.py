@@ -23,9 +23,10 @@ from nagsa.schedules import (
     constant_momentum,
     constant_step,
     harmonic_momentum,
+    power_momentum,
     power_step,
 )
-from nagsa.solvers import SolverConfig, extrapolate, run
+from nagsa.solvers import _DRAW_BLOCK, SolverConfig, _steps, extrapolate, run
 
 
 def _hand_instance(kind, rows, targets, lam=0.0):
@@ -215,6 +216,7 @@ def _reference_update(case, inst, x, i, alpha):
         ("ssgd", "least_squares", "ball"),
         ("ssgd", "least_squares", "box"),
         ("ssgd", "least_squares", "harmonic"),
+        ("ssgd", "least_squares", "harmonic-long"),
         ("ssgd", "least_squares", "diverging"),
         ("ssgd", "least_absolute", "none"),
         ("prox_rm", "least_squares", None),
@@ -227,8 +229,10 @@ def _reference_update(case, inst, x, i, alpha):
 def test_run_matches_reference_loop(case):
     """An independent loop over the same stream, one scalar row draw per step,
     must reproduce every checkpoint distance and increment bitwise, momentum
-    included, and a diverging run must stop at the same step."""
+    included, and a diverging run must stop at the same step. The long case
+    runs past the first block of row draws and schedule values."""
     method, kind, extra = case
+    iterations = _DRAW_BLOCK + 300 if extra == "harmonic-long" else 300
     kw = {}
     if method == "composite":
         inst = gen("lasso", m=50, n=6, seed=8, lam=0.3)
@@ -240,8 +244,8 @@ def test_run_matches_reference_loop(case):
         kw["constraint"] = ball(0.5)
     elif extra == "box":
         kw["constraint"] = box(np.full(6, -0.25), np.full(6, 0.25))
-    config = _small_config(method=method, theta=0.5, iterations=300, seed=4, **kw)
-    if extra == "harmonic":
+    config = _small_config(method=method, theta=0.5, iterations=iterations, seed=4, **kw)
+    if extra in ("harmonic", "harmonic-long"):
         config = dataclasses.replace(config, momentum=harmonic_momentum(2.0))
     elif extra == "diverging":
         config = dataclasses.replace(config, step=constant_step(2.0))
@@ -253,12 +257,12 @@ def test_run_matches_reference_loop(case):
     expected = {1: (float(np.linalg.norm(v - ref)), 0.0), 2: (float(np.linalg.norm(v - ref)), 0.0)}
     diverged_at = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, 300):
+        for k in range(2, iterations):
             if extra == "diverging":
                 alpha = 2.0
             else:
                 alpha = (1.0 / 16.0) / (k + 3.0) ** (8.0 / 9.0)
-            theta = 1.0 / (k + 2.0) if extra == "harmonic" else 0.5
+            theta = 1.0 / (k + 2.0) if extra in ("harmonic", "harmonic-long") else 0.5
             x = v + theta * (v - v_prev)
             i = int(g.integers(1, 51))
             v_next = _reference_update(case, inst, x, i, alpha)
@@ -273,7 +277,7 @@ def test_run_matches_reference_loop(case):
     assert trace.diverged_at == diverged_at
     assert trace.diverged == (extra == "diverging")
     # a run that does not diverge checkpoints every mark; a diverged one stops early
-    marks = [cp.k for cp in run(_small_config(iterations=300), inst).checkpoints]
+    marks = [cp.k for cp in run(_small_config(iterations=iterations), inst).checkpoints]
     assert [cp.k for cp in trace.checkpoints] == [k for k in marks if k in expected]
     for cp in trace.checkpoints:
         want = expected[cp.k]
@@ -298,6 +302,35 @@ def test_block_index_draws_equal_scalar_draws(m):
         scalar = [int(scalar_gen.integers(1, m + 1)) for _ in range(1000)]
         assert np.concatenate(blocks).tolist() == scalar
         assert block_gen.random() == scalar_gen.random()
+
+
+@pytest.mark.parametrize(
+    "step, momentum",
+    [
+        (constant_step(0.3), constant_momentum(0.5)),
+        (power_step(1.0 / 16.0, 3.0, 8.0 / 9.0), harmonic_momentum(2.0)),
+        (power_step(0.5, 0.0, 0.7), power_momentum(0.9, 1.0, 8.0 / 9.0)),
+    ],
+    ids=["constant", "power-harmonic", "power-power"],
+)
+def test_step_blocks_equal_scalar_schedule_values(step, momentum):
+    """The loop's alpha_k and theta_k come in blocks; on both sides of a block
+    edge they equal the scalar at(k) bit for bit, and the row indices equal
+    one scalar draw per step."""
+    inst = gen("least_squares", m=7, n=2, seed=1)
+    iterations = 2 * _DRAW_BLOCK + 5
+    config = SolverConfig(
+        method="ssgd", step=step, momentum=momentum, iterations=iterations, seed=3
+    )
+    g = make_generator(STREAM_RUN, 3)
+    scalar_g = make_generator(STREAM_RUN, 3)
+    steps = list(_steps(config, inst, g))
+    # k = 2 .. N - 1 crosses two block edges (after k = _DRAW_BLOCK + 1 and
+    # k = 2 _DRAW_BLOCK + 1)
+    assert [k for k, _, _, _ in steps] == list(range(2, iterations))
+    for k, i, alpha, theta in steps:
+        assert i == int(scalar_g.integers(1, 8)) - 1
+        assert (alpha, theta) == (step.at(k), momentum.at(k)), k
 
 
 def test_run_is_bitwise_deterministic():
