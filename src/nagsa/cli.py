@@ -7,8 +7,15 @@ Subcommands:
     algebra   print head products, coefficients, and tail values
     plotdata  print log-log plot columns for an existing bundle
 
-Exit codes: 0 success, 1 check failure, 2 configuration error,
-3 divergence in a non-sweep run (single momentum value, single seed).
+Exit codes:
+    0  success
+    1  check failure (a lemma suite whose reports do not come out as required)
+    2  configuration error: an invalid config, flag or instance file, or a
+       config or output path that cannot be read or written (the message
+       names the line or the path)
+    3  divergence in a non-sweep run (single momentum value, single seed)
+    4  internal error: any other exception, reported on one stderr line
+       without a traceback
 """
 
 from __future__ import annotations
@@ -130,12 +137,22 @@ def _cmd_plotdata(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, config_required: bool) -> None:
     parser.add_argument(
         "--config", required=config_required, help="path to a key = value config file"
     )
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("--seed", type=_seed, default=None, help="seed override (>= 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,6 +201,13 @@ def main(argv: list[str] | None = None) -> int:
     except (StructuralError, DivergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        where = f": {exc.filename!r}" if exc.filename else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

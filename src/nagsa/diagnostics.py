@@ -25,6 +25,14 @@ the almost-sure statements acquire finite-horizon surrogates; every drift
 inequality holds with certainty by construction, and parameter sets that
 could push a path negative (which would need clamping, biasing the test)
 are refused at configuration time.
+
+Each recursion and each Lyapunov value is written once. A Recursion holds the
+per-step coefficients of r_{i+order} = mean(i, r_i, r_{i+order-1}) + sigma_i w;
+an Ensemble holds the realized paths and the arrays of the form
+V_n = (1 + t_n) s_{n+1} - t_n s_n + c_n on s = r + h z, which lyapunov() also
+evaluates for real pair series. Paths and conditional branches step the same
+mean and evaluate the same form, so with sigma = 0 every branch reproduces
+the realized V_{n+1} bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ __all__ = [
     "geometric_sequence",
     "power_sequence",
     "PairSeries",
-    "LyapunovSeries",
     "CheckReport",
     "pair_series_from_trace",
     "lyapunov",
@@ -161,16 +168,6 @@ class PairSeries:
             raise ValueError("pair series must be non-negative")
 
 
-@dataclass(frozen=True)
-class LyapunovSeries:
-    """V_1..V_{L-1} plus the ingredients it was built from."""
-
-    v: np.ndarray
-    t: TailCoefficients
-    phi: tuple[float, float]
-    beta_tail: np.ndarray
-
-
 @dataclass
 class CheckReport:
     lemma_id: str
@@ -223,27 +220,23 @@ def pair_series_from_trace(trace, inst) -> PairSeries:
     return PairSeries(r=r, z=z, thetas=thetas)
 
 
-def _check_phi(phi: tuple[float, float]) -> tuple[float, float]:
-    p1, p2 = float(phi[0]), float(phi[1])
-    if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-12:
-        raise ValueError("phi must be a nonnegative pair summing to 1")
-    return p1, p2
+def _lyapunov_form(t, s_n, s_next, c):
+    """V_n = (1 + t_n) s_{n+1} - t_n s_n + c_n, the one Lyapunov form of real
+    pair series, synthetic paths and their branches (t = 0 is single-step)."""
+    return (1.0 + t) * s_next - t * s_n + c
 
 
 def lyapunov(
-    series: PairSeries,
-    t: TailCoefficients,
-    phi: tuple[float, float] = (0.5, 0.5),
-    betas: SummableSequence | None = None,
-) -> LyapunovSeries:
-    """Rank-one Lyapunov combination of a pair series.
+    series: PairSeries, t: TailCoefficients, betas: SummableSequence | None = None
+) -> np.ndarray:
+    """Rank-one Lyapunov values V_1..V_{L-1} of a pair series.
 
-    V_n = (phi_1 + phi_2) ((1 + t_n) r_{n+1} - t_n r_n) + 2 sum_{k>=n} beta_k
-    for n = 1..L-1, the expansion of [r_n, r_{n+1}] Q_n phi with Q_n the
-    rank-one tail product. The tail coefficients must cover the series and
-    match its momentum values through t_n = (1 + t_{n+1}) theta_n.
+    V_n = (1 + t_n) r_{n+1} - t_n r_n + 2 sum_{k>=n} beta_k, the expansion of
+    [r_n, r_{n+1}] Q_n phi with Q_n the rank-one tail product; both columns
+    of Q_n are equal, so every weight pair phi summing to 1 gives V_n. The
+    tail coefficients must cover the series and match its momentum values
+    through t_n = (1 + t_{n+1}) theta_n.
     """
-    p1, p2 = _check_phi(phi)
     betas = betas if betas is not None else zero_sequence()
     r = series.r
     length = len(r)
@@ -255,9 +248,7 @@ def lyapunov(
     residual = np.abs(tv[:-1] - (1.0 + tv[1:]) * series.thetas[:-1])
     if np.any(residual > 1e-9):
         raise ValueError("tail coefficients do not match the series momentum values")
-    beta_tail = betas.tails(length - 1)
-    v = (p1 + p2) * ((1.0 + tv[:-1]) * r[1:] - tv[:-1] * r[:-1]) + 2.0 * beta_tail
-    return LyapunovSeries(v=v, t=t, phi=(p1, p2), beta_tail=beta_tail)
+    return _lyapunov_form(tv[:-1], r[:-1], r[1:], 2.0 * betas.tails(length - 1))
 
 
 def prox_lyapunov(r: np.ndarray, a: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -309,34 +300,62 @@ def relay(thetas: np.ndarray, v_path: np.ndarray, r0: float) -> np.ndarray:
 _DELAYED_IDS = ("drift", "drift_const", "slack", "coupled", "coupled_weighted")
 
 
-@dataclass
-class Ensemble:
-    """Realized synthetic paths plus everything needed to branch them.
+@dataclass(frozen=True)
+class Recursion:
+    """One step of a synthetic drift recursion, shared by paths and branches.
 
-    r has shape (paths, length); v holds V_n per path for the n range
-    v_offset+1 .. v_offset+v_len (1-based). branch_v(p, n, B) redraws the
-    one-step-ahead V_{n+1} distribution from the frozen state at (p, n)
-    using a dedicated (seed, path, step) stream, so probe order never
-    changes results. theta_valid is False when the momentum values admit
-    no finite tail sum (then no Lyapunov series exists to check).
+    r_{i+order} = mean(i, r_i, r_{i+order-1}) + sigma_i w with w uniform on
+    [-1, 1] (0-based i). order 2 is the delayed drift recursion; order 1 with
+    theta = beta = 0 is the single-step one, whose two states coincide.
+    """
+
+    order: int
+    thetas: np.ndarray
+    beta: np.ndarray
+    eta: np.ndarray     # subtracted drive; a_i (eta_{i+1} - eta_i) single-step
+    couple: np.ndarray  # added coupling; the upward drift of a drift control
+    sigma: np.ndarray
+
+    def mean(self, i: int, prev, curr):
+        theta = self.thetas[i]
+        return (1.0 + theta) * curr - theta * prev + self.beta[i] - self.eta[i] + self.couple[i]
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Realized synthetic paths and the arrays they were built from.
+
+    r has shape (paths, length); v holds V_n per path for n = v_offset+1 ..
+    v_offset+v.shape[1] (1-based), the Lyapunov form with per-n arrays t and
+    c on s = r + h z. v is None when the momentum values admit no finite tail
+    sum (failure_reason says so). recursion is None for the relay, whose
+    driver V is deterministic.
     """
 
     lemma_id: str
     seed: int
-    paths: int
-    length: int
-    params: dict
     r: np.ndarray
-    z: np.ndarray | None
-    thetas: np.ndarray | None
-    eta: np.ndarray | None   # slack sequence when the scenario asserts summability
-    sigma: np.ndarray | None
     v: np.ndarray | None
-    v_offset: int
-    theta_valid: bool
-    failure_reason: str | None
-    _branch_mean_se: object = None  # callable (p, n, B) -> (mean, se) via streams
-    _conv_series: object = None     # callable (p) -> series asserted to converge
+    v_offset: int = 0
+    recursion: Recursion | None = None
+    t: np.ndarray | None = None
+    c: np.ndarray | None = None
+    h: float = 0.0
+    z: np.ndarray | None = None    # auxiliary path, zero without coupling
+    eta: np.ndarray | None = None  # slack sequence when the scenario asserts summability
+    failure_reason: str | None = None
+
+    @property
+    def paths(self) -> int:
+        return self.r.shape[0]
+
+    @property
+    def length(self) -> int:
+        return self.r.shape[1]
+
+    @property
+    def theta_valid(self) -> bool:
+        return self.failure_reason is None
 
     def v_value(self, p: int, n: int) -> float:
         i = n - 1 - self.v_offset
@@ -345,48 +364,68 @@ class Ensemble:
         return float(self.v[p, i])
 
     def branch_values(self, p: int, n: int, branches: int) -> np.ndarray:
-        return self._branch_mean_se(p, n, branches)
+        """`branches` draws of V_{n+1} from the frozen state at (p, n), taken
+        from a dedicated (seed, path, step) stream so that probe order never
+        changes results."""
+        if self.v is None:
+            raise DivergenceError("no Lyapunov series for momentum >= 1")
+        j = n - self.v_offset  # V_{n+1} is v[p, j]
+        if not 1 <= j < self.v.shape[1]:
+            lo, hi = self.v_offset + 1, self.v_offset + self.v.shape[1] - 1
+            raise ValueError(f"branch step {n} outside {lo}..{hi}")
+        rec = self.recursion
+        if rec is None:
+            return np.full(branches, self.v[p, j])
+        q = j + 1  # the redrawn state r_q
+        i = q - rec.order
+        w = make_generator(STREAM_BRANCH, self.seed, p, n).uniform(-1.0, 1.0, branches)
+        r_next = rec.mean(i, self.r[p, i], self.r[p, q - 1]) + rec.sigma[i] * w
+        s_n = self.r[p, q - 1] + self.h * self.z[q - 1]
+        return _lyapunov_form(self.t[j], s_n, r_next + self.h * self.z[q], self.c[j])
 
-    def convergence_series(self, p: int) -> np.ndarray:
-        return self._conv_series(p)
 
-    def pair_series(self, p: int) -> PairSeries:
-        z = self.z[p] if self.z is not None and self.z.ndim == 2 else (
-            self.z if self.z is not None else np.zeros(self.length)
-        )
-        thetas = self.thetas if self.thetas is not None else np.zeros(self.length)
-        return PairSeries(r=self.r[p].copy(), z=np.array(z, copy=True), thetas=thetas.copy())
-
-
-def _path_generator(seed: int, p: int):
-    return make_generator(STREAM_PATH, seed, p)
-
-
-def _branch_generator(seed: int, p: int, n: int):
-    return make_generator(STREAM_BRANCH, seed, p, n)
+def _walk(rec: Recursion, seed: int, paths: int, length: int, init) -> np.ndarray:
+    """Paths of the recursion on the per-path streams. Each stream gives one
+    uniform [0, 1) spread, from which init(spreads) sets the first `order`
+    columns, then the noise of every step."""
+    steps = length - rec.order
+    spreads = np.empty(paths)
+    noise = np.empty((paths, steps))
+    for p in range(paths):
+        g = make_generator(STREAM_PATH, seed, p)
+        spreads[p] = g.random()
+        noise[p] = g.uniform(-1.0, 1.0, steps)
+    r = np.empty((paths, length))
+    r[:, : rec.order] = init(spreads)
+    for i in range(steps):
+        q = i + rec.order
+        r[:, q] = rec.mean(i, r[:, i], r[:, q - 1]) + rec.sigma[i] * noise[:, i]
+    return r
 
 
 def _geometric_scale_array(scale: float, ratio: float, length: int) -> np.ndarray:
     return scale * ratio ** np.arange(1, length + 1, dtype=float)
 
 
-def _delayed_defaults(lemma_id: str) -> dict:
-    base = {
-        "sigma": 1e-3,
-        "sigma_ratio": 0.99,
-        "eta": zero_sequence(),
-        "beta": zero_sequence(),
-        "betabar": zero_sequence(),
-        "h": 0.0,
-        "zeta": 0.0,
-        "z_init": 0.0,
-        "a_ratio": 0.0,
-        "rho_limit": 0.0,
-        "rho_ratio": 0.0,
-        "r1": None,
-        "r2": None,
-        "control": None,
-    }
+def _scenario_defaults(lemma_id: str) -> dict:
+    if lemma_id == "relay":
+        return {"theta_lo": 0.1, "theta_hi": 0.9, "control": None}
+    base = {"sigma": 1e-3, "sigma_ratio": 0.99, "control": None}
+    if lemma_id == "first_order":
+        return {**base, "a_ratio": 0.97, "eta_limit": 2.0, "eta_ratio": 0.85}
+    base.update(
+        eta=zero_sequence(),
+        beta=zero_sequence(),
+        betabar=zero_sequence(),
+        h=0.0,
+        zeta=0.0,
+        z_init=0.0,
+        a_ratio=0.0,
+        rho_limit=0.0,
+        rho_ratio=0.0,
+        r1=None,
+        r2=None,
+    )
     if lemma_id == "drift":
         base["momentum"] = harmonic_momentum(3.0)
     elif lemma_id == "drift_const":
@@ -407,28 +446,18 @@ def _delayed_defaults(lemma_id: str) -> dict:
     return base
 
 
-def _build_delayed(lemma_id: str, params: dict, seed: int, paths: int, length: int) -> Ensemble:
-    cfg = _delayed_defaults(lemma_id)
-    unknown = set(params) - set(cfg)
-    if unknown:
-        raise ConfigurationError(f"unknown scenario parameters {sorted(unknown)}")
-    cfg.update(params)
+def _build_delayed(lemma_id: str, cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
     control = cfg["control"]
-    if control not in (None, "drift", "theta"):
-        raise ConfigurationError(f"unknown negative control {control!r}")
-
+    theta_valid = control != "theta"
     # momentum values theta_1..theta_{L}
-    if control == "theta":
+    if not theta_valid:
         thetas = np.full(length, 1.05)
-        theta_valid = False
         d_sup = 1.05
     else:
         momentum: MomentumSchedule = cfg["momentum"]
         thetas = momentum.values(length)
-        theta_valid = True
         d_sup = momentum.bounds[1]
 
-    sigma = _geometric_scale_array(cfg["sigma"], cfg["sigma_ratio"], length)
     beta_seq: SummableSequence = cfg["beta"]
     betabar_seq: SummableSequence = cfg["betabar"]
     eta_spec = cfg["eta"]
@@ -440,14 +469,12 @@ def _build_delayed(lemma_id: str, params: dict, seed: int, paths: int, length: i
         eta = np.asarray(eta_spec, dtype=float)
         if len(eta) < length:
             raise ConfigurationError("eta sequence shorter than the path length")
-    beta = beta_seq.values(length)
 
     h, zeta_c, z_init = cfg["h"], cfg["zeta"], cfg["z_init"]
-    coupled = h > 0.0
 
     # deterministic auxiliary path z and its downward drive
     z = np.zeros(length)
-    if coupled:
+    if h > 0.0:
         if z_init <= 0:
             raise ConfigurationError("coupled scenarios need z_init > 0")
         drive = np.zeros(length)
@@ -488,235 +515,83 @@ def _build_delayed(lemma_id: str, params: dict, seed: int, paths: int, length: i
             "clamping would bias the check, so this is refused"
         )
 
-    r = np.empty((paths, length))
-    noise = np.empty((paths, length - 2)) if length > 2 else np.zeros((paths, 0))
-    spreads = np.empty(paths)
-    for p in range(paths):
-        g = _path_generator(seed, p)
-        spreads[p] = g.random()
-        if length > 2:
-            noise[p] = g.uniform(-1.0, 1.0, length - 2)
-    if explicit_init:
-        r[:, 0] = cfg["r1"]
-        r[:, 1] = cfg["r2"]
-    else:
-        r[:, 0] = (1.05 * floor + 1.0) * (1.0 + 0.5 * spreads)
-        if control == "theta":
-            r[:, 1] = r[:, 0] + 1.0  # positive initial increment keeps blowup one-sided
-        else:
-            r[:, 1] = r[:, 0]
+    def init(spreads: np.ndarray) -> np.ndarray:
+        if explicit_init:
+            return np.array([cfg["r1"], cfg["r2"]])
+        r1 = (1.05 * floor + 1.0) * (1.0 + 0.5 * spreads)
+        # a positive initial increment keeps the theta control's blowup one-sided
+        return np.column_stack([r1, r1 if theta_valid else r1 + 1.0])
 
-    couple_term = h * zeta_c * z if coupled else np.zeros(length)
-    for i in range(length - 2):
-        r[:, i + 2] = (
-            (1.0 + thetas[i]) * r[:, i + 1]
-            - thetas[i] * r[:, i]
-            + beta[i]
-            - eta[i]
-            + couple_term[i + 1]
-            + sigma[i] * noise[:, i]
-        )
-    if theta_valid and np.any(r < 0):
+    rec = Recursion(
+        order=2,
+        thetas=thetas,
+        beta=beta_seq.values(length),
+        eta=eta,
+        couple=h * zeta_c * z[1:],
+        sigma=_geometric_scale_array(cfg["sigma"], cfg["sigma_ratio"], length),
+    )
+    r = _walk(rec, seed, paths, length, init)
+    if not theta_valid:
+        failure = "momentum at or above 1 admits no finite tail sum"
+        return Ensemble(lemma_id, seed, r, None, recursion=rec, failure_reason=failure)
+    if np.any(r < 0):
         raise ConfigurationError("path went negative despite the floor; widen it")
 
     # Lyapunov series on s = r + h z with exact tail bookkeeping
-    v = None
-    tcoef = None
-    failure = None
-    if theta_valid:
-        momentum_for_tail = (
-            constant_momentum(thetas[0]) if thetas.max() == thetas.min() else cfg["momentum"]
-        )
-        tcoef = tail_coefficients(momentum_for_tail, length, tol=1e-12)
-        tv = tcoef.values
-        s = r + h * z[None, :]
-        tail_extra = np.array(
-            [
-                beta_seq.tail(n) + h * betabar_seq.tail(n) + h * thetas[0] * z[n - 1]
-                for n in range(1, length)
-            ]
-        )
-        v = (1.0 + tv[: length - 1]) * s[:, 1:] - tv[: length - 1] * s[:, :-1]
-        v = v + 2.0 * tail_extra[None, :]
-    else:
-        failure = "momentum at or above 1 admits no finite tail sum"
-
-    ens = Ensemble(
-        lemma_id=lemma_id,
-        seed=seed,
-        paths=paths,
-        length=length,
-        params=cfg,
-        r=r,
-        z=z if coupled else None,
-        thetas=thetas,
-        eta=eta if (lemma_id in ("slack", "coupled", "coupled_weighted") and control is None) else None,
-        sigma=sigma,
-        v=v,
-        v_offset=0,
-        theta_valid=theta_valid,
-        failure_reason=failure,
+    momentum_for_tail = (
+        constant_momentum(thetas[0]) if thetas.max() == thetas.min() else cfg["momentum"]
+    )
+    t = tail_coefficients(momentum_for_tail, length, tol=1e-12).values[: length - 1]
+    c = 2.0 * (
+        beta_seq.tails(length - 1)
+        + h * betabar_seq.tails(length - 1)
+        + h * thetas[0] * z[: length - 1]
+    )
+    s = r + h * z[None, :]
+    v = _lyapunov_form(t, s[:, :-1], s[:, 1:], c)
+    asserted = lemma_id in ("slack", "coupled", "coupled_weighted") and control is None
+    return Ensemble(
+        lemma_id, seed, r, v, recursion=rec, t=t, c=c, h=h, z=z, eta=eta if asserted else None
     )
 
-    def branch(p: int, n: int, branches: int) -> np.ndarray:
-        # state at (r_n, r_{n+1}); redraw r_{n+2} and evaluate V_{n+1}
-        if not theta_valid:
-            raise DivergenceError("no Lyapunov series for momentum >= 1")
-        if not 1 <= n <= length - 2:
-            raise ValueError(f"branch step {n} outside 1..{length - 2}")
-        i = n - 1
-        g = _branch_generator(seed, p, n)
-        w = g.uniform(-1.0, 1.0, branches)
-        r_next = (
-            (1.0 + thetas[i]) * r[p, i + 1]
-            - thetas[i] * r[p, i]
-            + beta[i]
-            - eta[i]
-            + couple_term[i + 1]
-            + sigma[i] * w
-        )
-        s_next = r_next + h * z[i + 2]
-        s_curr = r[p, i + 1] + h * z[i + 1]
-        tail_next = (
-            beta_seq.tail(n + 1)
-            + h * betabar_seq.tail(n + 1)
-            + h * thetas[0] * z[i + 1]
-        )
-        return (1.0 + tv[i + 1]) * s_next - tv[i + 1] * s_curr + 2.0 * tail_next
 
-    ens._branch_mean_se = branch
-    ens._conv_series = lambda p: r[p]
-    return ens
-
-
-def _build_first_order(params: dict, seed: int, paths: int, length: int) -> Ensemble:
-    cfg = {
-        "sigma": 1e-3,
-        "sigma_ratio": 0.99,
-        "a_ratio": 0.97,
-        "eta_limit": 2.0,
-        "eta_ratio": 0.85,
-        "control": None,
-    }
-    unknown = set(params) - set(cfg)
-    if unknown:
-        raise ConfigurationError(f"unknown scenario parameters {sorted(unknown)}")
-    cfg.update(params)
-    control = cfg["control"]
-    if control not in (None, "drift"):
-        raise ConfigurationError(f"unknown negative control {control!r}")
-
+def _build_first_order(cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
     a = cfg["a_ratio"] ** np.arange(1, length + 1, dtype=float)  # a_1..a_L, decreasing
     etaseq = cfg["eta_limit"] * (1.0 - cfg["eta_ratio"] ** np.arange(1, length + 1))
     sigma = _geometric_scale_array(cfg["sigma"], cfg["sigma_ratio"], length)
-    drift = 1e-3 if control == "drift" else 0.0
-
-    fall = float(np.sum(a[:-1] * np.diff(etaseq))) + float(np.sum(sigma))
-    r_init_base = 1.1 * fall + 1.0
-
-    r = np.empty((paths, length))
-    noise = np.empty((paths, length - 1))
-    spreads = np.empty(paths)
-    for p in range(paths):
-        g = _path_generator(seed, p)
-        spreads[p] = g.random()
-        noise[p] = g.uniform(-1.0, 1.0, length - 1)
-    r[:, 0] = r_init_base * (1.0 + 0.5 * spreads)
-    for i in range(length - 1):
-        r[:, i + 1] = (
-            r[:, i] - a[i] * (etaseq[i + 1] - etaseq[i]) + drift + sigma[i] * noise[:, i]
-        )
-    if control is None and np.any(r < 0):
-        raise ConfigurationError("path went negative despite the floor; widen it")
-
-    # V_n = r_n + a_{n-1} eta_n for n = 2..L
-    v = r[:, 1:] + (a[: length - 1] * etaseq[1:])[None, :]
-
-    ens = Ensemble(
-        lemma_id="first_order",
-        seed=seed,
-        paths=paths,
-        length=length,
-        params=cfg,
-        r=r,
-        z=None,
-        thetas=None,
-        eta=None,
-        sigma=sigma,
-        v=v,
-        v_offset=1,
-        theta_valid=True,
-        failure_reason=None,
+    drive = a[:-1] * np.diff(etaseq)
+    r_start = 1.1 * (float(np.sum(drive)) + float(np.sum(sigma))) + 1.0
+    zeros = np.zeros(length)
+    drift = 1e-3 if cfg["control"] == "drift" else 0.0
+    rec = Recursion(
+        order=1, thetas=zeros, beta=zeros, eta=drive, couple=np.full(length - 1, drift), sigma=sigma
     )
-
-    def branch(p: int, n: int, branches: int) -> np.ndarray:
-        if not 2 <= n <= length - 1:
-            raise ValueError(f"branch step {n} outside 2..{length - 1}")
-        i = n - 1
-        g = _branch_generator(seed, p, n)
-        w = g.uniform(-1.0, 1.0, branches)
-        r_next = r[p, i] - a[i] * (etaseq[i + 1] - etaseq[i]) + drift + sigma[i] * w
-        return r_next + a[i] * etaseq[i + 1]
-
-    ens._branch_mean_se = branch
-    ens._conv_series = lambda p: r[p]
-    return ens
+    r = _walk(rec, seed, paths, length, lambda spreads: (r_start * (1.0 + 0.5 * spreads))[:, None])
+    if cfg["control"] is None and np.any(r < 0):
+        raise ConfigurationError("path went negative despite the floor; widen it")
+    # V_n = r_n + a_{n-1} eta_n for n = 2..L: the form with t = 0 and no z
+    t, c = zeros[1:], a[: length - 1] * etaseq[1:]
+    v = _lyapunov_form(t, r[:, :-1], r[:, 1:], c)
+    return Ensemble("first_order", seed, r, v, v_offset=1, recursion=rec, t=t, c=c, z=zeros)
 
 
-def _build_relay(params: dict, seed: int, paths: int, length: int) -> Ensemble:
-    cfg = {"theta_lo": 0.1, "theta_hi": 0.9, "control": None}
-    unknown = set(params) - set(cfg)
-    if unknown:
-        raise ConfigurationError(f"unknown scenario parameters {sorted(unknown)}")
-    cfg.update(params)
-    control = cfg["control"]
-    if control not in (None, "drift"):
-        raise ConfigurationError(f"unknown negative control {control!r}")
-
+def _build_relay(cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
     r = np.empty((paths, length))
     v_all = np.empty((paths, length))
-    thetas_per_path = np.empty(paths)
+    ns = np.arange(1, length + 1, dtype=float)
     for p in range(paths):
-        g = _path_generator(seed, p)
+        g = make_generator(STREAM_PATH, seed, p)
         theta_p = g.uniform(cfg["theta_lo"], cfg["theta_hi"])
         v_inf = g.uniform(0.5, 2.0)
         amp = g.uniform(0.1, 1.0)
         decay = g.uniform(0.8, 0.95)
         r0 = g.uniform(0.0, 3.0)
-        ns = np.arange(1, length + 1, dtype=float)
-        if control == "drift":
-            path_v = v_inf + 0.002 * ns  # drifts, never converges
+        if cfg["control"] == "drift":
+            v_all[p] = v_inf + 0.002 * ns  # drifts, never converges
         else:
-            path_v = v_inf + amp * decay**ns
-        v_all[p] = path_v
-        thetas_per_path[p] = theta_p
-        r[p] = relay(np.full(length - 1, theta_p), path_v, r0)
-
-    ens = Ensemble(
-        lemma_id="relay",
-        seed=seed,
-        paths=paths,
-        length=length,
-        params=cfg,
-        r=r,
-        z=None,
-        thetas=None,
-        eta=None,
-        sigma=None,
-        v=v_all[:, : length - 1],
-        v_offset=0,
-        theta_valid=True,
-        failure_reason=None,
-    )
-
-    def branch(p: int, n: int, branches: int) -> np.ndarray:
-        if not 1 <= n <= length - 1:
-            raise ValueError(f"branch step {n} outside 1..{length - 1}")
-        return np.full(branches, v_all[p, n])  # deterministic driver
-
-    ens._branch_mean_se = branch
-    ens._conv_series = lambda p: r[p]
-    return ens
+            v_all[p] = v_inf + amp * decay**ns
+        r[p] = relay(np.full(length - 1, theta_p), v_all[p], r0)
+    return Ensemble("relay", seed, r, v_all[:, : length - 1])
 
 
 def synth_paths(
@@ -733,12 +608,18 @@ def synth_paths(
         raise ValueError("need at least one path")
     if length < 4:
         raise ValueError("need path length >= 4")
-    params = dict(params or {})
+    cfg = _scenario_defaults(lemma_id)
+    unknown = set(params or {}) - set(cfg)
+    if unknown:
+        raise ConfigurationError(f"unknown scenario parameters {sorted(unknown)}")
+    cfg.update(params or {})
+    if cfg["control"] not in (None, *negative_controls(lemma_id)):
+        raise ConfigurationError(f"unknown negative control {cfg['control']!r}")
     if lemma_id in _DELAYED_IDS:
-        return _build_delayed(lemma_id, params, seed, paths, length)
+        return _build_delayed(lemma_id, cfg, seed, paths, length)
     if lemma_id == "first_order":
-        return _build_first_order(params, seed, paths, length)
-    return _build_relay(params, seed, paths, length)
+        return _build_first_order(cfg, seed, paths, length)
+    return _build_relay(cfg, seed, paths, length)
 
 
 def negative_controls(lemma_id: str) -> tuple[str, ...]:
@@ -781,8 +662,7 @@ def supermartingale_check(
         return report
 
     lo = 1 + ensemble.v_offset
-    hi = ensemble.length - 2 + ensemble.v_offset
-    hi = min(hi, ensemble.length - 1)
+    hi = ensemble.v_offset + ensemble.v.shape[1] - 1  # V_{n+1} must exist
     probe_steps = np.unique(
         np.round(np.geomspace(lo, hi, steps_per_path)).astype(int)
     )
@@ -850,10 +730,7 @@ def run_lemma_check(
     """Full pipeline for one scenario: build, branch-check, convergence, summability."""
     ensemble = synth_paths(lemma_id, params, seed, paths, length)
     report = supermartingale_check(ensemble, paths=paths, branches=branches, tol_z=tol_z)
-    converged = sum(
-        convergence_check(ensemble.convergence_series(p), tol=convergence_tol)
-        for p in range(ensemble.paths)
-    )
+    converged = sum(convergence_check(row, tol=convergence_tol) for row in ensemble.r)
     report.converged_fraction = converged / ensemble.paths
     if ensemble.eta is not None:
         report.eta_plateaued = summability_check(ensemble.eta[:length], plateau_tol)

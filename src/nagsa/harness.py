@@ -337,7 +337,11 @@ def parse_config(text: str) -> ExperimentConfig:
             raise kv.error(key, f"{key} must be positive, got {size}")
     _check_entries(kv, ("m", "n"), (m, n))
     lam = kv.number("lambda", 0.0)
+    if lam < 0:
+        raise kv.error("lambda", f"lambda must be non-negative, got {lam:g}")
     problem_seed = kv.integer("problem.seed", 10)
+    if problem_seed < 0:
+        raise kv.error("problem.seed", f"problem.seed must be non-negative, got {problem_seed}")
     iterations = kv.integer("N")
 
     seeds_raw = effective["seeds"]
@@ -475,8 +479,12 @@ def parse_lemma_config(text: str) -> LemmaSuiteConfig:
     seed = kv.integer("seed", 1)
     if paths < 1:
         raise kv.error("paths", "need at least one path")
-    if length < 4:
-        raise kv.error("length", "need length >= 4")
+    if length < 100:
+        raise kv.error(
+            "length", "need length >= 100 (the plateau window is max(100, length // 10))"
+        )
+    if seed < 0:
+        raise kv.error("seed", f"seed must be non-negative, got {seed}")
     if branches < 30:
         raise kv.error("branches", "need at least 30 branches")
     _check_entries(kv, ("paths", "length"), (paths, length))

@@ -1,14 +1,20 @@
 """Config grammar, preset expansion, bundle layout and byte determinism,
 plot-data shaping, and the CLI exit-code contract."""
 
+import hashlib
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nagsa import cli
 from nagsa.cli import main
 from nagsa.errors import ConfigurationError
 from nagsa.harness import (
+    _LEMMA_KEYS,
+    _RUN_KEYS,
     PRESETS,
     parse_config,
     parse_lemma_config,
@@ -240,6 +246,57 @@ def test_lemma_config_minimums():
         parse_lemma_config("lemmas = all\nlength = 3\n")
     with pytest.raises(ConfigurationError, match="branches"):
         parse_lemma_config("lemmas = all\nbranches = 29\n")
+
+
+# tokens that reach the value checks: numbers at and past the edges, list and
+# constraint forms, and every name a key accepts
+_TOKENS = st.sampled_from(
+    [
+        "0", "-0", "1", "-1", "2", "0.5", "0.999", "1.5", "8/9", "1/0", "0/0", "1/1e-320",
+        "1e-320", "1e308", "1e400", "-1e400", "inf", "nan", "9" * 40, "1,2", "1,,2", "2,2",
+        "0,0.5", "-1,2", "ball:1", "ball:-1", "ball:", "box:-1:1", "box:1:-1", "box:1",
+        "none", "all", "relay, drift", "drift", "theta", "constant", "harmonic", "power",
+        "zeros", "gaussian", "ssgd", "prox_rm", "composite", "least_squares",
+        "least_absolute", "lasso", "explicit_first", "implicit_first", *PRESETS,
+    ]
+)
+_VALUES = st.one_of(
+    _TOKENS,
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+
+
+def _fuzz_text(base: str, overrides: dict[str, str], extra: str) -> str:
+    keyed = dict(line.split(" = ", 1) for line in base.splitlines())
+    keyed.update(overrides)
+    return "".join(f"{key} = {value}\n" for key, value in keyed.items()) + extra
+
+
+@settings(max_examples=500)
+@given(
+    overrides=st.dictionaries(st.sampled_from(sorted(_RUN_KEYS)), _VALUES, max_size=5),
+    extra=st.one_of(st.just(""), st.text(max_size=40)),
+)
+def test_parse_config_fuzz(overrides, extra):
+    """Any text either parses or is refused with a ConfigurationError."""
+    try:
+        parse_config(_fuzz_text(TINY_RUN, overrides, extra))
+    except ConfigurationError:
+        pass
+
+
+@settings(max_examples=500)
+@given(
+    overrides=st.dictionaries(st.sampled_from(sorted(_LEMMA_KEYS)), _VALUES, max_size=4),
+    extra=st.one_of(st.just(""), st.text(max_size=40)),
+)
+def test_parse_lemma_config_fuzz(overrides, extra):
+    try:
+        parse_lemma_config(_fuzz_text("lemmas = all\npaths = 10", overrides, extra))
+    except ConfigurationError:
+        pass
 
 
 def test_config_sizes_bounded_before_allocation():
@@ -522,6 +579,38 @@ def test_lemma_suite_control_inverts_success(tmp_path):
     assert summary[-1].split(",")[-1] == "0"
 
 
+_LEMMA_SIZES = "paths = 20\nlength = 300\nbranches = 40\nseed = 3\n"
+
+
+@pytest.mark.parametrize(
+    "text, summary_sha, detail_sha",
+    [
+        (
+            "lemmas = all\n",
+            "62cc9104c86226a7903589b2fd11faf5ac8474d5387ed4dcf1e428c0ccc487e2",
+            "ba6f9389f7c98a5fd7acfe82cffa9d2efeac3b9212584000d190e83bb0e3c96f",
+        ),
+        (
+            "lemmas = all\ncontrol = drift\n",
+            "cf95e8efe4f5beee5d6595046ce0c6c39aef691fcf48e34ef2728212ecb65d61",
+            "19b06626b8d1cb87cf065b4a2eb878b117ba594552b8accd4c3c2996972a31b5",
+        ),
+        (
+            "lemmas = drift,drift_const,slack,coupled,coupled_weighted\ncontrol = theta\n",
+            "d23e41f52def174b6172b0dc48b3172ad60c991278cc85b443a86ba106e19857",
+            "d7af2eb58e89d7c5f2c5660bf93aa15d6483b11962ea187906108bc9721d4c49",
+        ),
+    ],
+    ids=["all", "control-drift", "control-theta"],
+)
+def test_lemma_csv_bytes_are_pinned(tmp_path, text, summary_sha, detail_sha):
+    """Golden hashes of both lemma CSVs (every scenario, both controls) on
+    numpy 2.4 / x86-64: a rewrite of the ensembles must not move a byte."""
+    run_lemma_suite(parse_lemma_config(text + _LEMMA_SIZES), out_dir=str(tmp_path))
+    for name, expected in (("lemma_summary.csv", summary_sha), ("lemma_detail.csv", detail_sha)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -588,6 +677,65 @@ def test_cli_nonfinite_numbers_exit_two(tmp_path, capsys, command, key, template
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert f"line {len(lines)}" in err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("run", "lambda", "-0.5"),
+        ("run", "problem.seed", "-1"),
+        ("lemma", "seed", "-1"),
+        ("lemma", "length", "50"),
+        ("lemma", "length", "99"),
+    ],
+)
+def test_cli_values_that_fail_at_run_time_exit_two(tmp_path, capsys, command, key, value):
+    """Values that parse but would fail later are refused naming their line."""
+    base = TINY_RUN if command == "run" else "lemmas = relay\npaths = 5\nbranches = 30\n"
+    lines = [ln for ln in base.splitlines() if ln.split("=")[0].strip() != key]
+    lines.append(f"{key} = {value}")
+    config = _write(tmp_path / "c.txt", "\n".join(lines) + "\n")
+    rc = main([command, "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: line {len(lines)}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "lemma"])
+def test_cli_negative_seed_flag_exits_two(tmp_path, capsys, command):
+    text = TINY_RUN if command != "lemma" else "lemmas = relay\n"
+    config = _write(tmp_path / "c.txt", text)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config, "--out", str(tmp_path / "out"), "--seed", "-3"])
+    assert exc.value.code == 2
+    assert "argument --seed: expected a non-negative integer, got '-3'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "lemma"])
+def test_cli_unwritable_output_exits_two(tmp_path, capsys, command):
+    text = TINY_RUN if command != "lemma" else "lemmas = relay\npaths = 5\nlength = 100\n"
+    config = _write(tmp_path / "c.txt", text)
+    blocker = _write(tmp_path / "file", "a regular file\n")
+    out = os.path.join(blocker, "out")
+    rc = main([command, "--config", config, "--out", out])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "file" in err and "Traceback" not in err
+
+
+def test_cli_unexpected_exception_exits_four(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_lemma_suite", broken)
+    config = _write(tmp_path / "c.txt", "lemmas = relay\n")
+    rc = main(["lemma", "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: boom\n"
+    assert captured.out == ""
 
 
 def test_cli_lemma_pass(tmp_path, capsys):
