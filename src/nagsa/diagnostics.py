@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -273,24 +274,28 @@ def prox_lyapunov(r: np.ndarray, a: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return r[1:] + a * eta[1:length]
 
 
-def relay(thetas: np.ndarray, v_path: np.ndarray, r0: float) -> np.ndarray:
+def relay(thetas: np.ndarray, v_path: np.ndarray, r0: float | np.ndarray) -> np.ndarray:
     """Averaged relay r_{n+1} = (1 - theta_n) r_n + theta_n V_{n+1}.
 
-    Returns r_1..r_L with r_1 = r0, driven by V_2..V_L of the given path.
+    Returns r_1..r_L with r_1 = r0, driven by V_2..V_L of the given path. A
+    leading path axis is stepped in one pass: v_path of shape (P, L), r0 of
+    shape (P,) and thetas of shape (P, L - 1) give the P relays at once, each
+    bit for bit its 1-D call.
     """
     thetas = np.asarray(thetas, dtype=float)
     v_path = np.asarray(v_path, dtype=float)
-    length = len(v_path)
+    length = v_path.shape[-1]
     if length < 1:
         raise ValueError("relay needs a non-empty driving path")
-    if len(thetas) < length - 1:
-        raise ValueError(f"need {length - 1} momentum values, got {len(thetas)}")
-    if np.any((thetas[: length - 1] < 0) | (thetas[: length - 1] >= 1)):
+    if thetas.shape[-1] < length - 1:
+        raise ValueError(f"need {length - 1} momentum values, got {thetas.shape[-1]}")
+    thetas = thetas[..., : length - 1]
+    if np.any((thetas < 0) | (thetas >= 1)):
         raise ValueError("relay momentum values must lie in [0, 1)")
-    r = np.empty(length)
-    r[0] = r0
+    r = np.empty(v_path.shape)
+    r[..., 0] = r0
     for i in range(length - 1):
-        r[i + 1] = (1.0 - thetas[i]) * r[i] + thetas[i] * v_path[i + 1]
+        r[..., i + 1] = (1.0 - thetas[..., i]) * r[..., i] + thetas[..., i] * v_path[..., i + 1]
     return r
 
 
@@ -363,25 +368,34 @@ class Ensemble:
             raise ValueError(f"V_{n} not available")
         return float(self.v[p, i])
 
-    def branch_values(self, p: int, n: int, branches: int) -> np.ndarray:
-        """`branches` draws of V_{n+1} from the frozen state at (p, n), taken
-        from a dedicated (seed, path, step) stream so that probe order never
-        changes results."""
+    def branch_values(self, p: int, steps: np.ndarray, branches: int) -> np.ndarray:
+        """`branches` draws of V_{n+1} from the frozen state at (p, n) for each
+        n of the 1-D array `steps`, one row per step. Each row comes from its
+        own (seed, path, step) stream, so probe order never changes results;
+        the recursion mean and the Lyapunov form are evaluated once over all
+        rows."""
         if self.v is None:
             raise DivergenceError("no Lyapunov series for momentum >= 1")
-        j = n - self.v_offset  # V_{n+1} is v[p, j]
-        if not 1 <= j < self.v.shape[1]:
+        steps = np.asarray(steps)
+        if steps.ndim != 1:
+            raise ValueError("branch steps must be a 1-D array")
+        j = steps - self.v_offset  # V_{n+1} is v[p, j]
+        outside = (j < 1) | (j >= self.v.shape[1])
+        if outside.any():
             lo, hi = self.v_offset + 1, self.v_offset + self.v.shape[1] - 1
-            raise ValueError(f"branch step {n} outside {lo}..{hi}")
+            raise ValueError(f"branch step {steps[outside][0]} outside {lo}..{hi}")
         rec = self.recursion
         if rec is None:
-            return np.full(branches, self.v[p, j])
-        q = j + 1  # the redrawn state r_q
+            return np.repeat(self.v[p, j][:, None], branches, axis=1)
+        w = np.empty((len(steps), branches))
+        for row, n in enumerate(steps.tolist()):
+            w[row] = make_generator(STREAM_BRANCH, self.seed, p, n).uniform(-1.0, 1.0, branches)
+        q = j + 1  # the redrawn states r_q
         i = q - rec.order
-        w = make_generator(STREAM_BRANCH, self.seed, p, n).uniform(-1.0, 1.0, branches)
-        r_next = rec.mean(i, self.r[p, i], self.r[p, q - 1]) + rec.sigma[i] * w
+        r_next = rec.mean(i, self.r[p, i], self.r[p, q - 1])[:, None] + rec.sigma[i][:, None] * w
         s_n = self.r[p, q - 1] + self.h * self.z[q - 1]
-        return _lyapunov_form(self.t[j], s_n, r_next + self.h * self.z[q], self.c[j])
+        s_next = r_next + (self.h * self.z[q])[:, None]
+        return _lyapunov_form(self.t[j][:, None], s_n[:, None], s_next, self.c[j][:, None])
 
 
 def _walk(rec: Recursion, seed: int, paths: int, length: int, init) -> np.ndarray:
@@ -576,21 +590,22 @@ def _build_first_order(cfg: dict, seed: int, paths: int, length: int) -> Ensembl
 
 
 def _build_relay(cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
-    r = np.empty((paths, length))
+    thetas = np.empty(paths)
+    r0 = np.empty(paths)
     v_all = np.empty((paths, length))
     ns = np.arange(1, length + 1, dtype=float)
     for p in range(paths):
         g = make_generator(STREAM_PATH, seed, p)
-        theta_p = g.uniform(cfg["theta_lo"], cfg["theta_hi"])
+        thetas[p] = g.uniform(cfg["theta_lo"], cfg["theta_hi"])
         v_inf = g.uniform(0.5, 2.0)
         amp = g.uniform(0.1, 1.0)
         decay = g.uniform(0.8, 0.95)
-        r0 = g.uniform(0.0, 3.0)
+        r0[p] = g.uniform(0.0, 3.0)
         if cfg["control"] == "drift":
             v_all[p] = v_inf + 0.002 * ns  # drifts, never converges
         else:
             v_all[p] = v_inf + amp * decay**ns
-        r[p] = relay(np.full(length - 1, theta_p), v_all[p], r0)
+    r = relay(np.broadcast_to(thetas[:, None], (paths, length - 1)), v_all, r0)
     return Ensemble("relay", seed, r, v_all[:, : length - 1])
 
 
@@ -648,6 +663,13 @@ def supermartingale_check(
     exceeds V_n beyond rounding (a degenerate standard error would otherwise
     turn summation noise into huge z-scores). Fewer than 30 branches have no
     statistical power and are refused.
+
+    A path's probes are evaluated in one array pass: branch_values gives one
+    row per probed step, and the estimates, standard errors, z-scores and
+    violations are row-wise array operations. Every row still comes from its
+    own (seed, path, step) branch stream, so no probe's draws depend on the
+    others, and details, checks, violations and worst_z equal those of one
+    probe at a time bit for bit.
     """
     if branches < 30:
         raise ValueError("need at least 30 branches for a meaningful standard error")
@@ -667,27 +689,25 @@ def supermartingale_check(
         np.round(np.geomspace(lo, hi, steps_per_path)).astype(int)
     )
     scale_eps = 1e-12
+    steps = probe_steps.tolist()
+    v_index = probe_steps - 1 - ensemble.v_offset
     for p in range(n_paths):
-        for n in probe_steps:
-            samples = ensemble.branch_values(p, int(n), branches)
-            estimate = float(np.mean(samples))
-            se = float(np.std(samples, ddof=1) / math.sqrt(branches))
-            v_n = ensemble.v_value(p, int(n))
-            diff = estimate - v_n
-            rounding = scale_eps * max(1.0, abs(v_n))
-            if se > rounding:
-                zscore = diff / se
-                violated = zscore > tol_z
-            else:
-                violated = diff > rounding
-                zscore = math.inf if violated else 0.0
-            report.checks += 1
-            if violated:
-                report.violations += 1
-            report.worst_z = max(report.worst_z, zscore)
-            report.details.append(
-                (ensemble.lemma_id, p, int(n), v_n, estimate, zscore)
-            )
+        samples = ensemble.branch_values(p, probe_steps, branches)
+        estimate = samples.mean(axis=1)
+        se = samples.std(axis=1, ddof=1) / math.sqrt(branches)
+        v_n = ensemble.v[p, v_index]
+        diff = estimate - v_n
+        rounding = scale_eps * np.maximum(1.0, np.abs(v_n))
+        # deterministic branches read inf or 0; as tol_z > 0, z > tol_z is the violation
+        zscore = np.where(diff > rounding, math.inf, 0.0)
+        np.divide(diff, se, out=zscore, where=se > rounding)
+        report.checks += len(steps)
+        report.violations += int(np.count_nonzero(zscore > tol_z))
+        zs = zscore.tolist()
+        report.worst_z = max([report.worst_z, *zs])
+        report.details.extend(
+            zip(repeat(ensemble.lemma_id), repeat(p), steps, v_n.tolist(), estimate.tolist(), zs)
+        )
     return report
 
 

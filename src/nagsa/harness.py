@@ -620,6 +620,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Resu
         raise ConfigurationError("no output directory (give out = PATH or --out)")
     started = time.monotonic()
     inst = _resolve_instance(config)
+    # an unwritable out is refused before any run, not after all of them
+    os.makedirs(out, exist_ok=True)
 
     groups: list[ThetaGroup] = []
     for label, momentum in config.momenta:
@@ -650,7 +652,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Resu
         groups.append(ThetaGroup(label=label, momentum=momentum, runs=tuple(runs)))
 
     # single writer after all runs, ordered by group then seed
-    os.makedirs(out, exist_ok=True)
     for group in groups:
         group_dir = os.path.join(out, group.label)
         os.makedirs(group_dir, exist_ok=True)
@@ -709,6 +710,8 @@ def run_lemma_suite(
     broken hypothesis demands, so the suite result stays truthful.
     """
     out = out_dir or config.out
+    if out is not None:
+        os.makedirs(out, exist_ok=True)  # refused before the first scenario
     reports = []
     for lemma_id in config.lemmas:
         params = {"control": config.control} if config.control else None
@@ -727,7 +730,6 @@ def run_lemma_suite(
     else:
         all_good = all(not rep.passed for rep in reports)
     if out is not None:
-        os.makedirs(out, exist_ok=True)
         _write_lines(os.path.join(out, "lemma_summary.csv"), _lemma_summary_lines(config, reports))
         _write_lines(os.path.join(out, "lemma_detail.csv"), _lemma_detail_lines(reports))
     return reports, all_good

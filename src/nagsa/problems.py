@@ -319,10 +319,16 @@ def dump_instance(inst: ProblemInstance, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _open_dump(path):
+    # bytes that are not UTF-8 read as U+FFFD, which no number parses, so they
+    # fail where they stand and the error names their line
+    return open(path, encoding="utf-8", errors="replace")
+
+
 def _located(path, index: int, message: str) -> ConfigurationError:
     """Error naming the 1-based file line of the index-th (0-based) non-blank
     line; the file is scanned for it only on this error path."""
-    with open(path) as fh:
+    with _open_dump(path) as fh:
         line = [no for no, ln in enumerate(fh, 1) if ln.strip()][index]
     return ConfigurationError(f"{path} line {line}: {message}")
 
@@ -332,10 +338,10 @@ def load_instance(path) -> ProblemInstance:
 
     A malformed file raises ConfigurationError naming the offending line.
     """
-    with open(path) as fh:
+    with _open_dump(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
-        raise ConfigurationError(f"empty instance file {path}")
+        raise ConfigurationError(f"{path} line 1: empty instance file, expected the header")
     head = lines[0].split()
     if len(head) != 5:
         raise _located(path, 0, f"bad instance header {lines[0]!r}")

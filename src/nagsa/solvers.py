@@ -177,7 +177,7 @@ def _update_rule(
             return prox_l1(v_mid, alpha * lam)
 
     else:
-        norms = [float(a @ a) for a in rows]
+        norms = np.vecdot(inst.rows, inst.rows).tolist()
         if config.method == "prox_rm":
 
             def update(x, i, alpha):

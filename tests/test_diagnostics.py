@@ -13,9 +13,12 @@ import numpy as np
 import pytest
 
 import nagsa
+from nagsa._rng import STREAM_BRANCH, STREAM_PATH, make_generator
 from nagsa.diagnostics import (
     LEMMA_IDS,
+    CheckReport,
     PairSeries,
+    _lyapunov_form,
     convergence_check,
     geometric_sequence,
     lyapunov,
@@ -316,6 +319,41 @@ def test_relay_validation():
         relay(np.array([0.5, 1.0, 0.5]), np.ones(4), r0=0.0)
 
 
+@pytest.mark.parametrize("control", [None, "drift"])
+def test_relay_paths_equal_scalar_relay(control):
+    """Every relay path of the ensemble is the 1-D relay of its own stream's
+    (theta, driver, r0), bit for bit."""
+    params = {"control": control} if control else None
+    paths, length = 12, 400
+    ens = synth_paths("relay", params, seed=3, paths=paths, length=length)
+    ns = np.arange(1, length + 1, dtype=float)
+    for p in range(paths):
+        g = make_generator(STREAM_PATH, 3, p)
+        theta = g.uniform(0.1, 0.9)
+        v_inf, amp, decay = g.uniform(0.5, 2.0), g.uniform(0.1, 1.0), g.uniform(0.8, 0.95)
+        r0 = g.uniform(0.0, 3.0)
+        v_path = v_inf + 0.002 * ns if control else v_inf + amp * decay**ns
+        expected = relay(np.full(length - 1, theta), v_path, r0)
+        assert ens.r[p].view(np.int64).tolist() == expected.view(np.int64).tolist(), p
+        assert np.array_equal(ens.v[p], v_path[:-1])
+
+
+def test_relay_path_axis_equals_one_relay_per_row():
+    rng = np.random.default_rng(12)
+    thetas = rng.uniform(0.0, 0.99, (5, 59))
+    v_paths = rng.uniform(0.0, 4.0, (5, 60))
+    r0 = rng.uniform(0.0, 3.0, 5)
+    out = relay(thetas, v_paths, r0)
+    assert out.shape == (5, 60)
+    for p in range(5):
+        assert np.array_equal(out[p], relay(thetas[p], v_paths[p], r0[p]))
+    with pytest.raises(ValueError):
+        relay(thetas[:, :58], v_paths, r0)
+    thetas[3, 7] = 1.0
+    with pytest.raises(ValueError):
+        relay(thetas, v_paths, r0)
+
+
 def test_relay_tracks_any_convergent_driver():
     """Whatever the limit, the relay inherits it: 20 random convergent paths
     at length 5000 end within 1e-4 of their driver's limit."""
@@ -441,12 +479,33 @@ def test_synth_relay_fields():
 
 def test_branch_values_are_probe_order_independent():
     ens = synth_paths("drift_const", None, seed=9, paths=3, length=200)
-    first = ens.branch_values(1, 50, 64)
+    first = ens.branch_values(1, np.array([50]), 64)
     # probing other (path, step) pairs in between must not disturb the draw
-    ens.branch_values(0, 10, 64)
-    ens.branch_values(2, 120, 64)
-    again = ens.branch_values(1, 50, 64)
+    ens.branch_values(0, np.array([10]), 64)
+    ens.branch_values(2, np.array([120]), 64)
+    again = ens.branch_values(1, np.array([50]), 64)
     assert np.array_equal(first, again)
+
+
+def test_branch_values_rows_equal_single_probes():
+    """One call over many steps gives, row for row, the one-step calls, in
+    whatever order the steps come."""
+    for lemma_id in ("drift", "first_order", "relay"):
+        ens = synth_paths(lemma_id, None, seed=9, paths=3, length=200)
+        steps = np.array([120, 3, 57, 180])
+        rows = ens.branch_values(2, steps, 64)
+        assert rows.shape == (4, 64)
+        for row, n in zip(rows, steps):
+            assert np.array_equal(row, ens.branch_values(2, np.array([n]), 64)[0])
+        assert np.array_equal(ens.branch_values(2, steps[::-1], 64), rows[::-1])
+
+
+def test_branch_values_step_validation():
+    ens = synth_paths("drift_const", None, seed=9, paths=2, length=50)
+    with pytest.raises(ValueError, match="branch step 49 outside 1..48"):
+        ens.branch_values(0, np.array([10, 49]), 40)
+    with pytest.raises(ValueError, match="1-D"):
+        ens.branch_values(0, np.int64(10), 40)
 
 
 def test_branch_values_match_recursion_mean():
@@ -457,7 +516,7 @@ def test_branch_values_match_recursion_mean():
     p, n = 1, 80
     r_n, r_next = ens.r[p, n - 1], ens.r[p, n]
     t = 1.0  # tail coefficient for constant theta = 0.5
-    samples = ens.branch_values(p, n, 50_000)
+    samples = ens.branch_values(p, np.array([n]), 50_000)[0]
     # V_{n+1} = (1+t) r_{n+2} - t r_{n+1}; E r_{n+2} = (1+theta) r_{n+1} - theta r_n
     expected_mean = (1.0 + t) * ((1.0 + theta) * r_next - theta * r_n) - t * r_next
     se = float(np.std(samples) / math.sqrt(len(samples)))
@@ -473,7 +532,7 @@ def test_noiseless_branches_equal_realized_values(lemma_id):
     ens = synth_paths(lemma_id, params, seed=4, paths=3, length=120)
     for p in range(ens.paths):
         for n in range(1 + ens.v_offset, ens.length - 1 + ens.v_offset):
-            samples = ens.branch_values(p, n, 5)
+            samples = ens.branch_values(p, np.array([n]), 5)[0]
             assert np.array_equal(samples, np.full(5, ens.v_value(p, n + 1))), (p, n)
 
 
@@ -508,6 +567,63 @@ def test_supermartingale_check_deterministic_decrease():
     assert report.violations == 0
     assert report.checks > 0
     assert len(report.details) == report.checks
+
+
+def _per_probe_report(ens, branches, tol_z=3.0, steps_per_path=24):
+    """supermartingale_check one probe at a time: its own branch stream per
+    (path, step), rec.mean and _lyapunov_form on one frozen state, np.mean and
+    np.std per probe, and the scalar z-score rule."""
+    report = CheckReport(lemma_id=ens.lemma_id, paths_tested=ens.paths)
+    lo, hi = 1 + ens.v_offset, ens.v_offset + ens.v.shape[1] - 1
+    steps = np.unique(np.round(np.geomspace(lo, hi, steps_per_path)).astype(int)).tolist()
+    rec = ens.recursion
+    for p in range(ens.paths):
+        for n in steps:
+            j = n - ens.v_offset
+            if rec is None:
+                samples = np.full(branches, ens.v[p, j])
+            else:
+                q = j + 1
+                i = q - rec.order
+                w = make_generator(STREAM_BRANCH, ens.seed, p, n).uniform(-1.0, 1.0, branches)
+                r_next = rec.mean(i, ens.r[p, i], ens.r[p, q - 1]) + rec.sigma[i] * w
+                s_n = ens.r[p, q - 1] + ens.h * ens.z[q - 1]
+                samples = _lyapunov_form(ens.t[j], s_n, r_next + ens.h * ens.z[q], ens.c[j])
+            estimate = float(np.mean(samples))
+            se = float(np.std(samples, ddof=1) / math.sqrt(branches))
+            v_n = float(ens.v[p, j - 1])
+            diff = estimate - v_n
+            rounding = 1e-12 * max(1.0, abs(v_n))
+            if se > rounding:
+                zscore = diff / se
+                violated = zscore > tol_z
+            else:
+                violated = diff > rounding
+                zscore = math.inf if violated else 0.0
+            report.checks += 1
+            report.violations += int(violated)
+            report.worst_z = max(report.worst_z, zscore)
+            report.details.append((ens.lemma_id, p, n, v_n, estimate, zscore))
+    return report
+
+
+def _detail_bits(details):
+    assert all(type(d[1]) is int and type(d[2]) is int for d in details)
+    assert all(type(x) is float for d in details for x in d[3:])
+    return [(*d[:3], *(x.hex() for x in d[3:])) for d in details]
+
+
+@pytest.mark.parametrize("control", [None, "drift"])
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_supermartingale_check_matches_per_probe_loop(lemma_id, control):
+    params = {"control": control} if control else None
+    ens = synth_paths(lemma_id, params, seed=5, paths=8, length=300)
+    got = supermartingale_check(ens, branches=40)
+    want = _per_probe_report(ens, branches=40)
+    assert got.checks == want.checks > 0
+    assert _detail_bits(got.details) == _detail_bits(want.details)
+    assert got.violations == want.violations
+    assert got.worst_z.hex() == want.worst_z.hex()
 
 
 def test_supermartingale_check_is_reproducible():

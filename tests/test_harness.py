@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nagsa import cli
+from nagsa import cli, harness
 from nagsa.cli import main
 from nagsa.errors import ConfigurationError
 from nagsa.harness import (
@@ -714,7 +714,17 @@ def test_cli_negative_seed_flag_exits_two(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["gen", "run", "lemma"])
-def test_cli_unwritable_output_exits_two(tmp_path, capsys, command):
+def test_cli_unwritable_output_exits_two(tmp_path, capsys, monkeypatch, command):
+    """The output directory is created before the first scenario or solver
+    run, so an unwritable one costs no compute."""
+    computed = []
+
+    def must_not_compute(*args, **kwargs):
+        computed.append(args)
+        raise AssertionError("computed before the output directory was made")
+
+    monkeypatch.setattr(harness, "run_lemma_check", must_not_compute)
+    monkeypatch.setattr(harness, "run", must_not_compute)
     text = TINY_RUN if command != "lemma" else "lemmas = relay\npaths = 5\nlength = 100\n"
     config = _write(tmp_path / "c.txt", text)
     blocker = _write(tmp_path / "file", "a regular file\n")
@@ -723,6 +733,7 @@ def test_cli_unwritable_output_exits_two(tmp_path, capsys, command):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "file" in err and "Traceback" not in err
+    assert computed == []
 
 
 def test_cli_unexpected_exception_exits_four(tmp_path, capsys, monkeypatch):

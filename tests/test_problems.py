@@ -5,10 +5,16 @@ prox results against a 1-D ternary search on the actual sampled objective,
 subgradients against finite differences and the subgradient inequality.
 """
 
+import functools
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nagsa._rng import make_generator
 from nagsa.cli import main
@@ -539,6 +545,80 @@ def test_cli_malformed_instance_names_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert f"{path} line {line}:" in err
+
+
+# field values that reach every check of load_instance: sizes at and far past
+# the file's own extent, non-finite and malformed numbers, kinds, and text
+_DUMP_TOKENS = st.sampled_from(
+    [
+        "0", "-0", "1", "-1", "2", "3", "4", "5", "0.5", "1e-320", "1e308", "1e400",
+        "-1e400", "inf", "-inf", "nan", "0x10", "1_0", "\u0663", str(1 << 25),
+        str((1 << 25) + 1), str(10**12), "9" * 5000, "x", "unset", "least_squares",
+        "least_absolute", "lasso",
+    ]
+)
+_DUMP_VALUES = st.one_of(
+    _DUMP_TOKENS,
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats().map(repr),
+    st.text(max_size=8),
+)
+
+
+@functools.cache
+def _clean_dump_lines(kind):
+    inst = gen(kind, m=4, n=3, seed=23, lam=0.5 if kind == "lasso" else 0.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.txt"
+        dump_instance(inst, path)
+        return tuple(path.read_text().splitlines())
+
+
+@settings(max_examples=300)
+@given(
+    kind=st.sampled_from(["least_squares", "lasso"]),
+    fields=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), _DUMP_VALUES), max_size=4
+    ),
+    dropped=st.one_of(st.none(), st.integers(0, 5)),
+    blanks=st.lists(st.integers(0, 6), max_size=3),
+    junk=st.one_of(st.just(b""), st.binary(max_size=12)),
+    junk_at=st.integers(0, 6),
+)
+def test_load_instance_fuzz(kind, fields, dropped, blanks, junk, junk_at):
+    """Any edit of a clean dump either loads or is refused with a
+    ConfigurationError naming its file line. Sizes are refused on the
+    validation path: a loaded matrix never holds more entries than the file
+    has tokens, so no header size is ever allocated."""
+    lines = list(_clean_dump_lines(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        # a new file each time: overwriting one is slow on some file systems
+        path = Path(tmp) / "instance.txt"
+        for line, field, value in fields:
+            tokens = lines[line].split() or [""]
+            tokens[min(field, len(tokens) - 1)] = value
+            lines[line] = " ".join(tokens)
+        if dropped is not None:
+            del lines[dropped]
+        for at in blanks:
+            lines.insert(min(at, len(lines)), "")
+        data = [ln.encode("utf-8") for ln in lines]
+        data.insert(min(junk_at, len(data)), junk)
+        path.write_bytes(b"\n".join(data) + b"\n")
+        try:
+            back = load_instance(path)
+        except ConfigurationError as exc:
+            assert re.search(r" line \d+: ", str(exc)), str(exc)
+        else:
+            assert back.rows.size + back.targets.size <= len(path.read_bytes().split())
+
+
+def test_load_rejects_empty_file_naming_line_one(tmp_path):
+    path = tmp_path / "instance.txt"
+    for text in ("", "\n\n  \n"):
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match=r"instance.txt line 1: "):
+            load_instance(path)
 
 
 def test_with_reference_shape_check():

@@ -333,6 +333,19 @@ def test_step_blocks_equal_scalar_schedule_values(step, momentum):
         assert (alpha, theta) == (step.at(k), momentum.at(k)), k
 
 
+@pytest.mark.parametrize(
+    "kind, m, n", [("least_squares", 2000, 20), ("least_absolute", 10000, 100)]
+)
+def test_vecdot_row_norms_equal_per_row_dots(kind, m, n):
+    """The proximal rules take every squared row norm from one np.vecdot
+    call; on the preset instances (problem.seed 10) each equals the per-row
+    a @ a bit for bit."""
+    inst = gen(kind, m=m, n=n, seed=10)
+    per_row = np.array([float(a @ a) for a in inst.rows])
+    batched = np.vecdot(inst.rows, inst.rows)
+    assert np.array_equal(batched.view(np.int64), per_row.view(np.int64))
+
+
 def test_run_is_bitwise_deterministic():
     inst = gen("least_absolute", m=40, n=5, seed=9)
     a = run(_small_config(method="prox_rm", iterations=400, seed=2), inst)
