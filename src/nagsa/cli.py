@@ -43,8 +43,10 @@ from .schedules import MomentumSchedule
 
 
 def _read_config(path: str) -> str:
+    # bytes that are not UTF-8 read as U+FFFD, which the parser refuses,
+    # naming the line that holds them
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="replace") as fh:
             return fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from None

@@ -159,6 +159,10 @@ def _read_key_values(text: str, known: frozenset[str]) -> tuple[dict[str, str], 
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
+        if "\ufffd" in stripped:
+            # a byte that is not UTF-8, read as U+FFFD: refused here, so a
+            # path value is never silently rewritten
+            raise ConfigurationError(f"line {lineno}: bytes that are not UTF-8 in {stripped!r}")
         if "=" not in stripped:
             raise ConfigurationError(f"line {lineno}: expected `key = value`, got {stripped!r}")
         key, _, value = stripped.partition("=")

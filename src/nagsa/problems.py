@@ -24,6 +24,7 @@ single row and are one-dimensional reductions along it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,17 +307,16 @@ def _fmt(value: float) -> str:
 def dump_instance(inst: ProblemInstance, path) -> None:
     """Text dump: header `kind m n seed lambda`, m rows of n+1 floats
     (row entries then target), then the reference line (n floats or `unset`).
-    17 significant digits give exact float64 round-trips."""
-    lines = [f"{inst.kind} {inst.m} {inst.n} {inst.seed} {_fmt(inst.lam)}"]
-    for i in range(inst.m):
-        entries = [_fmt(v) for v in inst.rows[i]] + [_fmt(inst.targets[i])]
-        lines.append(" ".join(entries))
-    if inst.reference_optimum is None:
-        lines.append("unset")
-    else:
-        lines.append(" ".join(_fmt(v) for v in inst.reference_optimum))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    17 significant digits give exact float64 round-trips. Lines are written
+    one at a time, so the dump holds one line of text in memory."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{inst.kind} {inst.m} {inst.n} {inst.seed} {_fmt(inst.lam)}\n")
+        for a, b in zip(inst.rows, inst.targets):
+            fh.write(" ".join(map(_fmt, [*a.tolist(), b])) + "\n")
+        if inst.reference_optimum is None:
+            fh.write("unset\n")
+        else:
+            fh.write(" ".join(map(_fmt, inst.reference_optimum.tolist())) + "\n")
 
 
 def _open_dump(path):
@@ -325,72 +325,96 @@ def _open_dump(path):
     return open(path, encoding="utf-8", errors="replace")
 
 
-def _located(path, index: int, message: str) -> ConfigurationError:
-    """Error naming the 1-based file line of the index-th (0-based) non-blank
-    line; the file is scanned for it only on this error path."""
-    with _open_dump(path) as fh:
-        line = [no for no, ln in enumerate(fh, 1) if ln.strip()][index]
-    return ConfigurationError(f"{path} line {line}: {message}")
+def _content_lines(fh):
+    """(file line number, text) of each non-blank line."""
+    for lineno, line in enumerate(fh, 1):
+        if not line.isspace():
+            yield lineno, line
 
 
 def load_instance(path) -> ProblemInstance:
     """Read a `dump_instance` file; every number in it must be finite.
 
     A malformed file raises ConfigurationError naming the offending line.
+    The file is read twice, a line at a time, so loading holds the matrix and
+    one line of text. The first pass checks the header, counts the lines and
+    parses the first row, which bounds n, before the matrix is allocated;
+    the second fills the matrix row by row.
     """
-    with _open_dump(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise ConfigurationError(f"{path} line 1: empty instance file, expected the header")
-    head = lines[0].split()
-    if len(head) != 5:
-        raise _located(path, 0, f"bad instance header {lines[0]!r}")
-    kind = head[0]
-    try:
-        m, n, seed, lam = int(head[1]), int(head[2]), int(head[3]), float(head[4])
-    except ValueError as exc:
-        raise _located(path, 0, f"bad instance header: {exc}") from None
-    if kind not in KINDS:
-        raise _located(path, 0, f"unknown problem kind {kind!r}")
-    if m < 1 or n < 1:
-        raise _located(path, 0, f"dimensions must be positive, got m={m} n={n}")
-    if not np.isfinite(lam):
-        raise _located(path, 0, "non-finite lambda")
-    if len(lines) != m + 2:
-        raise _located(path, 0, f"{m} rows need {m + 2} non-blank lines, found {len(lines)}")
 
-    def row_values(i: int) -> list[float]:
+    def fail(lineno: int, message: str) -> ConfigurationError:
+        return ConfigurationError(f"{path} line {lineno}: {message}")
+
+    def row_values(lineno: int, line: str, i: int) -> list[float]:
         try:
-            values = [float(tok) for tok in lines[1 + i].split()]
+            values = list(map(float, line.split()))
         except ValueError as exc:
-            raise _located(path, 1 + i, f"row {i + 1}: {exc}") from None
+            raise fail(lineno, f"row {i + 1}: {exc}") from None
         if len(values) != n + 1:
-            raise _located(path, 1 + i, f"row {i + 1} has {len(values)} values, expected {n + 1}")
+            raise fail(lineno, f"row {i + 1} has {len(values)} values, expected {n + 1}")
         return values
 
-    row_values(0)  # a real row bounds n before the matrix is allocated
+    with _open_dump(path) as fh:
+        lines = _content_lines(fh)
+        head_no, head_line = next(lines, (1, None))
+        if head_line is None:
+            raise fail(1, "empty instance file, expected the header")
+        head_line = head_line.rstrip("\n")
+        head = head_line.split()
+        if len(head) != 5:
+            raise fail(head_no, f"bad instance header {head_line!r}")
+        kind = head[0]
+        try:
+            m, n, seed, lam = int(head[1]), int(head[2]), int(head[3]), float(head[4])
+        except ValueError as exc:
+            raise fail(head_no, f"bad instance header: {exc}") from None
+        if kind not in KINDS:
+            raise fail(head_no, f"unknown problem kind {kind!r}")
+        if m < 1 or n < 1:
+            raise fail(head_no, f"dimensions must be positive, got m={m} n={n}")
+        if not np.isfinite(lam):
+            raise fail(head_no, "non-finite lambda")
+        first = next(lines, None)
+        count = 1 + (first is not None) + sum(1 for _ in lines)
+    if count != m + 2:
+        raise fail(head_no, f"{m} rows need {m + 2} non-blank lines, found {count}")
+    row_values(*first, 0)  # a real row bounds n before the matrix is allocated
+
     rows = np.empty((m, n))
     targets = np.empty(m)
-    for i in range(m):
-        values = row_values(i)
-        rows[i] = values[:n]
-        targets[i] = values[n]
-    finite = np.isfinite(rows).all(axis=1) & np.isfinite(targets)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise _located(path, 1 + i, f"non-finite entry in row {i + 1}")
-    ref_line = lines[m + 1]
+    nonfinite = None  # (file line, row index) of the first row with a non-finite entry
+    with _open_dump(path) as fh:
+        lines = _content_lines(fh)
+        next(lines)  # the header
+        for i in range(m):
+            lineno, line = next(lines)
+            values = row_values(lineno, line, i)
+            rows[i] = values[:n]
+            targets[i] = values[n]
+            # a non-finite entry makes the sum inf or nan; a finite row's sum
+            # can overflow too, so that case looks at the entries
+            if (
+                nonfinite is None
+                and not math.isfinite(sum(values))
+                and not all(map(math.isfinite, values))
+            ):
+                nonfinite = lineno, i
+        ref_no, ref_line = next(lines)
+    # every row parses before any is refused for a non-finite entry
+    if nonfinite is not None:
+        lineno, i = nonfinite
+        raise fail(lineno, f"non-finite entry in row {i + 1}")
     if ref_line.strip() == "unset":
         reference = None
     else:
         try:
             ref = np.array([float(tok) for tok in ref_line.split()])
         except ValueError as exc:
-            raise _located(path, m + 1, f"reference: {exc}") from None
+            raise fail(ref_no, f"reference: {exc}") from None
         if ref.shape != (n,):
-            raise _located(path, m + 1, f"reference line has {ref.size} values, expected {n}")
+            raise fail(ref_no, f"reference line has {ref.size} values, expected {n}")
         if not np.isfinite(ref).all():
-            raise _located(path, m + 1, "non-finite reference entry")
+            raise fail(ref_no, "non-finite reference entry")
         reference = _freeze(ref)
     return ProblemInstance(
         kind=kind,

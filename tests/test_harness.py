@@ -702,6 +702,27 @@ def test_cli_values_that_fail_at_run_time_exit_two(tmp_path, capsys, command, ke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, data, line",
+    [
+        ("lemma", b"lemmas = relay\npaths = 5\nlength = 1\xff00\n", 3),
+        ("run", TINY_RUN.encode().replace(b"m = 60", b"m = 6\xff0"), 3),
+        ("run", TINY_RUN.encode() + b"out = results\xff\n", 12),
+        ("gen", TINY_RUN.encode() + b"instance = dump\xfe.txt\n", 12),
+    ],
+    ids=["lemma-number", "run-number", "run-out-path", "gen-instance-path"],
+)
+def test_cli_config_bytes_not_utf8_exit_two(tmp_path, capsys, command, data, line):
+    """A byte that is not UTF-8 is refused naming its line, before any output."""
+    config = tmp_path / "c.txt"
+    config.write_bytes(data)
+    rc = main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: line {line}: bytes that are not UTF-8")
+    assert os.listdir(tmp_path) == ["c.txt"]
+
+
 @pytest.mark.parametrize("command", ["gen", "run", "lemma"])
 def test_cli_negative_seed_flag_exits_two(tmp_path, capsys, command):
     text = TINY_RUN if command != "lemma" else "lemmas = relay\n"

@@ -6,9 +6,11 @@ subgradients against finite differences and the subgradient inequality.
 """
 
 import functools
+import hashlib
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from nagsa._rng import make_generator
 from nagsa.cli import main
 from nagsa.errors import ConfigurationError
 from nagsa.problems import (
+    KINDS,
     ball,
     box,
     dump_instance,
@@ -619,6 +622,92 @@ def test_load_rejects_empty_file_naming_line_one(tmp_path):
         path.write_text(text)
         with pytest.raises(ConfigurationError, match=r"instance.txt line 1: "):
             load_instance(path)
+
+
+# dumps with two faults (same clean 4x3 dump as above) and the error that
+# must win: the row count is checked before any row, every row is parsed
+# before any is checked for finite entries, and the reference comes last
+TWO_FAULT_DUMPS = {
+    "missing-row-and-word-in-row-1": (
+        lambda ls: [ls[0], _replace_field(ls[1], 0, "abc"), ls[2]] + ls[4:],
+        1,
+        "4 rows need 6 non-blank lines, found 5",
+    ),
+    "nonfinite-row-2-and-short-row-4": (
+        lambda ls: ls[:2] + [_replace_field(ls[2], 1, "inf"), ls[3], ls[4].rsplit(" ", 1)[0]] + ls[5:],
+        5,
+        "row 4 has 3 values, expected 4",
+    ),
+    "nonfinite-row-3-and-word-in-reference": (
+        lambda ls: ls[:3] + [_replace_field(ls[3], 0, "nan"), ls[4], _replace_field(ls[5], 1, "x")],
+        4,
+        "non-finite entry in row 3",
+    ),
+    "blank-shifted-bad-reference": (
+        lambda ls: ls[:2] + [""] + ls[2:5] + ["", " "] + [_replace_field(ls[5], 0, "abc").rsplit(" ", 1)[0]],
+        9,
+        "reference: could not convert string to float: 'abc'",
+    ),
+    "blank-shifted-short-nonfinite-reference": (
+        lambda ls: ["", *ls[:5], "", _replace_field(ls[5], 0, "1e400").rsplit(" ", 1)[0]],
+        8,
+        "reference line has 2 values, expected 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULT_DUMPS))
+def test_load_error_precedence_with_two_faults(tmp_path, case):
+    edit, line, message = TWO_FAULT_DUMPS[case]
+    path = tmp_path / "instance.txt"
+    path.write_text("\n".join(edit(list(_clean_dump_lines("least_squares")))) + "\n")
+    with pytest.raises(ConfigurationError) as exc:
+        load_instance(path)
+    assert str(exc.value) == f"{path} line {line}: {message}"
+
+
+def test_dump_bytes_are_pinned(tmp_path):
+    """The lad-proxrm preset instance (10000x100, seed 10); the hash was
+    recorded on numpy 2.4 / x86-64."""
+    path = tmp_path / "instance.txt"
+    dump_instance(gen("least_absolute", m=10000, n=100, seed=10), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "9f6101ab180ed72294023fb25cb1a1bd2c146675c09231a2dc05ca561067e071"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_dump_load_dump_is_byte_identical(tmp_path, kind):
+    inst = gen(kind, m=30, n=5, seed=24, lam=0.3 if kind == "lasso" else 0.0)
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    dump_instance(inst, first)
+    dump_instance(load_instance(first), second)
+    if kind == "lasso":
+        assert first.read_text().splitlines()[-1] == "unset"
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_instance_io_memory_is_bounded(tmp_path):
+    """Loading holds the matrix and one line of the file; dumping holds one
+    line, so its peak does not grow with m."""
+
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            result = call(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    dump_peaks = []
+    for m in (1000, 4000):
+        path = tmp_path / f"instance{m}.txt"
+        _, peak = traced_peak(dump_instance, gen("least_squares", m=m, n=100, seed=25), path)
+        dump_peaks.append(peak)
+    assert dump_peaks[1] <= 1 << 20
+    assert dump_peaks[1] <= dump_peaks[0] + (64 << 10)
+    back, load_peak = traced_peak(load_instance, path)
+    assert back.rows.shape == (4000, 100)
+    assert load_peak <= back.rows.nbytes + back.targets.nbytes + (1 << 20)
 
 
 def test_with_reference_shape_check():
