@@ -43,7 +43,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._rng import STREAM_BRANCH, STREAM_PATH, make_generator
+from ._rng import STREAM_BRANCH, STREAM_PATH, seed_words, word_generators
 from .errors import ConfigurationError, DivergenceError
 from .momentum_algebra import TailCoefficients, tail_coefficients
 from .schedules import MomentumSchedule, constant_momentum, harmonic_momentum
@@ -368,12 +368,16 @@ class Ensemble:
             raise ValueError(f"V_{n} not available")
         return float(self.v[p, i])
 
-    def branch_values(self, p: int, steps: np.ndarray, branches: int) -> np.ndarray:
+    def branch_values(
+        self, p: int, steps: np.ndarray, branches: int, words: np.ndarray | None = None
+    ) -> np.ndarray:
         """`branches` draws of V_{n+1} from the frozen state at (p, n) for each
-        n of the 1-D array `steps`, one row per step. Each row comes from its
-        own (seed, path, step) stream, so probe order never changes results;
-        the recursion mean and the Lyapunov form are evaluated once over all
-        rows."""
+        n of the 1-D array `steps`, one row per step. Each row is drawn from
+        the (seed, path, step) branch stream seeded from its own key, so probe
+        order never changes results; the recursion mean and the Lyapunov form
+        are evaluated once over all rows. `words` holds the rows' seed words
+        as seed_words gives them for those keys (supermartingale_check seeds
+        all its probes in one pass); without it they are seeded here."""
         if self.v is None:
             raise DivergenceError("no Lyapunov series for momentum >= 1")
         steps = np.asarray(steps)
@@ -387,15 +391,36 @@ class Ensemble:
         rec = self.recursion
         if rec is None:
             return np.repeat(self.v[p, j][:, None], branches, axis=1)
+        if words is None:
+            words = seed_words(_stream_keys(STREAM_BRANCH, self.seed, p, steps))
+        elif words.shape != (len(steps), 4):
+            raise ValueError(f"need seed words of shape ({len(steps)}, 4), got {words.shape}")
         w = np.empty((len(steps), branches))
-        for row, n in enumerate(steps.tolist()):
-            w[row] = make_generator(STREAM_BRANCH, self.seed, p, n).uniform(-1.0, 1.0, branches)
+        for row, g in enumerate(word_generators(words)):
+            w[row] = g.uniform(-1.0, 1.0, branches)
         q = j + 1  # the redrawn states r_q
         i = q - rec.order
         r_next = rec.mean(i, self.r[p, i], self.r[p, q - 1])[:, None] + rec.sigma[i][:, None] * w
         s_n = self.r[p, q - 1] + self.h * self.z[q - 1]
         s_next = r_next + (self.h * self.z[q])[:, None]
         return _lyapunov_form(self.t[j][:, None], s_n[:, None], s_next, self.c[j][:, None])
+
+
+def _stream_keys(tag: int, seed: int, *columns) -> np.ndarray:
+    """One key (tag, seed, *columns) per row for seed_words, the columns
+    broadcast together; a seed past int64 is kept exact in an object array."""
+    columns = np.broadcast_arrays(*columns)
+    keys = np.empty((columns[0].size, 2 + len(columns)), dtype=np.int64 if seed < 2**63 else object)
+    keys[:, 0], keys[:, 1] = tag, seed
+    for k, col in enumerate(columns):
+        keys[:, 2 + k] = col.ravel()
+    return keys
+
+
+def _path_generators(seed: int, paths: int):
+    """The generators of the (seed, path) streams of paths 0..paths-1, all
+    seeded in one seed_words pass."""
+    return word_generators(seed_words(_stream_keys(STREAM_PATH, seed, np.arange(paths))))
 
 
 def _walk(rec: Recursion, seed: int, paths: int, length: int, init) -> np.ndarray:
@@ -405,8 +430,7 @@ def _walk(rec: Recursion, seed: int, paths: int, length: int, init) -> np.ndarra
     steps = length - rec.order
     spreads = np.empty(paths)
     noise = np.empty((paths, steps))
-    for p in range(paths):
-        g = make_generator(STREAM_PATH, seed, p)
+    for p, g in enumerate(_path_generators(seed, paths)):
         spreads[p] = g.random()
         noise[p] = g.uniform(-1.0, 1.0, steps)
     r = np.empty((paths, length))
@@ -594,8 +618,7 @@ def _build_relay(cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
     r0 = np.empty(paths)
     v_all = np.empty((paths, length))
     ns = np.arange(1, length + 1, dtype=float)
-    for p in range(paths):
-        g = make_generator(STREAM_PATH, seed, p)
+    for p, g in enumerate(_path_generators(seed, paths)):
         thetas[p] = g.uniform(cfg["theta_lo"], cfg["theta_hi"])
         v_inf = g.uniform(0.5, 2.0)
         amp = g.uniform(0.1, 1.0)
@@ -664,12 +687,14 @@ def supermartingale_check(
     turn summation noise into huge z-scores). Fewer than 30 branches have no
     statistical power and are refused.
 
-    A path's probes are evaluated in one array pass: branch_values gives one
-    row per probed step, and the estimates, standard errors, z-scores and
-    violations are row-wise array operations. Every row still comes from its
-    own (seed, path, step) branch stream, so no probe's draws depend on the
-    others, and details, checks, violations and worst_z equal those of one
-    probe at a time bit for bit.
+    The seed words of every (path, step) branch stream of the check come
+    from one seed_words pass over their keys. A path's probes are then
+    evaluated in one array pass: branch_values gives one row per probed step,
+    and the estimates, standard errors, z-scores and violations are row-wise
+    array operations. Every row is still drawn from its own stream, seeded
+    from its own (seed, path, step) key, so no probe's draws depend on the
+    others or on how many paths share the check, and details, checks,
+    violations and worst_z equal those of one probe at a time bit for bit.
     """
     if branches < 30:
         raise ValueError("need at least 30 branches for a meaningful standard error")
@@ -691,8 +716,11 @@ def supermartingale_check(
     scale_eps = 1e-12
     steps = probe_steps.tolist()
     v_index = probe_steps - 1 - ensemble.v_offset
+    paths_column = np.arange(n_paths)[:, None]
+    words = seed_words(_stream_keys(STREAM_BRANCH, ensemble.seed, paths_column, probe_steps))
+    words = words.reshape(n_paths, len(steps), 4)
     for p in range(n_paths):
-        samples = ensemble.branch_values(p, probe_steps, branches)
+        samples = ensemble.branch_values(p, probe_steps, branches, words[p])
         estimate = samples.mean(axis=1)
         se = samples.std(axis=1, ddof=1) / math.sqrt(branches)
         v_n = ensemble.v[p, v_index]

@@ -28,6 +28,7 @@ from .problems import (
     KINDS,
     ConstraintSet,
     ProblemInstance,
+    _fmt,
     ball,
     box,
     dump_instance,
@@ -546,10 +547,6 @@ class ResultBundle:
         if len(self.groups) == 1 and len(self.groups[0].runs) == 1:
             return self.groups[0].runs[0]
         return None
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _resolve_instance(config: ExperimentConfig) -> ProblemInstance:

@@ -301,6 +301,8 @@ def lasso_reference(inst: ProblemInstance, steps: int = 100_000) -> np.ndarray:
 
 
 def _fmt(value: float) -> str:
+    """17 significant digits, an exact float64 round trip: the one number
+    format of instance dumps and of the harness's CSV files."""
     return format(float(value), ".17g")
 
 

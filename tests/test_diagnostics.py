@@ -626,6 +626,34 @@ def test_supermartingale_check_matches_per_probe_loop(lemma_id, control):
     assert got.worst_z.hex() == want.worst_z.hex()
 
 
+@pytest.mark.parametrize("lemma_id", ["drift", "first_order", "coupled_weighted"])
+def test_supermartingale_check_paths_do_not_depend_on_batch(lemma_id):
+    """The check seeds all its branch streams in one pass; a path's draws
+    must not depend on how many paths share that pass."""
+    ens = synth_paths(lemma_id, None, seed=7, paths=9, length=300)
+    full = supermartingale_check(ens, branches=40)
+    per_path = len(full.details) // ens.paths
+    for k in (1, 4, 9):
+        part = supermartingale_check(ens, paths=k, branches=40)
+        assert part.paths_tested == k
+        assert _detail_bits(part.details) == _detail_bits(full.details[: k * per_path])
+
+
+def test_streams_of_a_seed_past_int64():
+    """Path and branch streams of a seed that no int64 holds are still those
+    of make_generator on the exact key."""
+    seed = 2**64 + 1
+    ens = synth_paths("relay", None, seed=seed, paths=2, length=100)
+    g = make_generator(STREAM_PATH, seed, 1)
+    theta = g.uniform(0.1, 0.9)
+    g.uniform(0.5, 2.0), g.uniform(0.1, 1.0), g.uniform(0.8, 0.95)
+    assert ens.r[1, 0] == g.uniform(0.0, 3.0)
+    assert ens.r[1, 1] == (1.0 - theta) * ens.r[1, 0] + theta * ens.v[1, 1]
+    ens = synth_paths("drift", None, seed=seed, paths=3, length=200)
+    got = supermartingale_check(ens, branches=40)
+    assert _detail_bits(got.details) == _detail_bits(_per_probe_report(ens, branches=40).details)
+
+
 def test_supermartingale_check_is_reproducible():
     ens = synth_paths("drift_const", None, seed=6, paths=10, length=300)
     a = supermartingale_check(ens, branches=50)
