@@ -582,11 +582,14 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_TRACE_HEADER = "k,dist,obj_gap,increment,alpha,theta"
+
+
 def _trace_csv_lines(trace: SolverTrace) -> list[str]:
     lines = [f"# {key} = {value}" for key, value in sorted(trace.metadata.items())]
     if trace.diverged:
         lines.append(f"# diverged_at = {trace.diverged_at}")
-    lines.append("k,dist,obj_gap,increment,alpha,theta")
+    lines.append(_TRACE_HEADER)
     for cp in trace.checkpoints:
         lines.append(
             f"{cp.k},{_fmt(cp.dist)},{_fmt(cp.obj_gap)},"
@@ -740,18 +743,39 @@ def run_lemma_suite(
 # plot data
 
 def _read_trace_csv(path: str) -> dict[int, float]:
+    """{k: dist} of a trace CSV; a malformed file raises ConfigurationError
+    naming its line. Bytes that are not UTF-8 read as U+FFFD, which fails the
+    header or a number where it stands and is ignored inside a comment."""
+
+    def fail(lineno: int, message: str) -> ConfigurationError:
+        return ConfigurationError(f"{path} line {lineno}: {message}")
+
     ks: dict[int, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        header_seen = False
-        for line in fh:
+    header_seen = False
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if not header_seen:
-                header_seen = True  # column header row
+                if line != _TRACE_HEADER:
+                    raise fail(
+                        lineno, f"expected the column header {_TRACE_HEADER!r}, found {line!r}"
+                    )
+                header_seen = True
                 continue
             fields = line.split(",")
-            ks[int(fields[0])] = float(fields[1])
+            if len(fields) != 6:
+                raise fail(lineno, f"row has {len(fields)} fields, expected 6")
+            try:
+                k, dist = int(fields[0]), float(fields[1])
+            except ValueError as exc:
+                raise fail(lineno, str(exc)) from None
+            if k < 1:
+                raise fail(lineno, f"checkpoint index must be positive, got {k}")
+            if not 0.0 <= dist < math.inf:
+                raise fail(lineno, f"dist must be finite and non-negative, got {fields[1]!r}")
+            ks[k] = dist
     return ks
 
 

@@ -199,25 +199,19 @@ def _sign(r: float) -> float:
     return 1.0 if r > 0.0 else -1.0 if r < 0.0 else r + 0.0
 
 
-def _subgrad_row(a: np.ndarray, b: float, x: np.ndarray, absolute: bool):
-    """(value, subgradient) of the sample term of row a with Python float
-    target b at x.
-
-    ``a.dot(x)`` runs the same BLAS dot as ``a @ x`` with less dispatch, and
-    the residual is formed on Python floats.
-    """
-    r = float(a.dot(x)) - b
+def _subgrad_row(a: np.ndarray, r: float, absolute: bool):
+    """(value, subgradient) of the sample term of row a at a point whose
+    residual a.x - b is the Python float r."""
     if absolute:
         return abs(r), _sign(r) * a
     return r * r, (2.0 * r) * a
 
 
 def _prox_row(
-    a: np.ndarray, b: float, x: np.ndarray, q: float, alpha: float, absolute: bool
+    a: np.ndarray, r: float, x: np.ndarray, q: float, alpha: float, absolute: bool
 ) -> np.ndarray:
-    """Closed-form prox of the sample term of row a (q = ||a||^2, Python
-    float target b) at x."""
-    r = float(a.dot(x)) - b
+    """Closed-form prox of the sample term of row a (q = ||a||^2) at x, whose
+    residual a.x - b is the Python float r."""
     if q == 0.0:
         return x.copy()
     if absolute:
@@ -225,6 +219,13 @@ def _prox_row(
     else:
         gamma = 2.0 * alpha * r / (1.0 + 2.0 * alpha * q)
     return x - gamma * a
+
+
+def _residual(inst: ProblemInstance, x: np.ndarray, i: int) -> tuple[np.ndarray, float]:
+    """(row i, its residual a_i.x - b_i as a Python float). ``a.dot(x)`` runs
+    the same BLAS dot as ``a @ x`` with less dispatch."""
+    a = _row(inst, i)
+    return a, float(a.dot(x)) - float(inst.targets[i - 1])
 
 
 def subgrad(inst: ProblemInstance, x: np.ndarray, i: int) -> SampleOracleResult:
@@ -235,9 +236,8 @@ def subgrad(inst: ProblemInstance, x: np.ndarray, i: int) -> SampleOracleResult:
     subgradient at the kink. Lasso's value/subgradient cover the sampled
     quadratic term only (unnormalized); the l1 part is handled by prox_l1.
     """
-    a = _row(inst, i)
-    b = float(inst.targets[i - 1])
-    value, g = _subgrad_row(a, b, x, inst.kind == "least_absolute")
+    a, r = _residual(inst, x, i)
+    value, g = _subgrad_row(a, r, inst.kind == "least_absolute")
     return SampleOracleResult(value=value, subgradient=g, index=i)
 
 
@@ -252,10 +252,8 @@ def prox_sample(inst: ProblemInstance, x: np.ndarray, i: int, alpha: float) -> n
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    a = _row(inst, i)
-    q = float(a @ a)
-    b = float(inst.targets[i - 1])
-    return _prox_row(a, b, x, q, alpha, inst.kind == "least_absolute")
+    a, r = _residual(inst, x, i)
+    return _prox_row(a, r, x, float(a @ a), alpha, inst.kind == "least_absolute")
 
 
 def prox_l1(x: np.ndarray, tau: float) -> np.ndarray:

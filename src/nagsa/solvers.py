@@ -14,21 +14,30 @@ A run starts from v_1 = v_2 (standard normal by default) and advances to the
 iterate with index N; the update producing v_{k+1} consumes schedule values
 alpha_k, theta_k, so the first executable step index is k = 2. ``run`` is one
 loop over the pair (v_{k-1}, v_k): each step extrapolates once, takes its row
-index and applies the method's update rule, which is chosen once per run and
-calls the private row kernels of ``problems`` directly. A non-finite v_{k+1}
-ends the run with ``diverged_at = k + 1`` and the checkpoints recorded so far.
+index, forms the sampled residual r_k = a_i.x_{k+1} - b_i and applies the
+method's update rule, which is chosen once per run and calls the private row
+kernels of ``problems`` directly with r_k. The first non-finite iterate v_j
+ends the run with ``diverged_at = j`` and the checkpoints recorded so far.
 
 Everything fixed for a whole run is settled before the loop. The momentum
 range is checked once (the loop computes v_k + theta_k (v_k - v_{k-1}) as
-``extrapolate`` does, without its per-call checks); the update rule binds
-rows, targets and squared row norms, and an unconstrained ssgd rule makes no
-projection call. Row indices and the schedule values alpha_k, theta_k come
-in blocks of at most ``_DRAW_BLOCK`` steps, so memory stays bounded for any
-N; the schedules' ``block`` applies their scalar formula per index, so the
-values equal ``at(k)`` bit for bit. Finiteness is decided by
-``math.isfinite(v.dot(v))``: a finite sum of squares means every entry is finite,
-and only when it is not does ``np.isfinite(v).all()`` decide, which keeps a
-finite iterate whose squared norm overflows (|v| above about 1.3e154).
+``extrapolate`` does, without its per-call checks); rows and targets are
+bound as Python lists, the proximal rules bind the squared row norms, and an
+unconstrained ssgd rule makes no projection call. Row indices and the
+schedule values alpha_k, theta_k come in blocks of at most ``_DRAW_BLOCK``
+steps, so memory stays bounded for any N; the schedules' ``block`` applies
+their scalar formula per index, so the values equal ``at(k)`` bit for bit.
+
+Finiteness is decided by the residual the step forms anyway. v_{k-1} is
+known to be finite, so a non-finite v_k makes x_{k+1} = v_k + theta_k (v_k -
+v_{k-1}) non-finite (+-inf stays +-inf for theta > 0, inf + 0 inf is nan for
+theta = 0, nan stays nan), and the dot a_i.x_{k+1} then takes in a nan or
++-inf product (0 inf is nan for a zero row entry): a finite r_k certifies
+v_k. Only a non-finite r_k runs ``np.isfinite(v_k).all()``, which keeps a
+finite iterate whose residual overflows; if it fails, the run ends with
+diverged_at = k. Every checkpoint, N included, runs that entry-wise check
+before it records, so no non-finite iterate is recorded and the last iterate
+is always checked. Instrumentation records step k only after v_k passed.
 
 Run RNG stream layout (fixed, documented for bitwise reproducibility): the
 init vector consumes Box-Muller normals first when init is gaussian, then the
@@ -145,48 +154,48 @@ def extrapolate(v_curr: np.ndarray, v_prev: np.ndarray, theta: float) -> np.ndar
 
 
 def _update_rule(
-    config: SolverConfig, inst: ProblemInstance
-) -> Callable[[np.ndarray, int, float], np.ndarray]:
-    """The configured method's map (x_{k+1}, 0-based sampled row i, alpha_k) -> v_{k+1}.
+    config: SolverConfig, inst: ProblemInstance, rows: list[np.ndarray]
+) -> Callable[[np.ndarray, int, float, float], np.ndarray]:
+    """The configured method's map (x_{k+1}, 0-based sampled row i, residual
+    r = a_i.x_{k+1} - b_i, alpha_k) -> v_{k+1}.
 
-    Rows, targets and, for the proximal rules, the squared row norms are
-    bound once per run, so a step calls the row kernels directly: no index
-    check and no oracle result object. The l1 subgradient step of
-    implicit_first uses the sign(0) = 0 convention.
+    The rows (``list(inst.rows)``, shared with the loop that forms r) and,
+    for the proximal rules, the squared row norms are bound once per run, so
+    a step calls the row kernels directly: no index check and no oracle
+    result object. The l1 subgradient step of implicit_first uses the
+    sign(0) = 0 convention.
     """
-    rows = list(inst.rows)
-    targets = inst.targets.tolist()
     absolute = inst.kind == "least_absolute"
     lam = inst.lam
     if config.method == "ssgd" and config.constraint.kind == "whole_space":
 
-        def update(x, i, alpha):
-            return x - alpha * _subgrad_row(rows[i], targets[i], x, absolute)[1]
+        def update(x, i, r, alpha):
+            return x - alpha * _subgrad_row(rows[i], r, absolute)[1]
 
     elif config.method == "ssgd":
         constraint = config.constraint
 
-        def update(x, i, alpha):
-            g = _subgrad_row(rows[i], targets[i], x, absolute)[1]
+        def update(x, i, r, alpha):
+            g = _subgrad_row(rows[i], r, absolute)[1]
             return project(x - alpha * g, constraint)
 
     elif config.method == "composite" and config.composite_order == "explicit_first":
 
-        def update(x, i, alpha):
-            v_mid = x - alpha * _subgrad_row(rows[i], targets[i], x, absolute)[1]
+        def update(x, i, r, alpha):
+            v_mid = x - alpha * _subgrad_row(rows[i], r, absolute)[1]
             return prox_l1(v_mid, alpha * lam)
 
     else:
         norms = np.vecdot(inst.rows, inst.rows).tolist()
         if config.method == "prox_rm":
 
-            def update(x, i, alpha):
-                return _prox_row(rows[i], targets[i], x, norms[i], alpha, absolute)
+            def update(x, i, r, alpha):
+                return _prox_row(rows[i], r, x, norms[i], alpha, absolute)
 
         else:
 
-            def update(x, i, alpha):
-                v_mid = _prox_row(rows[i], targets[i], x, norms[i], alpha, absolute)
+            def update(x, i, r, alpha):
+                v_mid = _prox_row(rows[i], r, x, norms[i], alpha, absolute)
                 return v_mid - alpha * lam * np.sign(v_mid)
 
     return update
@@ -254,9 +263,9 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
 
     Checkpoints land on k in {1, 2} cup {geometric stride} cup {N} and record
     dist to the reference optimum, objective gap, iterate increment, and the
-    schedule values at that index. A step whose v_{k+1} is not finite ends
-    the run early: the trace keeps the checkpoints so far, with diverged set
-    and diverged_at = k + 1.
+    schedule values at that index. The first non-finite iterate v_j ends the
+    run early: the trace keeps the checkpoints so far, with diverged set and
+    diverged_at = j.
     """
     if inst.reference_optimum is None:
         raise ConfigurationError(
@@ -322,13 +331,25 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     trace = SolverTrace(
         checkpoints=checkpoints, metadata=metadata, instrumentation=instrumentation
     )
-    update = _update_rule(config, inst)
+    rows = list(inst.rows)
+    targets = inst.targets.tolist()
+    update = _update_rule(config, inst, rows)
 
-    # exploding iterates are detected by the finiteness check, so the
+    def diverged(k: int) -> SolverTrace:
+        trace.diverged = True
+        trace.diverged_at = k
+        return trace
+
+    # exploding iterates are caught by the finiteness checks, so the
     # intermediate overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for k, i, alpha, theta in _steps(config, inst, g):
             x = v_curr + theta * (v_curr - v_prev)
+            r = float(rows[i].dot(x)) - targets[i]
+            # v_{k-1} is finite, so a non-finite v_k makes x and then r
+            # non-finite: a finite r certifies v_k
+            if not math.isfinite(r) and not np.isfinite(v_curr).all():
+                return diverged(k)
             if instrumentation is not None:
                 instrumentation.append(
                     (
@@ -337,12 +358,9 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
                         theta * float(np.linalg.norm(v_curr - v_prev)),
                     )
                 )
-            v_next = update(x, i, alpha)
-            if not math.isfinite(v_next.dot(v_next)) and not np.isfinite(v_next).all():
-                trace.diverged = True
-                trace.diverged_at = k + 1
-                return trace
-            v_prev, v_curr = v_curr, v_next
+            v_prev, v_curr = v_curr, update(x, i, r, alpha)
             if k + 1 in marks:
+                if not np.isfinite(v_curr).all():
+                    return diverged(k + 1)
                 record(k + 1, v_curr, v_prev)
     return trace

@@ -544,6 +544,45 @@ def test_plotdata_errors(tmp_path):
         plotdata(str(tmp_path))
 
 
+_HEADER = b"k,dist,obj_gap,increment,alpha,theta\n"
+
+
+@pytest.mark.parametrize(
+    "content, lineno, message",
+    [
+        (b"# method = ssgd\n1,10,0,0,0.1,0\n" + _HEADER, 2, "expected the column header"),
+        (b"# method = ssgd\n" + _HEADER + b"1,1\xff0,0,0,0.1,0\n", 3, "could not convert"),
+        (b"\xff" + _HEADER, 1, "expected the column header"),
+        (_HEADER + b"1,10,0,0,0.1,0\n2\n", 3, "row has 1 fields, expected 6"),
+        (_HEADER + b"one,10,0,0,0.1,0\n", 2, "invalid literal"),
+        (_HEADER + b"0,10,0,0,0.1,0\n", 2, "checkpoint index must be positive"),
+        (_HEADER + b"1,nan,0,0,0.1,0\n", 2, "dist must be finite"),
+        (_HEADER + b"\n1,-1,0,0,0.1,0\n", 3, "dist must be finite"),
+    ],
+    ids=["row-before-header", "byte-in-row", "byte-in-header", "short-row", "word-k",
+         "zero-k", "nan-dist", "negative-dist"],
+)
+def test_plotdata_malformed_trace_names_file_and_line(tmp_path, capsys, content, lineno, message):
+    root = tmp_path / "bad"
+    (root / "theta_0.5").mkdir(parents=True)
+    _write_fake_trace(root / "theta_0.5" / "trace_seed1.csv", [(1, 10.0)])
+    bad = root / "theta_0.5" / "trace_seed2.csv"
+    bad.write_bytes(content)
+    with pytest.raises(ConfigurationError, match=message) as info:
+        plotdata(str(root))
+    assert str(info.value).startswith(f"{bad} line {lineno}: ")
+    assert main(["plotdata", "--out", str(root)]) == 2
+    assert f"{bad} line {lineno}: " in capsys.readouterr().err
+
+
+def test_plotdata_ignores_bad_bytes_in_comments(tmp_path):
+    root = tmp_path / "ok"
+    (root / "theta_0").mkdir(parents=True)
+    path = root / "theta_0" / "trace_seed1.csv"
+    path.write_bytes(b"# method = s\xffgd\n" + _HEADER + b"1,10,0,0,0.1,0\n")
+    assert plotdata(str(root)).splitlines()[2] == "0,1"
+
+
 # ---------------------------------------------------------------------------
 # lemma suite bundles
 

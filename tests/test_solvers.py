@@ -5,9 +5,12 @@ checkpoint placement, divergence flagging, constraint feasibility, and the
 extrapolation identity."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nagsa._rng import STREAM_RUN, make_generator, normals
 from nagsa.errors import ConfigurationError
@@ -26,7 +29,14 @@ from nagsa.schedules import (
     power_momentum,
     power_step,
 )
-from nagsa.solvers import _DRAW_BLOCK, SolverConfig, _steps, extrapolate, run
+from nagsa.solvers import (
+    _DRAW_BLOCK,
+    SolverConfig,
+    _checkpoint_indices,
+    _steps,
+    extrapolate,
+    run,
+)
 
 
 def _hand_instance(kind, rows, targets, lam=0.0):
@@ -150,8 +160,9 @@ def test_steps_fix_the_optimum(kind):
 
 
 def test_divergence_records_first_nonfinite_step():
-    # v_3 = (1 - 2e200) v_2 is still finite (its squared norm is not); the
-    # step to v_4 overflows, so the trace ends with the checkpoint at k = 3,
+    # v_3 = (1 - 2e200) v_2 is still finite, and so is its residual, which
+    # certifies it; the step to v_4 overflows, and the entry-wise check that
+    # precedes every checkpoint ends the trace after the checkpoint at k = 3,
     # whose distance and increment are recorded without overflow
     inst = _origin_referenced(_hand_instance("least_squares", [[1.0]], [0.0]))
     with np.errstate(over="ignore"):
@@ -180,110 +191,217 @@ def _small_config(method="ssgd", theta=0.5, iterations=300, seed=1, **kw):
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class _Case:
+    """A whole run on the 50 x 6 instance of its kind (problem seed 8, run
+    seed 4). ``variant`` is an ssgd constraint ("ball" of radius ``bound``,
+    "box" of half-width ``bound``) or a composite order; ``step`` is a
+    constant step size (None: the power step of ``_small_config``) and
+    ``theta`` a constant momentum (None: harmonic momentum, 1 / (k + 2))."""
+
+    method: str
+    kind: str
+    variant: str | None = None
+    bound: float = 0.0
+    step: float | None = None
+    theta: float | None = 0.5
+    iterations: int = 300
+    diverges: bool = False
+
+
+@functools.cache
+def _case_instance(kind):
+    if kind == "lasso":
+        inst = gen("lasso", m=50, n=6, seed=8, lam=0.3)
+        return with_reference(inst, lasso_reference(inst))
+    return gen(kind, m=50, n=6, seed=8)
+
+
+def _case_config(case, **kw):
+    if case.variant == "ball":
+        kw["constraint"] = ball(case.bound)
+    elif case.variant == "box":
+        kw["constraint"] = box(np.full(6, -case.bound), np.full(6, case.bound))
+    elif case.variant is not None:
+        kw["composite_order"] = case.variant
+    config = _small_config(method=case.method, iterations=case.iterations, seed=4, **kw)
+    if case.step is not None:
+        config = dataclasses.replace(config, step=constant_step(case.step))
+    if case.theta is None:
+        return dataclasses.replace(config, momentum=harmonic_momentum(2.0))
+    return dataclasses.replace(config, momentum=constant_momentum(case.theta))
+
+
 def _reference_update(case, inst, x, i, alpha):
     """One update rule written out from the documented formulas, with the
     solver's operation order, so the comparison below can be bitwise."""
-    method, kind, extra = case
     a = inst.rows[i - 1]
     r = float(a @ x - inst.targets[i - 1])
-    if method == "ssgd":
-        g = np.sign(r) * a if kind == "least_absolute" else (2.0 * r) * a
+    if case.method == "ssgd":
+        g = np.sign(r) * a if case.kind == "least_absolute" else (2.0 * r) * a
         y = x - alpha * g
-        if extra == "ball":
+        if case.variant == "ball":
             dist = np.linalg.norm(y)
-            return y if dist <= 0.5 * (1.0 + 1e-12) else (0.5 / dist) * y
-        if extra == "box":
-            return np.clip(y, -0.25, 0.25)
+            return y if dist <= case.bound * (1.0 + 1e-12) else (case.bound / dist) * y
+        if case.variant == "box":
+            return np.clip(y, -case.bound, case.bound)
         return y
     q = float(a @ a)
-    if method == "prox_rm" or extra == "implicit_first":
-        if kind == "least_absolute":
+    if case.method == "prox_rm" or case.variant == "implicit_first":
+        if case.kind == "least_absolute":
             gamma = np.sign(r) * min(alpha, abs(r) / q)
         else:
             gamma = 2.0 * alpha * r / (1.0 + 2.0 * alpha * q)
         v = x - gamma * a
-        if method == "prox_rm":
+        if case.method == "prox_rm":
             return v
         return v - alpha * inst.lam * np.sign(v)
     v = x - alpha * ((2.0 * r) * a)
     return np.sign(v) * np.maximum(np.abs(v) - alpha * inst.lam, 0.0)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        ("ssgd", "least_squares", "none"),
-        ("ssgd", "least_squares", "ball"),
-        ("ssgd", "least_squares", "box"),
-        ("ssgd", "least_squares", "harmonic"),
-        ("ssgd", "least_squares", "harmonic-long"),
-        ("ssgd", "least_squares", "diverging"),
-        ("ssgd", "least_absolute", "none"),
-        ("prox_rm", "least_squares", None),
-        ("prox_rm", "least_absolute", None),
-        ("composite", "lasso", "explicit_first"),
-        ("composite", "lasso", "implicit_first"),
-    ],
-    ids=lambda case: "-".join(str(part) for part in case if part is not None),
-)
-def test_run_matches_reference_loop(case):
-    """An independent loop over the same stream, one scalar row draw per step,
-    must reproduce every checkpoint distance and increment bitwise, momentum
-    included, and a diverging run must stop at the same step. The long case
-    runs past the first block of row draws and schedule values."""
-    method, kind, extra = case
-    iterations = _DRAW_BLOCK + 300 if extra == "harmonic-long" else 300
-    kw = {}
-    if method == "composite":
-        inst = gen("lasso", m=50, n=6, seed=8, lam=0.3)
-        inst = with_reference(inst, lasso_reference(inst))
-        kw["composite_order"] = extra
-    else:
-        inst = gen(kind, m=50, n=6, seed=8)
-    if extra == "ball":
-        kw["constraint"] = ball(0.5)
-    elif extra == "box":
-        kw["constraint"] = box(np.full(6, -0.25), np.full(6, 0.25))
-    config = _small_config(method=method, theta=0.5, iterations=iterations, seed=4, **kw)
-    if extra in ("harmonic", "harmonic-long"):
-        config = dataclasses.replace(config, momentum=harmonic_momentum(2.0))
-    elif extra == "diverging":
-        config = dataclasses.replace(config, step=constant_step(2.0))
-    trace = run(config, inst)
+def _reference_norm(v):
+    """The documented checkpoint norm: the plain one, or s ||v / s|| with
+    s = max_j |v_j| when the plain one overflows on a finite vector."""
+    out = float(np.linalg.norm(v))
+    if out == np.inf and np.isfinite(v).all():
+        s = float(np.abs(v).max())
+        out = s * float(np.linalg.norm(v / s))
+    return out
 
+
+def _reference_run(case, inst):
+    """({k: (dist, increment)} for every finite v_k, diverged_at) of an
+    independent loop over the run stream: one scalar row draw per step and
+    an entry-wise finiteness check of every new iterate."""
     g = make_generator(STREAM_RUN, 4)
-    v_prev = v = normals(g, 6)
+    v_prev = v = normals(g, inst.n)
     ref = inst.reference_optimum
-    expected = {1: (float(np.linalg.norm(v - ref)), 0.0), 2: (float(np.linalg.norm(v - ref)), 0.0)}
-    diverged_at = None
+    expected = {1: (_reference_norm(v - ref), 0.0), 2: (_reference_norm(v - ref), 0.0)}
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, iterations):
-            if extra == "diverging":
-                alpha = 2.0
-            else:
+        for k in range(2, case.iterations):
+            if case.step is None:
                 alpha = (1.0 / 16.0) / (k + 3.0) ** (8.0 / 9.0)
-            theta = 1.0 / (k + 2.0) if extra in ("harmonic", "harmonic-long") else 0.5
+            else:
+                alpha = case.step
+            theta = 1.0 / (k + 2.0) if case.theta is None else case.theta
             x = v + theta * (v - v_prev)
-            i = int(g.integers(1, 51))
+            i = int(g.integers(1, inst.m + 1))
             v_next = _reference_update(case, inst, x, i, alpha)
             if not np.isfinite(v_next).all():
-                diverged_at = k + 1
-                break
+                return expected, k + 1
             v_prev, v = v, v_next
-            expected[k + 1] = (
-                float(np.linalg.norm(v - ref)),
-                float(np.linalg.norm(v - v_prev)),
-            )
+            expected[k + 1] = (_reference_norm(v - ref), _reference_norm(v - v_prev))
+    return expected, None
+
+
+def _assert_run_matches_reference(case):
+    inst = _case_instance(case.kind)
+    config = _case_config(case)
+    trace = run(config, inst)
+    expected, diverged_at = _reference_run(case, inst)
     assert trace.diverged_at == diverged_at
-    assert trace.diverged == (extra == "diverging")
+    assert trace.diverged == (diverged_at is not None)
     # a run that does not diverge checkpoints every mark; a diverged one stops early
-    marks = [cp.k for cp in run(_small_config(iterations=iterations), inst).checkpoints]
+    marks = _checkpoint_indices(case.iterations, config.stride)
     assert [cp.k for cp in trace.checkpoints] == [k for k in marks if k in expected]
     for cp in trace.checkpoints:
-        want = expected[cp.k]
-        if not np.isfinite(want).all():
-            continue  # the plain norm overflowed on a finite iterate
-        assert (cp.dist, cp.increment) == want, f"checkpoint {cp.k} left the reference"
+        assert (cp.dist, cp.increment) == expected[cp.k], f"checkpoint {cp.k} left the reference"
+    return trace
+
+
+_CASES = {
+    "ssgd-least_squares-none": _Case("ssgd", "least_squares"),
+    "ssgd-least_squares-ball": _Case("ssgd", "least_squares", "ball", 0.5),
+    "ssgd-least_squares-box": _Case("ssgd", "least_squares", "box", 0.25),
+    "ssgd-least_squares-harmonic": _Case("ssgd", "least_squares", theta=None),
+    "ssgd-least_squares-harmonic-long": _Case(
+        "ssgd", "least_squares", theta=None, iterations=_DRAW_BLOCK + 300
+    ),
+    "ssgd-least_squares-diverging": _Case("ssgd", "least_squares", step=2.0, diverges=True),
+    "ssgd-least_absolute-none": _Case("ssgd", "least_absolute"),
+    "prox_rm-least_squares": _Case("prox_rm", "least_squares"),
+    "prox_rm-least_absolute": _Case("prox_rm", "least_absolute"),
+    "composite-lasso-explicit_first": _Case("composite", "lasso", "explicit_first"),
+    "composite-lasso-implicit_first": _Case("composite", "lasso", "implicit_first"),
+    # runs that end in divergence, and one whose residuals overflow on finite
+    # iterates: the box keeps every iterate finite near +-1e307
+    "ssgd-least_squares-theta0-diverging": _Case(
+        "ssgd", "least_squares", step=2.0, theta=0.0, diverges=True
+    ),
+    "ssgd-least_squares-ball-diverging": _Case(
+        "ssgd", "least_squares", "ball", 0.5, step=1e307, diverges=True
+    ),
+    "ssgd-least_squares-box-overflow": _Case("ssgd", "least_squares", "box", 1e307, step=1e306),
+    "ssgd-least_absolute-diverging": _Case(
+        "ssgd", "least_absolute", step=1e306, theta=0.99, diverges=True
+    ),
+    "prox_rm-least_squares-diverging": _Case(
+        "prox_rm", "least_squares", step=1e306, theta=0.9, diverges=True
+    ),
+    "prox_rm-least_absolute-diverging": _Case(
+        "prox_rm", "least_absolute", step=1e306, theta=0.99, iterations=5000, diverges=True
+    ),
+    "composite-lasso-explicit_first-diverging": _Case(
+        "composite", "lasso", "explicit_first", step=3.0, diverges=True
+    ),
+    "composite-lasso-implicit_first-diverging": _Case(
+        "composite", "lasso", "implicit_first", step=1e300, diverges=True
+    ),
+}
+
+
+@pytest.mark.parametrize("case_id", list(_CASES))
+def test_run_matches_reference_loop(case_id):
+    """An independent loop over the same stream, one scalar row draw per step
+    and an exact finiteness check of every iterate, must reproduce every
+    checkpoint distance and increment bitwise, momentum included, and a
+    diverging run must stop at the same step. The long case runs past the
+    first block of row draws and schedule values."""
+    case = _CASES[case_id]
+    trace = _assert_run_matches_reference(case)
+    assert trace.diverged == case.diverges
+
+
+# every update rule, ssgd under each constraint kind; the wide box lets
+# finite iterates reach the overflow range
+_RULES = [
+    _Case("ssgd", kind, variant, bound)
+    for kind in ("least_squares", "least_absolute")
+    for variant, bound in ((None, 0.0), ("ball", 0.5), ("box", 0.25), ("box", 1e307))
+] + [
+    _Case("prox_rm", "least_squares"),
+    _Case("prox_rm", "least_absolute"),
+    _Case("composite", "lasso", "explicit_first"),
+    _Case("composite", "lasso", "implicit_first"),
+]
+
+
+@settings(max_examples=100)
+@given(
+    rule=st.sampled_from(_RULES),
+    theta=st.sampled_from([0.0, 0.5, 0.9]),
+    exponent=st.floats(0.0, 306.0),
+)
+def test_run_divergence_matches_exact_reference(rule, theta, exponent):
+    """For any update rule, momentum and constant step in [1, 1e306], the
+    run stops at the reference loop's first non-finite iterate and records
+    the same checkpoints bit for bit."""
+    step = min(10.0**exponent, 1e306)
+    _assert_run_matches_reference(
+        dataclasses.replace(rule, step=step, theta=theta, iterations=120)
+    )
+
+
+@pytest.mark.parametrize("case_id", [name for name, case in _CASES.items() if case.diverges])
+def test_diverging_run_instruments_steps_before_divergence(case_id):
+    """Instrumentation covers exactly the steps k = 2 .. diverged_at - 1: those
+    that extrapolate from finite iterates, the last of which produces the
+    first non-finite one."""
+    case = _CASES[case_id]
+    trace = run(_case_config(case, instrument=True), _case_instance(case.kind))
+    assert trace.diverged_at is not None
+    assert [k for k, _, _ in trace.instrumentation] == list(range(2, trace.diverged_at))
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 300, 2000, 10000, 2**31, 2**33])
