@@ -27,6 +27,7 @@ import sys
 
 from .errors import ConfigurationError, DivergenceError, StructuralError
 from .harness import (
+    _MAX_ENTRIES,
     parse_config,
     parse_lemma_config,
     plotdata,
@@ -34,8 +35,9 @@ from .harness import (
     run_lemma_suite,
 )
 from .momentum_algebra import (
-    head_coefficients,
-    head_products,
+    _coefficients,
+    _column_sum_error,
+    _head_blocks,
     tail_coefficients,
 )
 from .problems import dump_instance, gen, lasso_reference, with_reference
@@ -114,18 +116,30 @@ def _cmd_algebra(args) -> int:
     schedule = MomentumSchedule(
         family=args.family, theta=args.theta, c=args.c, s=args.s, p=args.p
     )
-    n = args.n
-    thetas = schedule.values(n)
-    tails = tail_coefficients(schedule, n + 1)
-    print("k,theta,d,c,residual,t")
-    for k, state in enumerate(head_products(thetas), 1):
-        d_k, c_k = head_coefficients(state)
-        d_k, c_k = d_k + 0.0, c_k + 0.0  # normalize negative zero
-        residual = (d_k - c_k) ** 2
-        print(
-            f"{k},{thetas[k - 1]:.17g},{d_k:.17g},{c_k:.17g},"
-            f"{residual:.17g},{tails.t(k):.17g}"
+    thetas = schedule.values(args.n)
+    tails = tail_coefficients(schedule, args.n + 1).values
+    sys.stdout.write("k,theta,d,c,residual,t\n")
+    start = 0
+    for p in _head_blocks(thetas):
+        d, c, bad = _coefficients(p)
+        stop = start + (len(p) if bad is None else bad)
+        # + 0.0 normalizes negative zero
+        rows = zip(
+            range(start + 1, stop + 1),
+            thetas[start:stop].tolist(),
+            (d + 0.0).tolist(),
+            (c + 0.0).tolist(),
+            tails[start:stop].tolist(),
         )
+        sys.stdout.write(
+            "".join(
+                f"{k},{theta:.17g},{d_k:.17g},{c_k:.17g},{(d_k - c_k) ** 2:.17g},{t_k:.17g}\n"
+                for k, theta, d_k, c_k, t_k in rows
+            )
+        )
+        if bad is not None:
+            raise _column_sum_error(p[bad])
+        start = stop
     return 0
 
 
@@ -146,6 +160,20 @@ def _seed(text: str) -> int:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _rows(text: str) -> int:
+    # a table above the harness's array limit would hold gigabytes of
+    # momentum and tail values before printing its first row
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= _MAX_ENTRIES:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 0 to {_MAX_ENTRIES}, got {text!r}"
+        )
     return value
 
 
@@ -182,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_alg.add_argument("--c", type=float, default=0.0, help="power-family scale")
     p_alg.add_argument("--s", type=float, default=0.0, help="offset for harmonic/power")
     p_alg.add_argument("--p", type=float, default=0.0, help="power-family exponent")
-    p_alg.add_argument("--n", type=int, default=10, help="number of indices to print")
+    p_alg.add_argument("--n", type=_rows, default=10, help="number of indices to print")
     p_alg.set_defaults(func=_cmd_algebra)
 
     p_plot = sub.add_parser("plotdata", help="emit log-log columns for a bundle")

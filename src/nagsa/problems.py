@@ -112,13 +112,24 @@ def box(lo: np.ndarray, hi: np.ndarray) -> ConstraintSet:
     return ConstraintSet(kind="box", lo=lo, hi=hi)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of v; when squaring overflows although v is finite,
+    s ||v / s|| with s = max_j |v_j| instead of inf. Never warns."""
+    # np.linalg.norm takes the same dot but flags its overflow
+    out = math.sqrt(np.vdot(v, v))
+    if out == np.inf and np.isfinite(v).all():
+        s = float(np.abs(v).max())
+        out = s * float(np.linalg.norm(v / s))
+    return out
+
+
 def project(x: np.ndarray, cset: ConstraintSet) -> np.ndarray:
     """Euclidean projection onto the constraint set."""
     if cset.kind == "whole_space":
         return x
     if cset.kind == "ball":
         gap = x - cset.center
-        dist = np.linalg.norm(gap)
+        dist = _norm(gap)
         # the relative slack keeps re-projection of a boundary point exact:
         # radial scaling rounds, so a freshly projected point can sit an ulp
         # outside the sphere

@@ -61,6 +61,7 @@ from .errors import ConfigurationError
 from .problems import (
     ConstraintSet,
     ProblemInstance,
+    _norm,
     _prox_row,
     _subgrad_row,
     objective,
@@ -214,16 +215,6 @@ def _steps(config: SolverConfig, inst: ProblemInstance, g: np.random.Generator):
             config.step.block(start, count),
             config.momentum.block(start, count),
         )
-
-
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of v; when squaring overflows although v is finite,
-    s ||v / s|| with s = max_j |v_j| instead of inf."""
-    out = float(np.linalg.norm(v))
-    if out == np.inf and np.isfinite(v).all():
-        s = float(np.abs(v).max())
-        out = s * float(np.linalg.norm(v / s))
-    return out
 
 
 def _checkpoint_indices(n_final: int, stride: float) -> list[int]:

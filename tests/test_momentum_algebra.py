@@ -5,15 +5,18 @@ products, exact series for the tail coefficients (factorial sums via
 fractions.Fraction), and closed forms for constant momentum.
 """
 
+import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nagsa.cli import main
+from nagsa import momentum_algebra
+from nagsa.cli import build_parser, main
 from nagsa.errors import DivergenceError, StructuralError
 from nagsa.momentum_algebra import (
     ProductState,
@@ -89,6 +92,54 @@ def test_head_products_fold_equals_each_head_product():
     assert list(head_products([])) == []
 
 
+_THETA = st.one_of(st.just(0.0), st.floats(0.0, 0.999))
+
+
+def _direct_fold(thetas):
+    """P_1 .. P_n by one companion_matrix and one @ per factor."""
+    out, p = [], None
+    for theta in thetas:
+        step = companion_matrix(theta)
+        p = step if p is None else p @ step
+        out.append(p)
+    return out
+
+
+@given(st.lists(_THETA, max_size=40), st.integers(1, 5))
+def test_head_products_block_fold_is_bitwise_the_direct_fold(thetas, block):
+    """Blocks of 1..5 rows make the lists cross block boundaries; every
+    product keeps every bit of the per-factor fold and is read-only."""
+    with mock.patch.object(momentum_algebra, "_BLOCK", block):
+        states = list(head_products(thetas))
+        direct = _direct_fold(thetas)
+        assert [state.index for state in states] == list(range(1, len(thetas) + 1))
+        for n, (state, p) in enumerate(zip(states, direct), 1):
+            assert np.array_equal(state.entries.view(np.uint64), p.view(np.uint64))
+            assert not state.entries.flags.writeable
+            nth = head_product(thetas, n).entries
+            assert np.array_equal(nth.view(np.uint64), p.view(np.uint64))
+
+
+@given(
+    st.lists(_THETA, max_size=40),
+    st.integers(1, 5),
+    st.sampled_from([-0.5, -1e-300, 1.0, 2.0, math.inf, math.nan]),
+    st.data(),
+)
+def test_head_products_stop_before_a_bad_momentum(thetas, block, bad, data):
+    """A bad value at 1-based position j yields the j - 1 products before it,
+    then the ValueError companion_matrix raises."""
+    j = data.draw(st.integers(1, len(thetas) + 1))
+    values = thetas[: j - 1] + [bad] + thetas[j - 1 :]
+    got = []
+    with mock.patch.object(momentum_algebra, "_BLOCK", block):
+        with pytest.raises(ValueError) as exc:
+            for state in head_products(values):
+                got.append(state)
+    assert len(got) == j - 1
+    assert str(exc.value) == f"momentum must lie in [0, 1), got {bad}"
+
+
 @pytest.mark.parametrize(
     "argv, schedule",
     [
@@ -117,6 +168,70 @@ def test_cli_algebra_table_equals_per_row_head_products(argv, schedule, capsys):
             f"{k},{thetas[k - 1]:.17g},{d:.17g},{c:.17g},{(d - c) ** 2:.17g},{tails.t(k):.17g}"
         )
     assert table == expected
+
+
+# sha256 of the table's stdout as the per-row fold (one companion_matrix and
+# one print per row) wrote it; the block fold must keep every byte
+_TABLE_SHA256 = [
+    (
+        ["--family", "harmonic", "--s", "2", "--n", "500"],
+        "265349d339d9221a4313c12c9fec3d51b4f509164c1c753973782cd0e74362d9",
+    ),
+    (
+        ["--family", "harmonic", "--s", "3", "--n", "500"],
+        "ed961fce54576a2dda4b34267e28cdf912c8c7b4f4241122964d611286164458",
+    ),
+    (
+        ["--family", "constant", "--theta", "0.9", "--n", "20000"],
+        "c60a7f83f3b54c575a75413ab0f9581f13e32753f70a6055a66f124d775b1246",
+    ),
+    (
+        ["--family", "power", "--c", "0.9", "--s", "1", "--p", "0.7", "--n", "300"],
+        "5ede025d4f4698657600605b02edbdec3c7581f196fccc2df3058b0d82608fe4",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", _TABLE_SHA256, ids=["harmonic-s2", "harmonic-s3", "constant-20000", "power"]
+)
+def test_cli_algebra_table_bytes_are_pinned(argv, digest, capsys):
+    assert main(["algebra", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_algebra_structural_failure_writes_header_only(monkeypatch, capsys):
+    """A failing column-sum check on row 1 leaves the header, one error line
+    and exit code 2."""
+    monkeypatch.setattr(momentum_algebra, "_COLUMN_SUM_TOL", -1.0)
+    assert main(["algebra", "--family", "harmonic", "--s", "2", "--n", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "k,theta,d,c,residual,t\n"
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: column sums")
+
+
+@pytest.mark.parametrize("value", ["-3", str((1 << 25) + 1), "ten"])
+def test_cli_algebra_refuses_bad_row_counts(value, capsys):
+    """--n is checked when parsed: a negative count, one whose momentum and
+    tail arrays would exceed the harness's 2^25-entry limit, or no integer."""
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", "--n", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --n: expected an integer from 0 to {1 << 25}, got {value!r}" in captured.err
+
+
+def test_cli_algebra_row_limit_is_inclusive():
+    args = build_parser().parse_args(["algebra", "--n", str(1 << 25)])
+    assert args.n == 1 << 25
+
+
+def test_cli_algebra_zero_rows_prints_the_header(capsys):
+    assert main(["algebra", "--n", "0"]) == 0
+    assert capsys.readouterr().out == "k,theta,d,c,residual,t\n"
 
 
 def test_head_product_validation():

@@ -11,6 +11,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,17 @@ def test_project_ball_radial_scaling():
     assert np.allclose(project(x, ball(1.0)), [1.0, 0.0], atol=1e-15)
     inside = np.array([0.25, 0.25])
     assert project(inside, ball(1.0)) is inside
+
+
+def test_project_ball_when_the_distance_overflows():
+    """A finite point whose distance to the center overflows when squared
+    still lands on the sphere, without a warning."""
+    x = np.array([1e200, -1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = project(x, ball(1.0))
+    assert 1.0 - 1e-12 <= np.linalg.norm(p) <= 1.0 + 1e-12
+    assert p[0] > 0.0 > p[1]
 
 
 def test_project_box_clamps():

@@ -241,7 +241,8 @@ def _reference_update(case, inst, x, i, alpha):
         g = np.sign(r) * a if case.kind == "least_absolute" else (2.0 * r) * a
         y = x - alpha * g
         if case.variant == "ball":
-            dist = np.linalg.norm(y)
+            # the true distance, also where squaring it overflows
+            dist = _reference_norm(y)
             return y if dist <= case.bound * (1.0 + 1e-12) else (case.bound / dist) * y
         if case.variant == "box":
             return np.clip(y, -case.bound, case.bound)
