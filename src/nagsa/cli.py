@@ -44,6 +44,10 @@ from .problems import dump_instance, gen, lasso_reference, with_reference
 from .schedules import MomentumSchedule
 
 
+# rows of the algebra table per stdout write
+_WRITE_ROWS = 1024
+
+
 def _read_config(path: str) -> str:
     # bytes that are not UTF-8 read as U+FFFD, which the parser refuses,
     # naming the line that holds them
@@ -123,20 +127,24 @@ def _cmd_algebra(args) -> int:
     for p in _head_blocks(thetas):
         d, c, bad = _coefficients(p)
         stop = start + (len(p) if bad is None else bad)
-        # + 0.0 normalizes negative zero
-        rows = zip(
-            range(start + 1, stop + 1),
-            thetas[start:stop].tolist(),
-            (d + 0.0).tolist(),
-            (c + 0.0).tolist(),
-            tails[start:stop].tolist(),
-        )
-        sys.stdout.write(
-            "".join(
-                f"{k},{theta:.17g},{d_k:.17g},{c_k:.17g},{(d_k - c_k) ** 2:.17g},{t_k:.17g}\n"
-                for k, theta, d_k, c_k, t_k in rows
+        # one write per chunk of at most _WRITE_ROWS rows, so the text and the
+        # Python floats of a whole block are never held at once
+        for lo in range(start, stop, _WRITE_ROWS):
+            hi = min(lo + _WRITE_ROWS, stop)
+            # + 0.0 normalizes negative zero
+            rows = zip(
+                range(lo + 1, hi + 1),
+                thetas[lo:hi].tolist(),
+                (d[lo - start : hi - start] + 0.0).tolist(),
+                (c[lo - start : hi - start] + 0.0).tolist(),
+                tails[lo:hi].tolist(),
             )
-        )
+            sys.stdout.write(
+                "".join(
+                    f"{k},{theta:.17g},{d_k:.17g},{c_k:.17g},{(d_k - c_k) ** 2:.17g},{t_k:.17g}\n"
+                    for k, theta, d_k, c_k, t_k in rows
+                )
+            )
         if bad is not None:
             raise _column_sum_error(p[bad])
         start = stop

@@ -32,7 +32,10 @@ an Ensemble holds the realized paths and the arrays of the form
 V_n = (1 + t_n) s_{n+1} - t_n s_n + c_n on s = r + h z, which lyapunov() also
 evaluates for real pair series. Paths and conditional branches step the same
 mean and evaluate the same form, so with sigma = 0 every branch reproduces
-the realized V_{n+1} bit for bit.
+the realized V_{n+1} bit for bit. supermartingale_check branches a block of
+paths in one pass: the noise of every (path, step) row comes from that row's
+own stream, drawn as raw PCG64 words, and the mean, the Lyapunov form and the
+row statistics run once over the block.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._rng import STREAM_BRANCH, STREAM_PATH, seed_words, word_generators
+from ._rng import STREAM_BRANCH, STREAM_PATH, seed_words, word_generators, word_uniforms
 from .errors import ConfigurationError, DivergenceError
 from .momentum_algebra import TailCoefficients, tail_coefficients
 from .schedules import MomentumSchedule, constant_momentum, harmonic_momentum
@@ -369,20 +372,25 @@ class Ensemble:
         return float(self.v[p, i])
 
     def branch_values(
-        self, p: int, steps: np.ndarray, branches: int, words: np.ndarray | None = None
+        self, p, steps: np.ndarray, branches: int, words: np.ndarray | None = None
     ) -> np.ndarray:
-        """`branches` draws of V_{n+1} from the frozen state at (p, n) for each
-        n of the 1-D array `steps`, one row per step. Each row is drawn from
-        the (seed, path, step) branch stream seeded from its own key, so probe
-        order never changes results; the recursion mean and the Lyapunov form
-        are evaluated once over all rows. `words` holds the rows' seed words
-        as seed_words gives them for those keys (supermartingale_check seeds
-        all its probes in one pass); without it they are seeded here."""
+        """`branches` draws of V_{n+1} from the frozen state at (p, n), one row
+        per entry of the 1-D array `steps`; p is one path index or an array
+        of them, broadcast against `steps`, so one call can probe several
+        paths. Each row is drawn from the (seed, path, step) branch stream
+        seeded from its own key, so probe order never changes results; the
+        recursion mean and the Lyapunov form are evaluated once over all
+        rows. `words` holds the rows' seed words as seed_words gives them for
+        those keys (supermartingale_check seeds all its probes in one pass);
+        without it they are seeded here."""
         if self.v is None:
             raise DivergenceError("no Lyapunov series for momentum >= 1")
         steps = np.asarray(steps)
         if steps.ndim != 1:
             raise ValueError("branch steps must be a 1-D array")
+        p, steps = np.broadcast_arrays(p, steps)
+        if steps.ndim != 1:
+            raise ValueError("branch paths must be one index or a 1-D array")
         j = steps - self.v_offset  # V_{n+1} is v[p, j]
         outside = (j < 1) | (j >= self.v.shape[1])
         if outside.any():
@@ -395,15 +403,15 @@ class Ensemble:
             words = seed_words(_stream_keys(STREAM_BRANCH, self.seed, p, steps))
         elif words.shape != (len(steps), 4):
             raise ValueError(f"need seed words of shape ({len(steps)}, 4), got {words.shape}")
-        w = np.empty((len(steps), branches))
-        for row, g in enumerate(word_generators(words)):
-            w[row] = g.uniform(-1.0, 1.0, branches)
+        w = word_uniforms(words, branches)
         q = j + 1  # the redrawn states r_q
         i = q - rec.order
-        r_next = rec.mean(i, self.r[p, i], self.r[p, q - 1])[:, None] + rec.sigma[i][:, None] * w
+        # s_{n+1} = (mean + sigma w) + h z, formed in place on the noise
+        w *= rec.sigma[i][:, None]
+        w += rec.mean(i, self.r[p, i], self.r[p, q - 1])[:, None]
+        w += (self.h * self.z[q])[:, None]
         s_n = self.r[p, q - 1] + self.h * self.z[q - 1]
-        s_next = r_next + (self.h * self.z[q])[:, None]
-        return _lyapunov_form(self.t[j][:, None], s_n[:, None], s_next, self.c[j][:, None])
+        return _lyapunov_form(self.t[j][:, None], s_n[:, None], w, self.c[j][:, None])
 
 
 def _stream_keys(tag: int, seed: int, *columns) -> np.ndarray:
@@ -424,21 +432,24 @@ def _path_generators(seed: int, paths: int):
 
 
 def _walk(rec: Recursion, seed: int, paths: int, length: int, init) -> np.ndarray:
-    """Paths of the recursion on the per-path streams. Each stream gives one
-    uniform [0, 1) spread, from which init(spreads) sets the first `order`
-    columns, then the noise of every step."""
+    """Paths of the recursion on the per-path streams, shape (paths, length).
+    Each stream gives one uniform [0, 1) spread, from which init(spreads)
+    sets the first `order` columns, then the noise of every step. The walk
+    runs time-major, on (steps, paths) noise and (length, paths) states, so
+    each step reads and writes contiguous rows."""
     steps = length - rec.order
     spreads = np.empty(paths)
-    noise = np.empty((paths, steps))
+    noise = np.empty((steps, paths))
     for p, g in enumerate(_path_generators(seed, paths)):
         spreads[p] = g.random()
-        noise[p] = g.uniform(-1.0, 1.0, steps)
-    r = np.empty((paths, length))
-    r[:, : rec.order] = init(spreads)
+        noise[:, p] = g.uniform(-1.0, 1.0, steps)
+    r = np.empty((length, paths))
+    r[: rec.order] = np.broadcast_to(init(spreads), (paths, rec.order)).T
     for i in range(steps):
         q = i + rec.order
-        r[:, q] = rec.mean(i, r[:, i], r[:, q - 1]) + rec.sigma[i] * noise[:, i]
-    return r
+        r[q] = rec.mean(i, r[i], r[q - 1]) + rec.sigma[i] * noise[i]
+    del noise  # before the copy, so the walk's peak stays at two arrays
+    return np.ascontiguousarray(r.T)
 
 
 def _geometric_scale_array(scale: float, ratio: float, length: int) -> np.ndarray:
@@ -670,6 +681,11 @@ def negative_controls(lemma_id: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # checks
 
+# branch samples per block of supermartingale_check (2^15 x 8 bytes = 256 KiB):
+# six paths at 24 probes x 200 branches
+_BLOCK_ENTRIES = 1 << 15
+
+
 def supermartingale_check(
     ensemble: Ensemble,
     paths: int | None = None,
@@ -688,13 +704,16 @@ def supermartingale_check(
     statistical power and are refused.
 
     The seed words of every (path, step) branch stream of the check come
-    from one seed_words pass over their keys. A path's probes are then
-    evaluated in one array pass: branch_values gives one row per probed step,
-    and the estimates, standard errors, z-scores and violations are row-wise
-    array operations. Every row is still drawn from its own stream, seeded
-    from its own (seed, path, step) key, so no probe's draws depend on the
-    others or on how many paths share the check, and details, checks,
-    violations and worst_z equal those of one probe at a time bit for bit.
+    from one seed_words pass over their keys. The paths are then checked in
+    blocks of as many whole paths as fit in _BLOCK_ENTRIES branch samples
+    (one path when a single path needs more): one branch_values call gives
+    the block's (path, step) rows in path-then-step order, and the
+    estimates, standard errors, z-scores and violations are row-wise array
+    operations. Every row is still drawn from its own stream, seeded from
+    its own (seed, path, step) key, so no probe's draws depend on the others,
+    on the block size or on how many paths share the check, and details,
+    checks, violations and worst_z equal those of one probe at a time bit
+    for bit.
     """
     if branches < 30:
         raise ValueError("need at least 30 branches for a meaningful standard error")
@@ -715,27 +734,31 @@ def supermartingale_check(
     )
     scale_eps = 1e-12
     steps = probe_steps.tolist()
-    v_index = probe_steps - 1 - ensemble.v_offset
-    paths_column = np.arange(n_paths)[:, None]
-    words = seed_words(_stream_keys(STREAM_BRANCH, ensemble.seed, paths_column, probe_steps))
-    words = words.reshape(n_paths, len(steps), 4)
-    for p in range(n_paths):
-        samples = ensemble.branch_values(p, probe_steps, branches, words[p])
+    row_paths = np.repeat(np.arange(n_paths), len(steps))
+    row_steps = np.tile(probe_steps, n_paths)
+    words = seed_words(_stream_keys(STREAM_BRANCH, ensemble.seed, row_paths, row_steps))
+    block = max(1, _BLOCK_ENTRIES // (len(steps) * branches))
+    for first in range(0, n_paths, block):
+        block_paths = range(first, min(first + block, n_paths))
+        rows = slice(first * len(steps), block_paths.stop * len(steps))
+        p, n = row_paths[rows], row_steps[rows]
+        samples = ensemble.branch_values(p, n, branches, words[rows])
         estimate = samples.mean(axis=1)
         se = samples.std(axis=1, ddof=1) / math.sqrt(branches)
-        v_n = ensemble.v[p, v_index]
+        v_n = ensemble.v[p, n - 1 - ensemble.v_offset]
         diff = estimate - v_n
         rounding = scale_eps * np.maximum(1.0, np.abs(v_n))
         # deterministic branches read inf or 0; as tol_z > 0, z > tol_z is the violation
         zscore = np.where(diff > rounding, math.inf, 0.0)
         np.divide(diff, se, out=zscore, where=se > rounding)
-        report.checks += len(steps)
+        report.checks += len(n)
         report.violations += int(np.count_nonzero(zscore > tol_z))
         zs = zscore.tolist()
         report.worst_z = max([report.worst_z, *zs])
-        report.details.extend(
-            zip(repeat(ensemble.lemma_id), repeat(p), steps, v_n.tolist(), estimate.tolist(), zs)
-        )
+        # the detail rows share one int per path and the step list's ints
+        path_column = (path for path in block_paths for _ in steps)
+        columns = (path_column, steps * len(block_paths), v_n.tolist(), estimate.tolist(), zs)
+        report.details.extend(zip(repeat(ensemble.lemma_id), *columns))
     return report
 
 

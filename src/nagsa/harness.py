@@ -695,13 +695,13 @@ def _lemma_summary_lines(config: LemmaSuiteConfig, reports: list[CheckReport]) -
 
 
 def _lemma_detail_lines(reports: list[CheckReport]) -> list[str]:
+    # details hold Python floats, which :.17g formats as _fmt does ("inf" too)
     lines = ["lemma_id,path,step,V_n,estimate,z_score"]
     for rep in reports:
-        for lemma_id, path, step, v_n, estimate, zscore in rep.details:
-            z_text = _fmt(zscore) if math.isfinite(zscore) else (
-                "inf" if zscore > 0 else "-inf"
-            )
-            lines.append(f"{lemma_id},{path},{step},{_fmt(v_n)},{_fmt(estimate)},{z_text}")
+        lines.extend(
+            f"{lemma_id},{path},{step},{v_n:.17g},{estimate:.17g},{zscore:.17g}"
+            for lemma_id, path, step, v_n, estimate, zscore in rep.details
+        )
     return lines
 
 

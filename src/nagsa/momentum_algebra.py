@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, StructuralError
-from .schedules import MomentumSchedule
+from .schedules import _PIECE, MomentumSchedule
 
 __all__ = [
     "ProductState",
@@ -245,14 +245,17 @@ def tail_coefficients(
             horizon += 1
         seed = 0.0
     top = n_max + horizon
-    thetas = schedule.block(1, top)
     values = np.empty(n_max)
     t_next = seed
-    for n in range(top, 0, -1):
-        t_here = (1.0 + t_next) * thetas[n - 1]
-        if n <= n_max:
-            values[n - 1] = t_here
-        t_next = t_here
+    # theta from block() in pieces of at most _PIECE values, top piece first;
+    # only the piece being walked is held
+    for start in reversed(range(1, top + 1, _PIECE)):
+        count = min(_PIECE, top + 1 - start)
+        indices = range(start + count - 1, start - 1, -1)
+        for n, theta in zip(indices, reversed(schedule.block(start, count))):
+            t_next = (1.0 + t_next) * theta
+            if n <= n_max:
+                values[n - 1] = t_next
     return TailCoefficients(values=values, horizon=horizon, tolerance=tol)
 
 

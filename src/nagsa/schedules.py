@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 
+# values per block() call when a long run is materialized: a list of 2^14
+# Python floats takes about 512 KiB, a quarter of the array at 2^18 values
+_PIECE = 1 << 14
+
+
 def _require_index(k: int) -> None:
     if k < 1:
         raise ValueError(f"schedule index must be >= 1, got {k}")
@@ -137,8 +142,12 @@ class MomentumSchedule:
         return lo == hi
 
     def values(self, count: int) -> np.ndarray:
-        """Materialize theta_1 .. theta_count as an array."""
-        return np.array(self.block(1, count))
+        """Materialize theta_1 .. theta_count as an array, filled from block()
+        in pieces of at most _PIECE values."""
+        out = np.empty(count)
+        for start in range(0, count, _PIECE):
+            out[start : start + _PIECE] = self.block(start + 1, min(_PIECE, count - start))
+        return out
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nagsa
+from nagsa import diagnostics
 from nagsa._rng import STREAM_BRANCH, STREAM_PATH, make_generator
 from nagsa.diagnostics import (
     LEMMA_IDS,
@@ -500,6 +501,24 @@ def test_branch_values_rows_equal_single_probes():
         assert np.array_equal(ens.branch_values(2, steps[::-1], 64), rows[::-1])
 
 
+def test_branch_values_path_array_rows_equal_per_path_calls():
+    """Paths given as an array, broadcast against the steps, give row for
+    row the one-path calls."""
+    for lemma_id in ("drift", "coupled_weighted", "first_order", "relay"):
+        ens = synth_paths(lemma_id, None, seed=9, paths=4, length=200)
+        paths = np.array([3, 0, 2, 2, 1])
+        steps = np.array([120, 3, 57, 180, 57])
+        rows = ens.branch_values(paths, steps, 64)
+        assert rows.shape == (5, 64)
+        for row, p, n in zip(rows, paths, steps):
+            assert row.tobytes() == ens.branch_values(int(p), np.array([n]), 64)[0].tobytes()
+        # one path index broadcasts against a row of steps
+        one = ens.branch_values(np.array([2]), steps, 64)
+        assert one.tobytes() == ens.branch_values(2, steps, 64).tobytes()
+    with pytest.raises(ValueError, match="1-D"):
+        ens.branch_values(np.array([[0], [1]]), steps, 64)
+
+
 def test_branch_values_step_validation():
     ens = synth_paths("drift_const", None, seed=9, paths=2, length=50)
     with pytest.raises(ValueError, match="branch step 49 outside 1..48"):
@@ -637,6 +656,23 @@ def test_supermartingale_check_paths_do_not_depend_on_batch(lemma_id):
         part = supermartingale_check(ens, paths=k, branches=40)
         assert part.paths_tested == k
         assert _detail_bits(part.details) == _detail_bits(full.details[: k * per_path])
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 24 * 40])
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_supermartingale_check_blocks_match_per_probe_loop(lemma_id, budget, monkeypatch):
+    """Blocks of one path (a budget below one path's samples) and blocks of
+    three whole paths, the last one partial (at length 300 a path has 21 to
+    23 probes of 40 branches, and there are 8 paths), both give the
+    per-probe report."""
+    monkeypatch.setattr(diagnostics, "_BLOCK_ENTRIES", budget)
+    ens = synth_paths(lemma_id, None, seed=5, paths=8, length=300)
+    got = supermartingale_check(ens, branches=40)
+    want = _per_probe_report(ens, branches=40)
+    assert got.checks == want.checks > 0
+    assert _detail_bits(got.details) == _detail_bits(want.details)
+    assert got.violations == want.violations
+    assert got.worst_z.hex() == want.worst_z.hex()
 
 
 def test_streams_of_a_seed_past_int64():

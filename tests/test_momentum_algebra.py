@@ -5,8 +5,12 @@ products, exact series for the tail coefficients (factorial sums via
 fractions.Fraction), and closed forms for constant momentum.
 """
 
+import contextlib
 import hashlib
 import math
+import os
+import sys
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -234,6 +238,32 @@ def test_cli_algebra_zero_rows_prints_the_header(capsys):
     assert capsys.readouterr().out == "k,theta,d,c,residual,t\n"
 
 
+def test_cli_algebra_writes_bounded_chunks(monkeypatch):
+    """The table goes out in writes of at most 1024 rows (a 500-row table is
+    one write after the header), and a 16384-row harmonic table sent to
+    os.devnull peaks below 5 MiB of traced memory."""
+    writes = []
+
+    class Sink:
+        def write(self, text):
+            writes.append(text.count("\n"))
+
+    for n, counts in ((500, [1, 500]), (2500, [1, 1024, 1024, 452])):
+        writes.clear()
+        monkeypatch.setattr(sys, "stdout", Sink())
+        assert main(["algebra", "--family", "harmonic", "--s", "2", "--n", str(n)]) == 0
+        assert writes == counts
+    monkeypatch.undo()
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["algebra", "--family", "harmonic", "--s", "2", "--n", "16384"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
 def test_head_product_validation():
     with pytest.raises(ValueError):
         head_product([0.5], 0)
@@ -432,6 +462,35 @@ def test_tail_chain_identity():
 def test_tail_monotone_for_nonincreasing_momentum():
     tc = tail_coefficients(harmonic_momentum(3.0), 300)
     assert np.all(np.diff(tc.values) <= 0.0)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [harmonic_momentum(2.0), power_momentum(0.9, 1.0, 0.7), constant_momentum(0.5)],
+    ids=["harmonic", "power", "constant"],
+)
+def test_tail_coefficients_walk_pieces_from_the_top(schedule):
+    """The backward recursion walks block() pieces of at most 2^14 values,
+    top piece first: the values equal one backward pass over one long block
+    bit for bit, and at 2^18 coefficients the traced peak stays within the
+    array plus 1 MiB."""
+    n_max = 2 * 2**14 + 5
+    tc = tail_coefficients(schedule, n_max)
+    thetas = schedule.block(1, n_max + tc.horizon)
+    t_next = (schedule.theta / (1.0 - schedule.theta)) if schedule.is_constant else 0.0
+    want = [0.0] * n_max
+    for n in range(len(thetas), 0, -1):
+        t_next = (1.0 + t_next) * thetas[n - 1]
+        if n <= n_max:
+            want[n - 1] = t_next
+    assert tc.values.tobytes() == np.array(want).tobytes()
+    tracemalloc.start()
+    try:
+        big = tail_coefficients(schedule, 2**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= big.values.nbytes + 2**20
 
 
 def test_tail_index_bounds():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nagsa._rng import make_generator, normals, seed_words, word_generators
+from nagsa._rng import make_generator, normals, seed_words, word_generators, word_uniforms
 
 EDGE_COMPONENTS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64 + 1)
 
@@ -104,6 +104,25 @@ def test_seed_words_refuse_non_2d_arrays():
 def test_word_generators_need_four_words_per_row():
     with pytest.raises(ValueError, match="four per row"):
         next(word_generators(np.zeros((2, 3), dtype=np.uint64)))
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 200])
+def test_word_uniforms_equal_generator_uniforms(count):
+    """Raw words mapped by -1 + 2 ((x >> 11) 2^-53) are numpy's
+    uniform(-1, 1), bit for bit, for keys with components 0, 2^32 and past
+    2^64."""
+    keys = [(0,), (3, 0, 0, 0), (3, 2**32, 5, 2**32 - 1), (3, 2**64 + 7, 1, 2), (1, 2**70, 0)]
+    got = word_uniforms(seed_words(keys), count)
+    assert got.shape == (len(keys), count)
+    for row, key in zip(got, keys):
+        want = make_generator(*key).uniform(-1.0, 1.0, count)
+        assert row.tobytes() == want.tobytes(), key
+
+
+def test_word_uniforms_need_four_words_per_row():
+    for bad in (np.zeros((2, 3), dtype=np.uint64), np.zeros(4, dtype=np.uint64)):
+        with pytest.raises(ValueError, match="four per row"):
+            word_uniforms(bad, 5)
 
 
 # ---------------------------------------------------------------------------

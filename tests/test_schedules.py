@@ -2,6 +2,7 @@
 summability classifier against long partial-sum prefixes."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -108,6 +109,24 @@ def test_values_matches_at():
     vals = sched.values(50)
     assert vals.shape == (50,)
     assert all(vals[k - 1] == sched.at(k) for k in range(1, 51))
+
+
+def test_values_are_filled_in_pieces():
+    """values() takes block() a piece of at most 2^14 values at a time: the
+    array equals one long block bit for bit across piece boundaries, and at
+    2^18 values the traced peak stays within the array plus 1 MiB."""
+    for sched in (harmonic_momentum(2.0), power_momentum(0.9, 1.0, 0.7), constant_momentum(0.5)):
+        n = 2 * 2**14 + 3
+        assert sched.values(n).tobytes() == np.array(sched.block(1, n)).tobytes()
+        assert sched.values(0).shape == (0,)
+        tracemalloc.start()
+        try:
+            vals = sched.values(2**18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (2**18,)
+        assert peak <= vals.nbytes + 2**20, (sched, peak)
 
 
 @pytest.mark.parametrize(
