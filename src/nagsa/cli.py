@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands:
-    gen       generate a problem instance and write its text dump
+    gen       generate a problem instance and write its text dump, with the
+              binary cache that later loads read instead (`PATH.cache`)
     run       run a configured experiment, writing a result bundle
     lemma     run scenario checks, writing summary/detail CSVs
     algebra   print head products, coefficients, and tail values

@@ -25,6 +25,7 @@ from ._rng import RNG_ID
 from .diagnostics import LEMMA_IDS, CheckReport, negative_controls, run_lemma_check
 from .errors import ConfigurationError
 from .problems import (
+    _MAX_ENTRIES,
     KINDS,
     ConstraintSet,
     ProblemInstance,
@@ -215,11 +216,6 @@ class _KeyedValues:
         if value != int(value):
             raise self.error(key, f"expected an integer, got {self.values[key]!r}")
         return int(value)
-
-
-# largest float64 array a config may ask for (256 MB): the m x n instance
-# matrix, a paths x length lemma ensemble, a branch sample
-_MAX_ENTRIES = 1 << 25
 
 
 def _check_entries(kv: _KeyedValues, keys: tuple[str, ...], sizes: tuple[int, ...]) -> None:

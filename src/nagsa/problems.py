@@ -5,7 +5,7 @@ objectives:
 
     least_squares    f(x) = sum_i (a_i.x - b_i)^2
     least_absolute   f(x) = sum_i |a_i.x - b_i|
-    lasso            f(x) = (1/n) sum_i (a_i.x - b_i)^2 + lambda ||x||_1
+    lasso            f(x) = (1/m) sum_i (a_i.x - b_i)^2 + lambda ||x||_1
 
 Generation draws v uniform on [0,1]^n and G with independent standard normal
 entries (Box-Muller over the documented generator). For least_squares /
@@ -23,8 +23,10 @@ single row and are one-dimensional reductions along it.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +56,10 @@ __all__ = [
 ]
 
 KINDS = ("least_squares", "least_absolute", "lasso")
+
+# largest float64 array a config or an instance cache may ask for (256 MB):
+# the m x n instance matrix, a paths x length lemma ensemble, a branch sample
+_MAX_ENTRIES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -281,7 +287,7 @@ def objective(inst: ProblemInstance, x: np.ndarray) -> float:
         return float(residual @ residual)
     if inst.kind == "least_absolute":
         return float(np.sum(np.abs(residual)))
-    return float(residual @ residual / inst.n + inst.lam * np.sum(np.abs(x)))
+    return float(residual @ residual / inst.m + inst.lam * np.sum(np.abs(x)))
 
 
 def lasso_reference(inst: ProblemInstance, steps: int = 100_000) -> np.ndarray:
@@ -315,19 +321,163 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# the first two fields of an instance cache's header line: the format and its
+# version, then the payload's byte order
+_CACHE_MAGIC = "nagsa-instance-cache-1 <f8"
+_CACHE_HEADER_LIMIT = 4096  # bytes of that line, its newline included
+_HASH_CHUNK = 1 << 18  # bytes of text hashed per read
+
+
+def _cache_path(path) -> str:
+    return os.fspath(path) + ".cache"
+
+
 def dump_instance(inst: ProblemInstance, path) -> None:
     """Text dump: header `kind m n seed lambda`, m rows of n+1 floats
     (row entries then target), then the reference line (n floats or `unset`).
     17 significant digits give exact float64 round-trips. Lines are written
-    one at a time, so the dump holds one line of text in memory."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{inst.kind} {inst.m} {inst.n} {inst.seed} {_fmt(inst.lam)}\n")
+    one at a time, so the dump holds one line of text in memory.
+
+    Beside the text goes its binary cache `<path>.cache`, which
+    `load_instance` reads instead of the text while the text is unchanged.
+    Its header line holds the format, the byte order, whether a reference
+    exists, the text's byte size and sha256, the payload's sha256 and the
+    text's own header fields; the payload after it is the rows, the targets
+    and the reference as raw little-endian float64. The text is hashed as it
+    is written and the payload straight from the arrays, so no copy of
+    either is held. The cache is written to a temporary file and moved into
+    place, so a reader never sees a partial one.
+    """
+    import hashlib
+
+    head = f"{inst.kind} {inst.m} {inst.n} {inst.seed} {_fmt(inst.lam)}"
+    ref = inst.reference_optimum
+    text_hash = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def put(line: str) -> None:
+            data = (line + "\n").encode("utf-8")
+            fh.write(data)
+            text_hash.update(data)
+
+        put(head)
         for a, b in zip(inst.rows, inst.targets):
-            fh.write(" ".join(map(_fmt, [*a.tolist(), b])) + "\n")
-        if inst.reference_optimum is None:
-            fh.write("unset\n")
-        else:
-            fh.write(" ".join(map(_fmt, inst.reference_optimum.tolist())) + "\n")
+            put(" ".join(map(_fmt, [*a.tolist(), b])))
+        put("unset" if ref is None else " ".join(map(_fmt, ref.tolist())))
+        text_size = fh.tell()
+
+    payload = [
+        np.ascontiguousarray(a, dtype="<f8") for a in (inst.rows, inst.targets, ref) if a is not None
+    ]
+    payload_hash = hashlib.sha256()
+    for a in payload:
+        payload_hash.update(a)
+    cache = _cache_path(path)
+    tmp = f"{cache}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(
+                f"{_CACHE_MAGIC} {int(ref is not None)} {text_size} {text_hash.hexdigest()} "
+                f"{payload_hash.hexdigest()} {head}\n".encode("utf-8")
+            )
+            for a in payload:
+                a.tofile(fh)
+        os.replace(tmp, cache)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _parse_header(head: list[str]) -> tuple[str, int, int, int, float]:
+    """(kind, m, n, seed, lambda) from the five header fields of a dump;
+    ValueError with the message load_instance reports otherwise."""
+    kind = head[0]
+    try:
+        m, n, seed, lam = int(head[1]), int(head[2]), int(head[3]), float(head[4])
+    except ValueError as exc:
+        raise ValueError(f"bad instance header: {exc}") from None
+    if kind not in KINDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    if m < 1 or n < 1:
+        raise ValueError(f"dimensions must be positive, got m={m} n={n}")
+    if not np.isfinite(lam):
+        raise ValueError("non-finite lambda")
+    return kind, m, n, seed, lam
+
+
+def load_instance(path) -> ProblemInstance:
+    """Read a `dump_instance` file; every number in it must be finite.
+
+    When the cache `<path>.cache` written beside it describes this very text,
+    the arrays are read from the cache, bit for bit what parsing the text
+    gives, without parsing a number. The cache is trusted only when it opens,
+    the text's byte size and sha256 (hashed in chunks of 256 KiB) match its
+    header, its m x n is within _MAX_ENTRIES and its file has exactly the
+    size the header implies (both checked before anything is allocated), its
+    payload matches its sha256, and every value in it is finite. In every
+    other case the text is parsed, as `_load_text` describes.
+    """
+    inst = _load_cache(path)
+    return _load_text(path) if inst is None else inst
+
+
+def _load_cache(path) -> ProblemInstance | None:
+    """The instance held by the cache beside `path`, or None when any of the
+    checks of load_instance fails."""
+    import hashlib
+
+    try:
+        with open(path, "rb", buffering=0) as text, open(_cache_path(path), "rb") as fh:
+            line = fh.readline(_CACHE_HEADER_LIMIT)
+            fields = line.decode("utf-8").split()
+            if (
+                not line.endswith(b"\n")
+                or len(fields) != 11
+                or " ".join(fields[:2]) != _CACHE_MAGIC
+                or fields[2] not in ("0", "1")
+            ):
+                return None
+            has_ref, text_size = fields[2] == "1", int(fields[3])
+            kind, m, n, seed, lam = _parse_header(fields[6:])
+            if m * n > _MAX_ENTRIES:
+                return None
+            entries = m * n + m + (n if has_ref else 0)
+            if (
+                os.fstat(text.fileno()).st_size != text_size
+                or os.fstat(fh.fileno()).st_size != len(line) + 8 * entries
+            ):
+                return None
+            digest = hashlib.sha256()
+            buf = bytearray(_HASH_CHUNK)
+            while size := text.readinto(buf):
+                digest.update(memoryview(buf)[:size])
+            if digest.hexdigest() != fields[4]:
+                return None
+            arrays = [np.empty((m, n), "<f8"), np.empty(m, "<f8")]
+            if has_ref:
+                arrays.append(np.empty(n, "<f8"))
+            digest = hashlib.sha256()
+            for a in arrays:
+                view = memoryview(a).cast("B")
+                if fh.readinto(view) != a.nbytes:
+                    return None
+                digest.update(view)
+            if digest.hexdigest() != fields[5]:
+                return None
+    except (OSError, ValueError):
+        return None
+    # min and max carry any nan and reach any inf, with no array of flags
+    if not all(math.isfinite(a.min()) and math.isfinite(a.max()) for a in arrays):
+        return None
+    return ProblemInstance(
+        kind=kind,
+        rows=_freeze(arrays[0]),
+        targets=_freeze(arrays[1]),
+        lam=lam,
+        seed=seed,
+        reference_optimum=_freeze(arrays[2]) if has_ref else None,
+    )
 
 
 def _open_dump(path):
@@ -343,8 +493,8 @@ def _content_lines(fh):
             yield lineno, line
 
 
-def load_instance(path) -> ProblemInstance:
-    """Read a `dump_instance` file; every number in it must be finite.
+def _load_text(path) -> ProblemInstance:
+    """Parse a `dump_instance` text file.
 
     A malformed file raises ConfigurationError naming the offending line.
     The file is read twice, a line at a time, so loading holds the matrix and
@@ -374,17 +524,10 @@ def load_instance(path) -> ProblemInstance:
         head = head_line.split()
         if len(head) != 5:
             raise fail(head_no, f"bad instance header {head_line!r}")
-        kind = head[0]
         try:
-            m, n, seed, lam = int(head[1]), int(head[2]), int(head[3]), float(head[4])
+            kind, m, n, seed, lam = _parse_header(head)
         except ValueError as exc:
-            raise fail(head_no, f"bad instance header: {exc}") from None
-        if kind not in KINDS:
-            raise fail(head_no, f"unknown problem kind {kind!r}")
-        if m < 1 or n < 1:
-            raise fail(head_no, f"dimensions must be positive, got m={m} n={n}")
-        if not np.isfinite(lam):
-            raise fail(head_no, "non-finite lambda")
+            raise fail(head_no, str(exc)) from None
         first = next(lines, None)
         count = 1 + (first is not None) + sum(1 for _ in lines)
     if count != m + 2:

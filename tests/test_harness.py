@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nagsa import cli, harness
+from nagsa import cli, harness, problems
 from nagsa.cli import main
 from nagsa.errors import ConfigurationError
 from nagsa.harness import (
@@ -439,17 +439,26 @@ def test_run_requires_output_directory():
         run_experiment(parse_config(TINY_RUN))
 
 
-def test_instance_file_roundtrip(tmp_path):
+def test_instance_file_roundtrip(tmp_path, monkeypatch):
     inst_path = tmp_path / "inst.txt"
+    cache_path = tmp_path / "inst.txt.cache"
     text = TINY_RUN + f"instance = {inst_path}\n"
     config = parse_config(text)
     run_experiment(config, out_dir=str(tmp_path / "a"))
-    assert inst_path.exists()
+    assert inst_path.exists() and cache_path.exists()
     inst = load_instance(str(inst_path))
     assert (inst.kind, inst.m, inst.n) == ("least_squares", 60, 6)
-    # the second run loads the dump instead of regenerating, bytes unchanged
-    run_experiment(parse_config(text), out_dir=str(tmp_path / "b"))
+    # the second run loads the dump through its cache instead of regenerating
+    # or parsing the text, bytes unchanged
+    with monkeypatch.context() as patch:
+        patch.setattr(problems, "_load_text", lambda path: pytest.fail("the text was parsed"))
+        run_experiment(parse_config(text), out_dir=str(tmp_path / "b"))
     assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
+    # the third parses the text alone, bytes unchanged
+    cache_path.unlink()
+    run_experiment(parse_config(text), out_dir=str(tmp_path / "c"))
+    assert not cache_path.exists()
+    assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "c")
 
 
 def test_instance_file_shape_mismatch(tmp_path):

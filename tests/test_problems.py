@@ -19,11 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nagsa import problems
 from nagsa._rng import make_generator
 from nagsa.cli import main
 from nagsa.errors import ConfigurationError
 from nagsa.problems import (
     KINDS,
+    ProblemInstance,
     ball,
     box,
     dump_instance,
@@ -402,10 +404,10 @@ def _descent_minimum(inst, steps=10**4):
             x = x - (objective(inst, x) / gg) * g
             best = min(best, objective(inst, x))
         return best
-    lip = 2.0 * float(np.linalg.eigvalsh(a.T @ a)[-1]) / inst.n
+    lip = 2.0 * float(np.linalg.eigvalsh(a.T @ a)[-1]) / inst.m
     x = np.zeros(inst.n)
     for _ in range(steps):
-        grad = 2.0 * (a.T @ (a @ x - b)) / inst.n
+        grad = 2.0 * (a.T @ (a @ x - b)) / inst.m
         x = prox_l1(x - grad / lip, inst.lam / lip)
     return objective(inst, x)
 
@@ -434,6 +436,16 @@ def test_lasso_objective_displayed_form():
     residual = np.array([-0.5, 1.5])
     expected = float(residual @ residual) / 2 + 2.0 * 1.0
     assert abs(objective(inst, x) - expected) <= 1e-15
+
+
+def test_lasso_objective_averages_over_rows():
+    # m = 3 rows, n = 2 columns: the sum of squares is divided by m, as in the
+    # sampled term and lasso_reference
+    inst = _hand_instance("lasso", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, -1.0, 2.0], lam=0.5)
+    x = np.array([0.5, 0.5])
+    residual = np.array([-0.5, 1.5, -1.0])
+    expected = float(residual @ residual) / 3 + 0.5 * 1.0
+    assert objective(inst, x) == pytest.approx(expected, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -726,3 +738,245 @@ def test_with_reference_shape_check():
     inst = gen("lasso", m=6, n=3, seed=22, lam=0.1)
     with pytest.raises(ValueError):
         with_reference(inst, np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# the binary cache written beside a dump
+
+
+def _cache(path):
+    return Path(f"{path}.cache")
+
+
+def _load_outcome(path):
+    """load_instance's instance, or the text of the ConfigurationError it raises."""
+    try:
+        return load_instance(path)
+    except ConfigurationError as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(got, want):
+    """Equal error texts, or instances equal field by field with the arrays
+    compared bit for bit (as uint64 views, so -0.0 differs from 0.0)."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert (got.kind, got.m, got.n, got.seed) == (want.kind, want.m, want.n, want.seed)
+    assert got.lam.hex() == want.lam.hex()
+    for name in ("rows", "targets", "reference_optimum"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None
+        else:
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            assert not a.flags.writeable
+
+
+def _text_outcome(path):
+    """What loading gives with the cache beside path removed."""
+    _cache(path).unlink(missing_ok=True)
+    return _load_outcome(path)
+
+
+# finite float64 values at the edges of the text format
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072009e-308, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=80)
+@given(
+    kind=st.sampled_from(KINDS),
+    m=st.integers(1, 4),
+    n=st.integers(1, 3),
+    seed=st.integers(-(2**70), 2**70),
+    lam=_EDGE_FLOATS,
+    with_ref=st.booleans(),
+    data=st.data(),
+)
+def test_cache_load_equals_text_load(kind, m, n, seed, lam, with_ref, data):
+    entries = data.draw(st.lists(_EDGE_FLOATS, min_size=m * n + m + n, max_size=m * n + m + n))
+    inst = ProblemInstance(
+        kind=kind,
+        rows=np.array(entries[: m * n]).reshape(m, n),
+        targets=np.array(entries[m * n : m * n + m]),
+        lam=lam,
+        seed=seed,
+        reference_optimum=np.array(entries[m * n + m :]) if with_ref else None,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.txt"
+        dump_instance(inst, path)
+        assert problems._load_cache(path) is not None
+        cached = load_instance(path)
+        _assert_same_outcome(cached, _text_outcome(path))
+        _assert_same_outcome(cached, inst)
+
+
+def test_lasso_unset_reference_round_trips_through_the_cache(tmp_path):
+    path = tmp_path / "instance.txt"
+    dump_instance(gen("lasso", m=7, n=3, seed=4, lam=0.25), path)
+    cached = problems._load_cache(path)
+    assert cached is not None and cached.reference_optimum is None
+    _assert_same_outcome(cached, _text_outcome(path))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["row", "target", "reference", "lambda"])
+def test_cache_gives_the_text_error_for_nonfinite_values(tmp_path, where, value):
+    inst = gen("least_squares", m=4, n=3, seed=23)
+    rows, targets, ref = inst.rows.copy(), inst.targets.copy(), inst.reference_optimum.copy()
+    lam = inst.lam
+    if where == "row":
+        rows[2, 1] = value
+    elif where == "target":
+        targets[3] = value
+    elif where == "reference":
+        ref[0] = value
+    else:
+        lam = value
+    path = tmp_path / "instance.txt"
+    dump_instance(ProblemInstance("least_squares", rows, targets, lam, 23, ref), path)
+    assert _cache(path).exists()
+    with_cache = _load_outcome(path)
+    assert isinstance(with_cache, str) and "non-finite" in with_cache
+    assert _text_outcome(path) == with_cache
+
+
+def test_load_reads_a_fresh_dump_from_its_cache(tmp_path, monkeypatch):
+    inst = gen("least_absolute", m=50, n=4, seed=5)
+    path = tmp_path / "instance.txt"
+    dump_instance(inst, path)
+
+    def no_text(path):
+        raise AssertionError("the text was parsed")
+
+    monkeypatch.setattr(problems, "_load_text", no_text)
+    _assert_same_outcome(load_instance(path), inst)
+    _cache(path).unlink()
+    with pytest.raises(AssertionError, match="the text was parsed"):
+        load_instance(path)
+
+
+def test_dump_replaces_the_cache_in_place(tmp_path):
+    path = tmp_path / "instance.txt"
+    dump_instance(gen("least_squares", m=6, n=2, seed=1), path)
+    second = gen("least_squares", m=6, n=2, seed=2)
+    dump_instance(second, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.txt", "instance.txt.cache"]
+    assert problems._load_cache(path) is not None
+    _assert_same_outcome(load_instance(path), second)
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULT_DUMPS))
+def test_two_fault_dumps_ignore_a_stale_cache(tmp_path, case):
+    edit, line, message = TWO_FAULT_DUMPS[case]
+    path = tmp_path / "instance.txt"
+    dump_instance(gen("least_squares", m=4, n=3, seed=23), path)
+    path.write_text("\n".join(edit(list(_clean_dump_lines("least_squares")))) + "\n")
+    assert _cache(path).exists()
+    with pytest.raises(ConfigurationError) as exc:
+        load_instance(path)
+    assert str(exc.value) == f"{path} line {line}: {message}"
+
+
+@settings(max_examples=150)
+@given(
+    kind=st.sampled_from(["least_squares", "lasso"]),
+    fields=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5), _DUMP_VALUES), max_size=3
+    ),
+    dropped=st.one_of(st.none(), st.integers(0, 5)),
+    blanks=st.lists(st.integers(0, 6), max_size=2),
+)
+def test_load_instance_fuzz_with_a_stale_cache(kind, fields, dropped, blanks):
+    """Any edit of a dump made after its cache was written loads exactly as
+    the edited text alone does."""
+    lines = list(_clean_dump_lines(kind))
+    for line, field, value in fields:
+        tokens = lines[line].split() or [""]
+        tokens[min(field, len(tokens) - 1)] = value
+        lines[line] = " ".join(tokens)
+    if dropped is not None:
+        del lines[dropped]
+    for at in blanks:
+        lines.insert(min(at, len(lines)), "")
+    with tempfile.TemporaryDirectory() as tmp:
+        # the clean dump's cache moves beside a new file with the edited text:
+        # overwriting a file is slow on some file systems
+        clean, path = Path(tmp) / "clean.txt", Path(tmp) / "instance.txt"
+        dump_instance(gen(kind, m=4, n=3, seed=23, lam=0.5 if kind == "lasso" else 0.0), clean)
+        path.write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+        _cache(clean).rename(_cache(path))
+        _assert_same_outcome(_load_outcome(path), _text_outcome(path))
+
+
+def _dump_with_cache(tmp_path, name="instance.txt", seed=23):
+    inst = gen("least_squares", m=4, n=3, seed=seed)
+    path = tmp_path / name
+    dump_instance(inst, path)
+    return inst, path, _cache(path).read_bytes()
+
+
+def _assert_cache_ignored(path, inst):
+    assert problems._load_cache(path) is None
+    _assert_same_outcome(load_instance(path), inst)
+
+
+def test_cache_of_a_same_size_edit_is_ignored(tmp_path):
+    _, path, data = _dump_with_cache(tmp_path)
+    lines = path.read_text().splitlines()
+    first = lines[1].split()
+    first[0] = ("3" if first[0][0] == "2" else "2") + first[0][1:]
+    lines[1] = " ".join(first)
+    path.write_text("\n".join(lines) + "\n")  # the text's size is unchanged
+    edited = _text_outcome(path)
+    assert edited.rows[0, 0] == float(first[0])
+    _cache(path).write_bytes(data)
+    _assert_cache_ignored(path, edited)
+
+
+def test_cache_with_a_flipped_payload_byte_is_ignored(tmp_path):
+    inst, path, data = _dump_with_cache(tmp_path)
+    for at in (len(data) - 4 * 8 * 4 - 1, len(data) - 1):  # a row entry, a reference entry
+        flipped = bytearray(data)
+        flipped[at] ^= 0x01
+        _cache(path).write_bytes(bytes(flipped))
+        _assert_cache_ignored(path, inst)
+
+
+def test_truncated_cache_is_ignored(tmp_path):
+    inst, path, data = _dump_with_cache(tmp_path)
+    header = data.index(b"\n") + 1
+    for size in (0, 10, header - 1, header, len(data) - 8, len(data) - 1):
+        _cache(path).write_bytes(data[:size])
+        _assert_cache_ignored(path, inst)
+    _cache(path).write_bytes(data + b"\0" * 8)
+    _assert_cache_ignored(path, inst)
+
+
+def test_another_dumps_cache_is_ignored(tmp_path):
+    inst, path, _ = _dump_with_cache(tmp_path)
+    _, _, other = _dump_with_cache(tmp_path, name="other.txt", seed=24)
+    _cache(path).write_bytes(other)
+    _assert_cache_ignored(path, inst)
+
+
+def test_cache_header_beyond_the_entry_limit_is_ignored_before_allocating(tmp_path):
+    inst, path, data = _dump_with_cache(tmp_path)
+    header, payload = data.split(b"\n", 1)
+    fields = header.split()
+    assert fields[7:9] == [b"4", b"3"]  # m and n
+    fields[7] = str((1 << 25) // 3 + 1).encode()
+    _cache(path).write_bytes(b" ".join(fields) + b"\n" + payload)
+    tracemalloc.start()
+    try:
+        assert problems._load_cache(path) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    _assert_cache_ignored(path, inst)
