@@ -10,20 +10,18 @@ mapping from bit stream to deviates is pinned by a documented formula.
 One-off streams (instance, run) are seeded by make_generator through numpy's
 own SeedSequence. Streams that come by the thousand (one per synthetic path,
 one per branch probe) get their seed words from seed_words, which applies the
-same SeedSequence hash to a whole array of keys at once, and are built from
-those words by word_generators; every such stream draws bit for bit what
-make_generator(*key) would give it. A branch stream draws only one block of
-uniform(-1, 1) values, so word_uniforms takes them from its raw PCG64 words
-without building a Generator: numpy's uniform(-1, 1) is -1 + 2 u with
-u = (x >> 11) 2^-53 for each raw 64-bit word x, and 2 u is exact (a power of
-two times a 53-bit integer), so the sum is the one rounding numpy makes too.
+same SeedSequence hash to a whole array of keys at once, and draw from them
+only through word_doubles: numpy's Generator.random() on a PCG64 stream is
+u = (x >> 11) 2^-53 for each raw 64-bit word x, so one array pass turns every
+row's raw words into the doubles make_generator(*key).random(count) gives.
+Callers form numpy's other uniforms from them with its own formula
+lo + (hi - lo) u; for uniform(-1, 1), 2 u is exact (a power of two times a
+53-bit integer), so -1 + 2 u has the one rounding numpy makes too.
 
 The identifier below is recorded in all output metadata.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -49,46 +47,29 @@ def make_generator(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
-def _word_rows(words: np.ndarray) -> np.ndarray:
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    if words.ndim != 2 or words.shape[1] != 4:
-        raise ValueError("seed words come four per row")
-    return words
+def word_doubles(words: np.ndarray, count: int) -> np.ndarray:
+    """(rows, count) array whose row r is what
+    make_generator(*key).random(count) draws for the key whose seed words are
+    words[r] (one row of seed_words(keys)).
 
-
-def word_generators(words: np.ndarray) -> Iterator[np.random.Generator]:
-    """One generator per row of seed_words(keys), in row order. PCG64 seeds
-    itself from the row's words, so each draws what make_generator(*key)
-    draws for that row's key."""
+    Each row takes `count` raw words x from PCG64 seeded by its words; one
+    array pass then maps them to (x >> 11) 2^-53, numpy's random(). The
+    53-bit integer x >> 11 converts exactly and 2^-53 scales it exactly, so
+    no step rounds.
+    """
     # numpy.random costs about 7 ms to import, which a run that draws nothing
     # (the algebra table) should not pay, so the seed source waits for it
     from ._word_seed import WordSeed
 
-    for row in _word_rows(words):
-        yield np.random.Generator(np.random.PCG64(WordSeed(row)))
-
-
-def word_uniforms(words: np.ndarray, count: int) -> np.ndarray:
-    """(rows, count) array whose row r is what
-    make_generator(*key).uniform(-1.0, 1.0, count) draws for the key whose
-    seed words are words[r].
-
-    Each row takes `count` raw words x from PCG64 seeded by its words; one
-    array pass then maps them to -1 + 2 ((x >> 11) 2^-53), numpy's
-    uniform(-1, 1). The 53-bit integer x >> 11 converts exactly and 2^-52
-    scales it exactly, so the only rounding is the final subtraction of 1,
-    the one rounding of numpy's -1 + 2 u.
-    """
-    from ._word_seed import WordSeed
-
-    words = _word_rows(words)
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    if words.ndim != 2 or words.shape[1] != 4:
+        raise ValueError("seed words come four per row")
     raw = np.empty((len(words), count), dtype=np.uint64)
     for out, row in zip(raw, words):
         out[:] = np.random.PCG64(WordSeed(row)).random_raw(count)
     u = np.right_shift(raw, np.uint64(11), out=raw).astype(float)
     del raw
-    u *= 2.0**-52
-    u -= 1.0
+    u *= 2.0**-53
     return u
 
 
@@ -161,7 +142,7 @@ def seed_words(keys) -> np.ndarray:
     32-bit words (0 is one word), a row's words are concatenated, and
     numpy's SeedSequence hash runs once over all rows, one uint32 column at a
     time. Negative or non-integer components raise. Returns a (rows, 4)
-    uint64 array; word_generators turns the rows into their streams' generators.
+    uint64 array; word_doubles draws from the rows' streams.
     """
     entropy, lengths = _entropy(*_key_table(keys))
     rows = len(lengths)

@@ -34,8 +34,10 @@ evaluates for real pair series. Paths and conditional branches step the same
 mean and evaluate the same form, so with sigma = 0 every branch reproduces
 the realized V_{n+1} bit for bit. supermartingale_check branches a block of
 paths in one pass: the noise of every (path, step) row comes from that row's
-own stream, drawn as raw PCG64 words, and the mean, the Lyapunov form and the
-row statistics run once over the block.
+own stream, and the mean, the Lyapunov form and the row statistics run once
+over the block. Path and branch streams alike are drawn in one
+_rng.word_doubles call per array, as numpy's random() doubles u, and turned
+into numpy's uniform(lo, hi) draws by its own formula lo + (hi - lo) u.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._rng import STREAM_BRANCH, STREAM_PATH, seed_words, word_generators, word_uniforms
+from ._rng import STREAM_BRANCH, STREAM_PATH, seed_words, word_doubles
 from .errors import ConfigurationError, DivergenceError
 from .momentum_algebra import TailCoefficients, tail_coefficients
 from .schedules import MomentumSchedule, constant_momentum, harmonic_momentum
@@ -403,7 +405,7 @@ class Ensemble:
             words = seed_words(_stream_keys(STREAM_BRANCH, self.seed, p, steps))
         elif words.shape != (len(steps), 4):
             raise ValueError(f"need seed words of shape ({len(steps)}, 4), got {words.shape}")
-        w = word_uniforms(words, branches)
+        w = _uniform(word_doubles(words, branches), -1.0, 1.0)
         q = j + 1  # the redrawn states r_q
         i = q - rec.order
         # s_{n+1} = (mean + sigma w) + h z, formed in place on the noise
@@ -425,30 +427,32 @@ def _stream_keys(tag: int, seed: int, *columns) -> np.ndarray:
     return keys
 
 
-def _path_generators(seed: int, paths: int):
-    """The generators of the (seed, path) streams of paths 0..paths-1, all
-    seeded in one seed_words pass."""
-    return word_generators(seed_words(_stream_keys(STREAM_PATH, seed, np.arange(paths))))
+def _uniform(u: np.ndarray, lo, hi) -> np.ndarray:
+    """numpy's Generator.uniform(lo, hi) formed in place from its random()
+    doubles u: lo + (hi - lo) u, rounded as numpy rounds it. lo and hi may be
+    arrays that broadcast against u."""
+    u *= hi - lo
+    u += lo
+    return u
 
 
 def _walk(rec: Recursion, seed: int, paths: int, length: int, init) -> np.ndarray:
     """Paths of the recursion on the per-path streams, shape (paths, length).
     Each stream gives one uniform [0, 1) spread, from which init(spreads)
-    sets the first `order` columns, then the noise of every step. The walk
-    runs time-major, on (steps, paths) noise and (length, paths) states, so
-    each step reads and writes contiguous rows."""
+    sets the first `order` columns, then the uniform [-1, 1) noise of every
+    step. The walk runs time-major, on (steps, paths) noise and (length,
+    paths) states, so each step reads and writes contiguous rows."""
     steps = length - rec.order
-    spreads = np.empty(paths)
-    noise = np.empty((steps, paths))
-    for p, g in enumerate(_path_generators(seed, paths)):
-        spreads[p] = g.random()
-        noise[:, p] = g.uniform(-1.0, 1.0, steps)
+    u = word_doubles(seed_words(_stream_keys(STREAM_PATH, seed, np.arange(paths))), 1 + steps)
+    spreads = u[:, 0].copy()
+    noise = _uniform(u[:, 1:].T.copy(), -1.0, 1.0)
+    del u  # before the states, so the walk's peak stays at two arrays
     r = np.empty((length, paths))
     r[: rec.order] = np.broadcast_to(init(spreads), (paths, rec.order)).T
     for i in range(steps):
         q = i + rec.order
         r[q] = rec.mean(i, r[i], r[q - 1]) + rec.sigma[i] * noise[i]
-    del noise  # before the copy, so the walk's peak stays at two arrays
+    del noise  # before the copy, likewise
     return np.ascontiguousarray(r.T)
 
 
@@ -625,20 +629,16 @@ def _build_first_order(cfg: dict, seed: int, paths: int, length: int) -> Ensembl
 
 
 def _build_relay(cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
-    thetas = np.empty(paths)
-    r0 = np.empty(paths)
-    v_all = np.empty((paths, length))
+    # each path stream draws theta, v_inf, amp, decay and r0, in that order
+    lo = np.array([cfg["theta_lo"], 0.5, 0.1, 0.8, 0.0])
+    hi = np.array([cfg["theta_hi"], 2.0, 1.0, 0.95, 3.0])
+    words = seed_words(_stream_keys(STREAM_PATH, seed, np.arange(paths)))
+    thetas, v_inf, amp, decay, r0 = _uniform(word_doubles(words, 5), lo, hi).T
     ns = np.arange(1, length + 1, dtype=float)
-    for p, g in enumerate(_path_generators(seed, paths)):
-        thetas[p] = g.uniform(cfg["theta_lo"], cfg["theta_hi"])
-        v_inf = g.uniform(0.5, 2.0)
-        amp = g.uniform(0.1, 1.0)
-        decay = g.uniform(0.8, 0.95)
-        r0[p] = g.uniform(0.0, 3.0)
-        if cfg["control"] == "drift":
-            v_all[p] = v_inf + 0.002 * ns  # drifts, never converges
-        else:
-            v_all[p] = v_inf + amp * decay**ns
+    if cfg["control"] == "drift":
+        v_all = v_inf[:, None] + 0.002 * ns  # drifts, never converges
+    else:
+        v_all = v_inf[:, None] + amp[:, None] * decay[:, None] ** ns
     r = relay(np.broadcast_to(thetas[:, None], (paths, length - 1)), v_all, r0)
     return Ensemble("relay", seed, r, v_all[:, : length - 1])
 

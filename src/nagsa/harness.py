@@ -40,7 +40,7 @@ from .problems import (
     with_reference,
 )
 from .schedules import MomentumSchedule, StepSchedule
-from .solvers import COMPOSITE_ORDERS, METHODS, SolverConfig, SolverTrace, run
+from .solvers import COMPOSITE_ORDERS, METHODS, SolverConfig, SolverTrace, _pairing_fault, run
 
 __all__ = [
     "PRESETS",
@@ -194,8 +194,12 @@ class _KeyedValues:
             return f"line {self.lines[key]}"
         return f"preset {self.preset!r}"
 
-    def error(self, key: str, why: str) -> ConfigurationError:
-        return ConfigurationError(f"{self.where(key)}: {why}")
+    def error(self, key: str, why: str, *others: str) -> ConfigurationError:
+        """An error naming the lines of key and of others that the file gave,
+        or key's origin when it gave none of them."""
+        keys = (key, *others)
+        where = ", ".join(self.where(k) for k in keys if k in self.lines) or self.where(key)
+        return ConfigurationError(f"{where}: {why}")
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
@@ -223,10 +227,8 @@ def _check_entries(kv: _KeyedValues, keys: tuple[str, ...], sizes: tuple[int, ..
     lines the sizes came from, before anything of that size is allocated."""
     total = math.prod(sizes)
     if total > _MAX_ENTRIES:
-        where = ", ".join(kv.where(k) for k in keys if k in kv.lines) or kv.where(keys[0])
-        raise ConfigurationError(
-            f"{where}: {' x '.join(keys)} = {total} entries exceeds the limit of {_MAX_ENTRIES}"
-        )
+        why = f"{' x '.join(keys)} = {total} entries exceeds the limit of {_MAX_ENTRIES}"
+        raise kv.error(keys[0], why, *keys[1:])
 
 
 def _parse_number(token: str) -> float:
@@ -404,6 +406,10 @@ def parse_config(text: str) -> ExperimentConfig:
         momenta.append((label, schedule))
 
     constraint = _parse_constraint(effective.get("constraint", "none"), kv)
+    fault = _pairing_fault(method, kind, constraint.kind)
+    if fault is not None:
+        keys, why = fault
+        raise kv.error(keys[0], why, *keys[1:])
 
     stride = kv.number("stride", 1.1)
     init = effective.get("init", "gaussian")

@@ -14,19 +14,23 @@ A run starts from v_1 = v_2 (standard normal by default) and advances to the
 iterate with index N; the update producing v_{k+1} consumes schedule values
 alpha_k, theta_k, so the first executable step index is k = 2. ``run`` is one
 loop over the pair (v_{k-1}, v_k): each step extrapolates once, takes its row
-index, forms the sampled residual r_k = a_i.x_{k+1} - b_i and applies the
-method's update rule, which is chosen once per run and calls the private row
-kernels of ``problems`` directly with r_k. The first non-finite iterate v_j
-ends the run with ``diverged_at = j`` and the checkpoints recorded so far.
+index, forms the sampled residual r_k = a_i.x_{k+1} - b_i and updates in
+stages, each written once and picked by flags set before the loop: the
+proximal stage (prox_rm, composite implicit_first) or the gradient stage,
+both calling the private row kernels of ``problems`` with r_k, then
+composite's l1 stage or the projection onto a set constraint. A run refuses
+what these stages cannot honour: composite off lasso, ssgd or prox_rm on
+lasso, a constraint with prox_rm or composite. The first non-finite iterate
+v_j ends the run with ``diverged_at = j`` and the checkpoints recorded so far.
 
 Everything fixed for a whole run is settled before the loop. The momentum
 range is checked once (the loop computes v_k + theta_k (v_k - v_{k-1}) as
 ``extrapolate`` does, without its per-call checks); rows and targets are
-bound as Python lists, the proximal rules bind the squared row norms, and an
-unconstrained ssgd rule makes no projection call. Row indices and the
-schedule values alpha_k, theta_k come in blocks of at most ``_DRAW_BLOCK``
-steps, so memory stays bounded for any N; the schedules' ``block`` applies
-their scalar formula per index, so the values equal ``at(k)`` bit for bit.
+bound as Python lists and the proximal stage binds the squared row norms.
+Row indices and the schedule values alpha_k, theta_k come in blocks of at
+most ``_DRAW_BLOCK`` steps, so memory stays bounded for any N; the
+schedules' ``block`` applies their scalar formula per index, so the values
+equal ``at(k)`` bit for bit.
 
 Finiteness is decided by the residual the step forms anyway. v_{k-1} is
 known to be finite, so a non-finite v_k makes x_{k+1} = v_k + theta_k (v_k -
@@ -50,7 +54,6 @@ draws from the same generator state, which
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,52 +157,21 @@ def extrapolate(v_curr: np.ndarray, v_prev: np.ndarray, theta: float) -> np.ndar
     return v_curr + theta * (v_curr - v_prev)
 
 
-def _update_rule(
-    config: SolverConfig, inst: ProblemInstance, rows: list[np.ndarray]
-) -> Callable[[np.ndarray, int, float, float], np.ndarray]:
-    """The configured method's map (x_{k+1}, 0-based sampled row i, residual
-    r = a_i.x_{k+1} - b_i, alpha_k) -> v_{k+1}.
-
-    The rows (``list(inst.rows)``, shared with the loop that forms r) and,
-    for the proximal rules, the squared row norms are bound once per run, so
-    a step calls the row kernels directly: no index check and no oracle
-    result object. The l1 subgradient step of implicit_first uses the
-    sign(0) = 0 convention.
-    """
-    absolute = inst.kind == "least_absolute"
-    lam = inst.lam
-    if config.method == "ssgd" and config.constraint.kind == "whole_space":
-
-        def update(x, i, r, alpha):
-            return x - alpha * _subgrad_row(rows[i], r, absolute)[1]
-
-    elif config.method == "ssgd":
-        constraint = config.constraint
-
-        def update(x, i, r, alpha):
-            g = _subgrad_row(rows[i], r, absolute)[1]
-            return project(x - alpha * g, constraint)
-
-    elif config.method == "composite" and config.composite_order == "explicit_first":
-
-        def update(x, i, r, alpha):
-            v_mid = x - alpha * _subgrad_row(rows[i], r, absolute)[1]
-            return prox_l1(v_mid, alpha * lam)
-
-    else:
-        norms = np.vecdot(inst.rows, inst.rows).tolist()
-        if config.method == "prox_rm":
-
-            def update(x, i, r, alpha):
-                return _prox_row(rows[i], r, x, norms[i], alpha, absolute)
-
-        else:
-
-            def update(x, i, r, alpha):
-                v_mid = _prox_row(rows[i], r, x, norms[i], alpha, absolute)
-                return v_mid - alpha * lam * np.sign(v_mid)
-
-    return update
+def _pairing_fault(
+    method: str, kind: str, constraint: str
+) -> tuple[tuple[str, ...], str] | None:
+    """(config keys at fault, reason) when the method cannot run on this
+    problem kind or under this constraint kind, else None. composite is the
+    lasso method and the only one that applies the l1 term; ssgd and prox_rm
+    solve the other two kinds; only ssgd projects onto a constraint."""
+    if constraint != "whole_space" and method != "ssgd":
+        return ("constraint",), f"constraints apply to method ssgd only, not {method}"
+    if (method == "composite") != (kind == "lasso"):
+        return ("method", "kind"), (
+            f"method {method} does not solve kind {kind} "
+            "(composite solves lasso; ssgd and prox_rm solve least_squares and least_absolute)"
+        )
+    return None
 
 
 def _steps(config: SolverConfig, inst: ProblemInstance, g: np.random.Generator):
@@ -262,6 +234,9 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         raise ConfigurationError(
             "instance has no reference optimum; compute one before running"
         )
+    fault = _pairing_fault(config.method, inst.kind, config.constraint.kind)
+    if fault is not None:
+        raise ConfigurationError(fault[1])
     # the one momentum-range check of the run; the loop extrapolates unchecked
     lo, hi = config.momentum.bounds
     if not (0.0 <= lo and hi < 1.0):
@@ -324,7 +299,14 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     )
     rows = list(inst.rows)
     targets = inst.targets.tolist()
-    update = _update_rule(config, inst, rows)
+    absolute = inst.kind == "least_absolute"
+    composite = config.method == "composite"
+    proximal = config.method == "prox_rm" or (
+        composite and config.composite_order == "implicit_first"
+    )
+    norms = np.vecdot(inst.rows, inst.rows).tolist() if proximal else None
+    lam = inst.lam
+    constraint = None if config.constraint.kind == "whole_space" else config.constraint
 
     def diverged(k: int) -> SolverTrace:
         trace.diverged = True
@@ -349,7 +331,16 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
                         theta * float(np.linalg.norm(v_curr - v_prev)),
                     )
                 )
-            v_prev, v_curr = v_curr, update(x, i, r, alpha)
+            if proximal:
+                v = _prox_row(rows[i], r, x, norms[i], alpha, absolute)
+            else:
+                v = x - alpha * _subgrad_row(rows[i], r, absolute)[1]
+            if composite:
+                # implicit_first: an l1 subgradient step, with sign(0) = 0
+                v = v - alpha * lam * np.sign(v) if proximal else prox_l1(v, alpha * lam)
+            if constraint is not None:
+                v = project(v, constraint)
+            v_prev, v_curr = v_curr, v
             if k + 1 in marks:
                 if not np.isfinite(v_curr).all():
                     return diverged(k + 1)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import mpmath
@@ -320,16 +321,15 @@ def test_relay_validation():
         relay(np.array([0.5, 1.0, 0.5]), np.ones(4), r0=0.0)
 
 
-@pytest.mark.parametrize("control", [None, "drift"])
-def test_relay_paths_equal_scalar_relay(control):
+def _assert_relay_paths_equal_scalar_relay(seed, control, paths=12, length=400):
     """Every relay path of the ensemble is the 1-D relay of its own stream's
-    (theta, driver, r0), bit for bit."""
+    (theta, driver, r0), bit for bit: the five uniform(lo, hi) draws of
+    make_generator(STREAM_PATH, seed, p), in that order."""
     params = {"control": control} if control else None
-    paths, length = 12, 400
-    ens = synth_paths("relay", params, seed=3, paths=paths, length=length)
+    ens = synth_paths("relay", params, seed=seed, paths=paths, length=length)
     ns = np.arange(1, length + 1, dtype=float)
     for p in range(paths):
-        g = make_generator(STREAM_PATH, 3, p)
+        g = make_generator(STREAM_PATH, seed, p)
         theta = g.uniform(0.1, 0.9)
         v_inf, amp, decay = g.uniform(0.5, 2.0), g.uniform(0.1, 1.0), g.uniform(0.8, 0.95)
         r0 = g.uniform(0.0, 3.0)
@@ -337,6 +337,11 @@ def test_relay_paths_equal_scalar_relay(control):
         expected = relay(np.full(length - 1, theta), v_path, r0)
         assert ens.r[p].view(np.int64).tolist() == expected.view(np.int64).tolist(), p
         assert np.array_equal(ens.v[p], v_path[:-1])
+
+
+@pytest.mark.parametrize("control", [None, "drift"])
+def test_relay_paths_equal_scalar_relay(control):
+    _assert_relay_paths_equal_scalar_relay(3, control)
 
 
 def test_relay_path_axis_equals_one_relay_per_row():
@@ -688,6 +693,30 @@ def test_streams_of_a_seed_past_int64():
     ens = synth_paths("drift", None, seed=seed, paths=3, length=200)
     got = supermartingale_check(ens, branches=40)
     assert _detail_bits(got.details) == _detail_bits(_per_probe_report(ens, branches=40).details)
+
+
+_STREAM_SEEDS = [0, 1, 2**64 + 1]
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_walk_draws_equal_path_generator_streams(seed):
+    """_walk's spreads and noise are what make_generator(STREAM_PATH, seed, p)
+    gives through random() and then uniform(-1, 1, steps): a recursion whose
+    mean is 0 and sigma 1 writes its noise straight into the states."""
+    paths, length, order = 5, 60, 2
+    rec = types.SimpleNamespace(order=order, mean=lambda i, prev, curr: 0.0, sigma=np.ones(length))
+    r = diagnostics._walk(rec, seed, paths, length, lambda spreads: spreads[:, None])
+    for p in range(paths):
+        g = make_generator(STREAM_PATH, seed, p)
+        spread = g.random()
+        assert r[p, :order].tolist() == [spread] * order, p
+        assert r[p, order:].tobytes() == g.uniform(-1.0, 1.0, length - order).tobytes(), p
+
+
+@pytest.mark.parametrize("control", [None, "drift"])
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_relay_draws_equal_path_generator_streams(seed, control):
+    _assert_relay_paths_equal_scalar_relay(seed, control)
 
 
 def test_supermartingale_check_is_reproducible():

@@ -205,6 +205,25 @@ def test_constraint_errors():
         parse_config(TINY_RUN + "constraint = simplex:1\n")
 
 
+@pytest.mark.parametrize(
+    "text, where, match",
+    [
+        (TINY_RUN.replace("ssgd", "prox_rm") + "constraint = ball:5\n", "line 12", "ssgd only"),
+        ("preset = lsq-proxrm\nconstraint = ball:0.001\n", "line 2", "ssgd only, not prox_rm"),
+        ("preset = lasso\nconstraint = box:-1:1\n", "line 2", "ssgd only, not composite"),
+        (TINY_RUN.replace("ssgd", "composite"), "line 1, line 2", "composite does not solve"),
+        ("preset = lasso\nmethod = ssgd\n", "line 2", "ssgd does not solve kind lasso"),
+        ("preset = lsq-proxrm\nkind = lasso\n", "line 2", "prox_rm does not solve kind lasso"),
+        ("preset = lad-ssgd\nmethod = composite\n", "line 2", "composite does not solve"),
+    ],
+)
+def test_pairings_the_solver_would_ignore_are_refused(text, where, match):
+    """A constraint outside ssgd, composite off lasso, ssgd or prox_rm on
+    lasso: each is refused naming the lines that set it."""
+    with pytest.raises(ConfigurationError, match=f"^{where}: .*{match}"):
+        parse_config(text)
+
+
 def test_unknown_composite_order():
     with pytest.raises(ConfigurationError, match="unknown composite order"):
         parse_config(TINY_RUN + "composite.order = simultaneous\n")
@@ -659,6 +678,74 @@ def test_lemma_csv_bytes_are_pinned(tmp_path, text, summary_sha, detail_sha):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
 
 
+def _tree_sha256(root) -> str:
+    """One sha256 over a bundle tree: each file's relative path, size and
+    bytes, in path order."""
+    digest = hashlib.sha256()
+    for rel, data in sorted(_tree_bytes(root).items()):
+        digest.update(rel.replace(os.sep, "/").encode() + b"\0")
+        digest.update(len(data).to_bytes(8, "little") + data)
+    return digest.hexdigest()
+
+
+_PIN_RUN = (
+    "m = 40\nn = 5\nN = 400\nseeds = 1,2\nproblem.seed = 7\nmom.sweep = 0,0.5,0.9\n"
+    "step.family = power\nstep.c = 1/16\nstep.s = 3\nstep.p = 8/9\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "method = ssgd\nkind = least_squares\n",
+            "3c16a1c346b1875ad95695d1fe7e852efe2bce682953ff98f7facc5ef2dbeeb2",
+        ),
+        (
+            "method = ssgd\nkind = least_squares\nconstraint = ball:0.5\n",
+            "f471558875105375509dba97798b8f5f309d0d3e835d38f06a0d8a69189a854d",
+        ),
+        (
+            "method = ssgd\nkind = least_absolute\nconstraint = box:-0.25:0.25\n",
+            "af9a51a6de85ca4dd0b6a881f332f4688a9e2e205cc163a54c62aea31f1203a2",
+        ),
+        (
+            "method = prox_rm\nkind = least_squares\n",
+            "e7b57e83fd0c550343f76d44f8e11d2531c01498a79f5c8deae7a1cadca70861",
+        ),
+        (
+            "method = prox_rm\nkind = least_absolute\n",
+            "136b2f5f333dec22422f1b6061df19304b88faa5ba12648222e4eaff757c37b4",
+        ),
+        (
+            "method = composite\nkind = lasso\nlambda = 0.3\n",
+            "1fa242711497ba8b601b33b4509262daf7feeef774b1443cfc96523c15624b42",
+        ),
+        (
+            "method = composite\nkind = lasso\nlambda = 0.3\ncomposite.order = implicit_first\n",
+            "3daf7a61eeddbac8a110c5e9077ac332231b34562cb1497c6d1db1edd5e02a30",
+        ),
+        (
+            # theta 0 converges; both theta 0.9 runs diverge near step 360
+            "method = ssgd\nkind = least_squares\nmom.sweep = 0,0.9\n"
+            "step.family = constant\nstep.c = 0.5\n",
+            "0cf6a4e1319a68723c2ed30d057e9a0a70b355f9791ee88bf78674eb74ff75e6",
+        ),
+    ],
+    ids=[
+        "ssgd-none", "ssgd-ball", "ssgd-box", "proxrm-lsq", "proxrm-lad",
+        "composite-explicit", "composite-implicit", "ssgd-diverging-sweep",
+    ],
+)
+def test_run_bundle_bytes_are_pinned(tmp_path, text, expected):
+    """Golden hashes of whole run bundles for every update rule on numpy
+    2.4 / x86-64: a rewrite of the solver loop must not move a byte."""
+    lines = dict(line.split(" = ", 1) for line in (_PIN_RUN + text).splitlines())
+    config = parse_config("".join(f"{key} = {value}\n" for key, value in lines.items()))
+    run_experiment(config, out_dir=str(tmp_path))
+    assert _tree_sha256(tmp_path) == expected
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -747,6 +834,21 @@ def test_cli_values_that_fail_at_run_time_exit_two(tmp_path, capsys, command, ke
     assert rc == 2
     err = capsys.readouterr().err
     assert f"configuration error: line {len(lines)}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("constraint", "ball:0.001"), ("method", "composite"), ("kind", "lasso")],
+)
+def test_cli_refused_pairing_exits_two(tmp_path, capsys, key, value):
+    """A pairing that the solver would ignore exits 2 naming the line that
+    set it, before any run or output."""
+    text = f"preset = lsq-proxrm\nN = 50\n{key} = {value}\n"
+    config = _write(tmp_path / "c.txt", text)
+    rc = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "configuration error: line 3: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nagsa._rng import make_generator, normals, seed_words, word_generators, word_uniforms
+from nagsa._rng import make_generator, normals, seed_words, word_doubles
 
 EDGE_COMPONENTS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64 + 1)
 
@@ -18,16 +18,16 @@ def _reference_words(key) -> np.ndarray:
 
 
 def _assert_streams_match(keys, words):
-    """Words equal numpy's per key, and each generator built from them draws
-    bit for bit what make_generator(*key) draws."""
+    """Words equal numpy's per key, and the doubles drawn from them are bit
+    for bit what make_generator(*key).random() draws."""
     assert words.shape == (len(keys), 4)
     assert words.dtype == np.uint64
     for key, row in zip(keys, words):
         assert np.array_equal(row, _reference_words(key)), key
-    for key, gen in zip(keys, word_generators(words), strict=True):
-        want = make_generator(*key)
-        assert gen.uniform(-1.0, 1.0, 37).tobytes() == want.uniform(-1.0, 1.0, 37).tobytes(), key
-        assert gen.random(5).tobytes() == want.random(5).tobytes(), key
+    doubles = word_doubles(words, 42)
+    assert doubles.shape == (len(keys), 42)
+    for key, row in zip(keys, doubles, strict=True):
+        assert row.tobytes() == make_generator(*key).random(42).tobytes(), key
 
 
 component = st.one_of(st.sampled_from(EDGE_COMPONENTS), st.integers(0, 2**70))
@@ -73,7 +73,7 @@ def test_seed_words_mixed_key_lengths():
 def test_seed_words_empty_batch():
     assert seed_words([]).shape == (0, 4)
     assert seed_words(np.empty((0, 4), dtype=np.int64)).shape == (0, 4)
-    assert list(word_generators(seed_words([]))) == []
+    assert word_doubles(seed_words([]), 5).shape == (0, 5)
 
 
 @pytest.mark.parametrize(
@@ -101,28 +101,26 @@ def test_seed_words_refuse_non_2d_arrays():
         seed_words(np.arange(4))
 
 
-def test_word_generators_need_four_words_per_row():
-    with pytest.raises(ValueError, match="four per row"):
-        next(word_generators(np.zeros((2, 3), dtype=np.uint64)))
-
-
 @pytest.mark.parametrize("count", [0, 1, 7, 200])
 def test_word_uniforms_equal_generator_uniforms(count):
-    """Raw words mapped by -1 + 2 ((x >> 11) 2^-53) are numpy's
-    uniform(-1, 1), bit for bit, for keys with components 0, 2^32 and past
-    2^64."""
+    """numpy's uniform(lo, hi) formula lo + (hi - lo) u on the raw-word
+    doubles gives its uniform draws bit for bit: uniform(-1, 1), where 2 u is
+    exact, and a range whose width rounds. Keys have components 0, 2^32 and
+    past 2^64."""
     keys = [(0,), (3, 0, 0, 0), (3, 2**32, 5, 2**32 - 1), (3, 2**64 + 7, 1, 2), (1, 2**70, 0)]
-    got = word_uniforms(seed_words(keys), count)
-    assert got.shape == (len(keys), count)
-    for row, key in zip(got, keys):
-        want = make_generator(*key).uniform(-1.0, 1.0, count)
-        assert row.tobytes() == want.tobytes(), key
+    u = word_doubles(seed_words(keys), count)
+    assert u.shape == (len(keys), count)
+    for lo, hi in ((-1.0, 1.0), (0.8, 0.95)):
+        got = lo + (hi - lo) * u
+        for row, key in zip(got, keys):
+            want = make_generator(*key).uniform(lo, hi, count)
+            assert row.tobytes() == want.tobytes(), (key, lo, hi)
 
 
 def test_word_uniforms_need_four_words_per_row():
     for bad in (np.zeros((2, 3), dtype=np.uint64), np.zeros(4, dtype=np.uint64)):
         with pytest.raises(ValueError, match="four per row"):
-            word_uniforms(bad, 5)
+            word_doubles(bad, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -492,25 +492,54 @@ def test_run_checkpoint_structure():
     assert len(ks) >= 50  # geometric stride 1.1 samples log-log plots densely
 
 
-def test_run_composite_with_zero_lambda_reduces_to_ssgd():
+def _zero_lambda_pair():
+    """A lasso instance with lambda = 0 and the least-squares instance of the
+    same rows, targets and reference, which ssgd and prox_rm solve."""
     inst = gen("lasso", m=30, n=4, seed=11, lam=0.0)
     inst = with_reference(inst, lasso_reference(inst))
+    return inst, dataclasses.replace(inst, kind="least_squares")
+
+
+def test_run_composite_with_zero_lambda_reduces_to_ssgd():
+    inst, smooth = _zero_lambda_pair()
     composite = run(_small_config(method="composite", iterations=250, seed=5), inst)
-    plain = run(_small_config(method="ssgd", iterations=250, seed=5), inst)
+    plain = run(_small_config(method="ssgd", iterations=250, seed=5), smooth)
     assert [cp.dist for cp in composite.checkpoints] == [cp.dist for cp in plain.checkpoints]
 
 
 def test_run_composite_implicit_with_zero_lambda_reduces_to_prox_rm():
-    inst = gen("lasso", m=30, n=4, seed=11, lam=0.0)
-    inst = with_reference(inst, lasso_reference(inst))
+    inst, smooth = _zero_lambda_pair()
     composite = run(
         _small_config(
             method="composite", iterations=250, seed=5, composite_order="implicit_first"
         ),
         inst,
     )
-    plain = run(_small_config(method="prox_rm", iterations=250, seed=5), inst)
+    plain = run(_small_config(method="prox_rm", iterations=250, seed=5), smooth)
     assert [cp.dist for cp in composite.checkpoints] == [cp.dist for cp in plain.checkpoints]
+
+
+@pytest.mark.parametrize(
+    "method, kind, constraint, match",
+    [
+        ("prox_rm", "least_squares", ball(1.0), "constraints apply to method ssgd only"),
+        ("prox_rm", "least_absolute", box([-1.0] * 3, [1.0] * 3), "ssgd only, not prox_rm"),
+        ("composite", "lasso", ball(1.0), "ssgd only, not composite"),
+        ("composite", "least_squares", None, "method composite does not solve kind"),
+        ("composite", "least_absolute", None, "method composite does not solve kind"),
+        ("ssgd", "lasso", None, "method ssgd does not solve kind lasso"),
+        ("prox_rm", "lasso", None, "method prox_rm does not solve kind lasso"),
+    ],
+)
+def test_run_refuses_pairings_it_would_ignore(method, kind, constraint, match):
+    """A SolverConfig used directly meets the same refusal as a config file:
+    no constraint outside ssgd, composite on lasso and only there."""
+    inst = gen(kind, m=10, n=3, seed=1, lam=0.2)
+    if kind == "lasso":
+        inst = with_reference(inst, lasso_reference(inst))
+    kw = {} if constraint is None else {"constraint": constraint}
+    with pytest.raises(ConfigurationError, match=match):
+        run(_small_config(method=method, iterations=10, **kw), inst)
 
 
 def test_run_requires_reference():
