@@ -19,12 +19,14 @@ construction, then checks the advertised conclusions empirically:
 * summability_check tests whether partial sums stop growing over the final
   decade of indices.
 
-Seven named scenarios cover the drift variants. Synthetic paths use bounded
-zero-mean noise (uniform on [-1, 1]) with geometrically decaying scale, so
-the almost-sure statements acquire finite-horizon surrogates; every drift
-inequality holds with certainty by construction, and parameter sets that
-could push a path negative (which would need clamping, biasing the test)
-are refused at configuration time.
+Seven named scenarios cover the drift variants, each with fixed constants
+(the delayed ones in one table, _DELAYED); synth_paths lets a caller set only
+the negative control, the noise scale sigma and the delayed scenarios'
+initial values r1, r2. Synthetic paths use bounded zero-mean noise (uniform
+on [-1, 1]) with geometrically decaying scale, so the almost-sure statements
+acquire finite-horizon surrogates; every drift inequality holds with
+certainty by construction, and initial values that could let a path go
+negative (which would need clamping, biasing the test) are refused.
 
 Each recursion and each Lyapunov value is written once. A Recursion holds the
 per-step coefficients of r_{i+order} = mean(i, r_i, r_{i+order-1}) + sigma_i w;
@@ -63,7 +65,6 @@ __all__ = [
     "CheckReport",
     "pair_series_from_trace",
     "lyapunov",
-    "prox_lyapunov",
     "relay",
     "synth_paths",
     "supermartingale_check",
@@ -257,28 +258,6 @@ def lyapunov(
     return _lyapunov_form(tv[:-1], r[:-1], r[1:], 2.0 * betas.tails(length - 1))
 
 
-def prox_lyapunov(r: np.ndarray, a: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Single-step Lyapunov values V_n = r_n + a_{n-1} eta_n for n = 2..L.
-
-    a[i-1] holds a_i (so a needs length >= L-1) and must be positive and
-    non-increasing; eta must be non-negative with eta[0] unused.
-    """
-    r = np.asarray(r, dtype=float)
-    a = np.asarray(a, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    length = len(r)
-    if length < 2:
-        raise ValueError("need at least two entries")
-    if len(a) < length - 1 or len(eta) < length:
-        raise ValueError("weight or eta sequence shorter than the series")
-    a = a[: length - 1]
-    if np.any(a <= 0) or np.any(np.diff(a) > 0):
-        raise ValueError("weights must be positive and non-increasing")
-    if np.any(eta[1:length] < 0):
-        raise ValueError("eta must be non-negative")
-    return r[1:] + a * eta[1:length]
-
-
 def relay(thetas: np.ndarray, v_path: np.ndarray, r0: float | np.ndarray) -> np.ndarray:
     """Averaged relay r_{n+1} = (1 - theta_n) r_n + theta_n V_{n+1}.
 
@@ -307,7 +286,48 @@ def relay(thetas: np.ndarray, v_path: np.ndarray, r0: float | np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 # synthetic ensembles
 
-_DELAYED_IDS = ("drift", "drift_const", "slack", "coupled", "coupled_weighted")
+@dataclass(frozen=True)
+class _Delayed:
+    """Constants of a delayed drift scenario: its momentum schedule, the
+    slack eta subtracted and the perturbation beta added at each step, and
+    the weight h of the auxiliary path z. z starts at z_1 = z_2 = 1, contracts
+    by _ZETA per step and is driven down by a_ratio^k (rho_k - rho_{k-1}) with
+    rho_k = rho_limit (1 - rho_ratio^k), where drive = (a_ratio, rho_limit,
+    rho_ratio); (0, 0, 0) is no drive."""
+
+    momentum: MomentumSchedule
+    eta: SummableSequence = zero_sequence()
+    beta: SummableSequence = zero_sequence()
+    h: float = 0.0
+    drive: tuple[float, float, float] = (0.0, 0.0, 0.0)
+
+
+_DELAYED = {
+    "drift": _Delayed(harmonic_momentum(3.0)),
+    "drift_const": _Delayed(constant_momentum(0.5)),
+    "slack": _Delayed(
+        harmonic_momentum(3.0),
+        eta=geometric_sequence(0.97, scale=1e-3),
+        beta=geometric_sequence(0.97, scale=1e-3),
+    ),
+    "coupled": _Delayed(constant_momentum(0.5), eta=geometric_sequence(0.97, scale=1e-4), h=1.0),
+    "coupled_weighted": _Delayed(
+        constant_momentum(0.5),
+        eta=geometric_sequence(0.97, scale=1e-4),
+        beta=geometric_sequence(0.97, scale=1e-5),
+        h=1.0,
+        drive=(0.97, 0.05, 0.85),
+    ),
+}
+_ZETA = 0.1
+
+# the params keys synth_paths accepts, with their defaults; every other
+# constant of a scenario is fixed by _DELAYED or by its _build_* function
+_PARAMS = {
+    "relay": {"control": None},
+    "first_order": {"control": None, "sigma": 1e-3},
+    **dict.fromkeys(_DELAYED, {"control": None, "sigma": 1e-3, "r1": None, "r2": None}),
+}
 
 
 @dataclass(frozen=True)
@@ -456,132 +476,58 @@ def _walk(rec: Recursion, seed: int, paths: int, length: int, init) -> np.ndarra
     return np.ascontiguousarray(r.T)
 
 
-def _geometric_scale_array(scale: float, ratio: float, length: int) -> np.ndarray:
-    return scale * ratio ** np.arange(1, length + 1, dtype=float)
-
-
-def _scenario_defaults(lemma_id: str) -> dict:
-    if lemma_id == "relay":
-        return {"theta_lo": 0.1, "theta_hi": 0.9, "control": None}
-    base = {"sigma": 1e-3, "sigma_ratio": 0.99, "control": None}
-    if lemma_id == "first_order":
-        return {**base, "a_ratio": 0.97, "eta_limit": 2.0, "eta_ratio": 0.85}
-    base.update(
-        eta=zero_sequence(),
-        beta=zero_sequence(),
-        betabar=zero_sequence(),
-        h=0.0,
-        zeta=0.0,
-        z_init=0.0,
-        a_ratio=0.0,
-        rho_limit=0.0,
-        rho_ratio=0.0,
-        r1=None,
-        r2=None,
-    )
-    if lemma_id == "drift":
-        base["momentum"] = harmonic_momentum(3.0)
-    elif lemma_id == "drift_const":
-        base["momentum"] = constant_momentum(0.5)
-    elif lemma_id == "slack":
-        base["momentum"] = harmonic_momentum(3.0)
-        base["eta"] = geometric_sequence(0.97, scale=1e-3)
-        base["beta"] = geometric_sequence(0.97, scale=1e-3)
-    elif lemma_id == "coupled":
-        base["momentum"] = constant_momentum(0.5)
-        base["eta"] = geometric_sequence(0.97, scale=1e-4)
-        base.update(h=1.0, zeta=0.1, z_init=1.0)
-    elif lemma_id == "coupled_weighted":
-        base["momentum"] = constant_momentum(0.5)
-        base["eta"] = geometric_sequence(0.97, scale=1e-4)
-        base["beta"] = geometric_sequence(0.97, scale=1e-5)
-        base.update(h=1.0, zeta=0.1, z_init=1.0, a_ratio=0.97, rho_limit=0.05, rho_ratio=0.85)
-    return base
+def _noise_scales(sigma: float, length: int) -> np.ndarray:
+    """sigma 0.99^k for k = 1..length, the noise scale of a synthetic path."""
+    return sigma * 0.99 ** np.arange(1, length + 1, dtype=float)
 
 
 def _build_delayed(lemma_id: str, cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
+    scn = _DELAYED[lemma_id]
     control = cfg["control"]
     theta_valid = control != "theta"
     # momentum values theta_1..theta_{L}
-    if not theta_valid:
-        thetas = np.full(length, 1.05)
-        d_sup = 1.05
-    else:
-        momentum: MomentumSchedule = cfg["momentum"]
-        thetas = momentum.values(length)
-        d_sup = momentum.bounds[1]
-
-    beta_seq: SummableSequence = cfg["beta"]
-    betabar_seq: SummableSequence = cfg["betabar"]
-    eta_spec = cfg["eta"]
-    if control == "drift":
-        eta = np.full(length, -1e-3)  # persistent upward drift breaks the hypothesis
-    elif isinstance(eta_spec, SummableSequence):
-        eta = eta_spec.values(length)
-    else:
-        eta = np.asarray(eta_spec, dtype=float)
-        if len(eta) < length:
-            raise ConfigurationError("eta sequence shorter than the path length")
-
-    h, zeta_c, z_init = cfg["h"], cfg["zeta"], cfg["z_init"]
+    thetas = scn.momentum.values(length) if theta_valid else np.full(length, 1.05)
+    # a persistent upward drift breaks the hypothesis
+    eta = np.full(length, -1e-3) if control == "drift" else scn.eta.values(length)
 
     # deterministic auxiliary path z and its downward drive
     z = np.zeros(length)
-    if h > 0.0:
-        if z_init <= 0:
-            raise ConfigurationError("coupled scenarios need z_init > 0")
-        drive = np.zeros(length)
-        if cfg["a_ratio"] > 0:
-            a_weights = cfg["a_ratio"] ** np.arange(1, length + 1, dtype=float)
-            rho_incr = (
-                cfg["rho_limit"]
-                * (1.0 - cfg["rho_ratio"])
-                * cfg["rho_ratio"] ** np.arange(0, length, dtype=float)
-            )
-            drive = a_weights * rho_incr
-        z[0] = z[1] = z_init
+    if scn.h > 0.0:
+        a_ratio, rho_limit, rho_ratio = scn.drive
+        a_weights = a_ratio ** np.arange(1, length + 1, dtype=float)
+        rho_incr = rho_limit * (1.0 - rho_ratio) * rho_ratio ** np.arange(0, length, dtype=float)
+        drive = a_weights * rho_incr
+        z[0] = z[1] = 1.0
         for i in range(length - 2):
-            z[i + 2] = (1.0 - zeta_c) * z[i + 1] - drive[i] + betabar_seq.value(i + 1)
-        if np.any(z < 0):
-            raise ConfigurationError(
-                "auxiliary path would go negative; shrink its downward drive"
-            )
-        if np.any(np.diff(z) > 1e-15):
-            raise ConfigurationError(
-                "auxiliary path must be non-increasing for the telescoped tail"
-            )
-        if theta_valid and thetas.max() != thetas.min():
-            raise ConfigurationError("coupled scenarios require constant momentum")
+            z[i + 2] = (1.0 - _ZETA) * z[i + 1] - drive[i]
 
     # nonnegativity floor: worst-case downward forcing accumulated over the run
-    if theta_valid:
-        down = cfg["sigma"] + float(np.max(np.maximum(eta, 0.0), initial=0.0))
-        floor = length * down * (1.0 + d_sup) / (1.0 - d_sup)
-    else:
-        floor = 0.0
-    explicit_init = cfg["r1"] is not None or cfg["r2"] is not None
-    if explicit_init and (cfg["r1"] is None or cfg["r2"] is None):
+    down = cfg["sigma"] + float(np.max(np.maximum(eta, 0.0), initial=0.0))
+    d_sup = scn.momentum.bounds[1]
+    floor = length * down * (1.0 + d_sup) / (1.0 - d_sup) if theta_valid else 0.0
+    r1, r2 = cfg["r1"], cfg["r2"]
+    if (r1 is None) != (r2 is None):
         raise ConfigurationError("give both r1 and r2 or neither")
-    if explicit_init and min(cfg["r1"], cfg["r2"]) < floor:
+    if r1 is not None and min(r1, r2) < floor:
         raise ConfigurationError(
             f"initial values below the nonnegativity floor {floor:g}; "
             "clamping would bias the check, so this is refused"
         )
 
     def init(spreads: np.ndarray) -> np.ndarray:
-        if explicit_init:
-            return np.array([cfg["r1"], cfg["r2"]])
-        r1 = (1.05 * floor + 1.0) * (1.0 + 0.5 * spreads)
+        if r1 is not None:
+            return np.array([r1, r2])
+        start = (1.05 * floor + 1.0) * (1.0 + 0.5 * spreads)
         # a positive initial increment keeps the theta control's blowup one-sided
-        return np.column_stack([r1, r1 if theta_valid else r1 + 1.0])
+        return np.column_stack([start, start if theta_valid else start + 1.0])
 
     rec = Recursion(
         order=2,
         thetas=thetas,
-        beta=beta_seq.values(length),
+        beta=scn.beta.values(length),
         eta=eta,
-        couple=h * zeta_c * z[1:],
-        sigma=_geometric_scale_array(cfg["sigma"], cfg["sigma_ratio"], length),
+        couple=scn.h * _ZETA * z[1:],
+        sigma=_noise_scales(cfg["sigma"], length),
     )
     r = _walk(rec, seed, paths, length, init)
     if not theta_valid:
@@ -591,27 +537,21 @@ def _build_delayed(lemma_id: str, cfg: dict, seed: int, paths: int, length: int)
         raise ConfigurationError("path went negative despite the floor; widen it")
 
     # Lyapunov series on s = r + h z with exact tail bookkeeping
-    momentum_for_tail = (
-        constant_momentum(thetas[0]) if thetas.max() == thetas.min() else cfg["momentum"]
-    )
-    t = tail_coefficients(momentum_for_tail, length, tol=1e-12).values[: length - 1]
-    c = 2.0 * (
-        beta_seq.tails(length - 1)
-        + h * betabar_seq.tails(length - 1)
-        + h * thetas[0] * z[: length - 1]
-    )
-    s = r + h * z[None, :]
+    t = tail_coefficients(scn.momentum, length, tol=1e-12).values[: length - 1]
+    c = 2.0 * (scn.beta.tails(length - 1) + scn.h * thetas[0] * z[: length - 1])
+    s = r + scn.h * z[None, :]
     v = _lyapunov_form(t, s[:, :-1], s[:, 1:], c)
-    asserted = lemma_id in ("slack", "coupled", "coupled_weighted") and control is None
+    # a scenario with slack asserts that the slack is summable
+    asserted = scn.eta.family != "zero" and control is None
     return Ensemble(
-        lemma_id, seed, r, v, recursion=rec, t=t, c=c, h=h, z=z, eta=eta if asserted else None
+        lemma_id, seed, r, v, recursion=rec, t=t, c=c, h=scn.h, z=z, eta=eta if asserted else None
     )
 
 
 def _build_first_order(cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
-    a = cfg["a_ratio"] ** np.arange(1, length + 1, dtype=float)  # a_1..a_L, decreasing
-    etaseq = cfg["eta_limit"] * (1.0 - cfg["eta_ratio"] ** np.arange(1, length + 1))
-    sigma = _geometric_scale_array(cfg["sigma"], cfg["sigma_ratio"], length)
+    a = 0.97 ** np.arange(1, length + 1, dtype=float)  # a_1..a_L, decreasing
+    etaseq = 2.0 * (1.0 - 0.85 ** np.arange(1, length + 1))
+    sigma = _noise_scales(cfg["sigma"], length)
     drive = a[:-1] * np.diff(etaseq)
     r_start = 1.1 * (float(np.sum(drive)) + float(np.sum(sigma))) + 1.0
     zeros = np.zeros(length)
@@ -630,8 +570,8 @@ def _build_first_order(cfg: dict, seed: int, paths: int, length: int) -> Ensembl
 
 def _build_relay(cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
     # each path stream draws theta, v_inf, amp, decay and r0, in that order
-    lo = np.array([cfg["theta_lo"], 0.5, 0.1, 0.8, 0.0])
-    hi = np.array([cfg["theta_hi"], 2.0, 1.0, 0.95, 3.0])
+    lo = np.array([0.1, 0.5, 0.1, 0.8, 0.0])
+    hi = np.array([0.9, 2.0, 1.0, 0.95, 3.0])
     words = seed_words(_stream_keys(STREAM_PATH, seed, np.arange(paths)))
     thetas, v_inf, amp, decay, r0 = _uniform(word_doubles(words, 5), lo, hi).T
     ns = np.arange(1, length + 1, dtype=float)
@@ -648,8 +588,16 @@ def synth_paths(
 ) -> Ensemble:
     """Build a synthetic ensemble satisfying the named drift hypothesis.
 
-    params overrides the scenario defaults; pass {"control": "drift"} or
-    {"control": "theta"} for the deliberately broken variants.
+    Each scenario's constants are fixed (_DELAYED, _build_relay and
+    _build_first_order); params sets only these keys:
+    * control, every scenario: "drift", or "theta" for the five delayed
+      ones, builds the deliberately broken variant (default None);
+    * sigma, every scenario but the relay: step k draws its noise as
+      sigma 0.99^k times a uniform [-1, 1] value (default 1e-3);
+    * r1 and r2, the five delayed scenarios: both or neither, the shared
+      first two values of every path, refused below the nonnegativity floor
+      (default: drawn per path above the floor).
+    Any other key is refused with ConfigurationError.
     """
     if lemma_id not in LEMMA_IDS:
         raise ConfigurationError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
@@ -657,14 +605,17 @@ def synth_paths(
         raise ValueError("need at least one path")
     if length < 4:
         raise ValueError("need path length >= 4")
-    cfg = _scenario_defaults(lemma_id)
+    cfg = dict(_PARAMS[lemma_id])
     unknown = set(params or {}) - set(cfg)
     if unknown:
-        raise ConfigurationError(f"unknown scenario parameters {sorted(unknown)}")
+        raise ConfigurationError(
+            f"unknown scenario parameters {sorted(unknown)} for {lemma_id!r} "
+            f"(accepted: {', '.join(cfg)})"
+        )
     cfg.update(params or {})
     if cfg["control"] not in (None, *negative_controls(lemma_id)):
         raise ConfigurationError(f"unknown negative control {cfg['control']!r}")
-    if lemma_id in _DELAYED_IDS:
+    if lemma_id in _DELAYED:
         return _build_delayed(lemma_id, cfg, seed, paths, length)
     if lemma_id == "first_order":
         return _build_first_order(cfg, seed, paths, length)
@@ -673,7 +624,7 @@ def synth_paths(
 
 def negative_controls(lemma_id: str) -> tuple[str, ...]:
     """Control modes that must produce failing reports for this scenario."""
-    if lemma_id in _DELAYED_IDS:
+    if lemma_id in _DELAYED:
         return ("drift", "theta")
     return ("drift",)
 
@@ -794,15 +745,13 @@ def run_lemma_check(
     branches: int = 200,
     seed: int = 1,
     params: dict | None = None,
-    tol_z: float = 3.0,
-    convergence_tol: float = 1e-4,
-    plateau_tol: float = 1e-3,
 ) -> CheckReport:
-    """Full pipeline for one scenario: build, branch-check, convergence, summability."""
+    """Full pipeline for one scenario: build, branch-check, convergence,
+    summability, each check at its default tolerance."""
     ensemble = synth_paths(lemma_id, params, seed, paths, length)
-    report = supermartingale_check(ensemble, paths=paths, branches=branches, tol_z=tol_z)
-    converged = sum(convergence_check(row, tol=convergence_tol) for row in ensemble.r)
+    report = supermartingale_check(ensemble, paths=paths, branches=branches)
+    converged = sum(convergence_check(row) for row in ensemble.r)
     report.converged_fraction = converged / ensemble.paths
     if ensemble.eta is not None:
-        report.eta_plateaued = summability_check(ensemble.eta[:length], plateau_tol)
+        report.eta_plateaued = summability_check(ensemble.eta[:length])
     return report

@@ -40,7 +40,14 @@ from .problems import (
     with_reference,
 )
 from .schedules import MomentumSchedule, StepSchedule
-from .solvers import COMPOSITE_ORDERS, METHODS, SolverConfig, SolverTrace, _pairing_fault, run
+from .solvers import (
+    SolverConfig,
+    SolverTrace,
+    _checkpoint_fault,
+    _pairing_fault,
+    _settings_fault,
+    run,
+)
 
 __all__ = [
     "PRESETS",
@@ -201,6 +208,12 @@ class _KeyedValues:
         where = ", ".join(self.where(k) for k in keys if k in self.lines) or self.where(key)
         return ConfigurationError(f"{where}: {why}")
 
+    def refuse(self, fault: tuple[tuple[str, ...], str] | None) -> None:
+        """Raise a solvers fault (keys at fault, reason) naming its lines."""
+        if fault is not None:
+            keys, why = fault
+            raise self.error(keys[0], why, *keys[1:])
+
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
 
@@ -327,8 +340,12 @@ def parse_config(text: str) -> ExperimentConfig:
     kv = _KeyedValues(effective, lines, preset_name)
 
     method = effective["method"]
-    if method not in METHODS:
-        raise kv.error("method", f"unknown method {method!r} (known: {', '.join(METHODS)})")
+    iterations = kv.integer("N")
+    stride = kv.number("stride", 1.1)
+    init = effective.get("init", "gaussian")
+    composite_order = effective.get("composite.order", "explicit_first")
+    kv.refuse(_settings_fault(method, iterations, stride, composite_order, init))
+    kv.refuse(_checkpoint_fault(iterations, stride))
     kind = effective["kind"]
     if kind not in KINDS:
         raise kv.error("kind", f"unknown problem kind {kind!r} (known: {', '.join(KINDS)})")
@@ -345,7 +362,6 @@ def parse_config(text: str) -> ExperimentConfig:
     problem_seed = kv.integer("problem.seed", 10)
     if problem_seed < 0:
         raise kv.error("problem.seed", f"problem.seed must be non-negative, got {problem_seed}")
-    iterations = kv.integer("N")
 
     seeds_raw = effective["seeds"]
     try:
@@ -406,35 +422,7 @@ def parse_config(text: str) -> ExperimentConfig:
         momenta.append((label, schedule))
 
     constraint = _parse_constraint(effective.get("constraint", "none"), kv)
-    fault = _pairing_fault(method, kind, constraint.kind)
-    if fault is not None:
-        keys, why = fault
-        raise kv.error(keys[0], why, *keys[1:])
-
-    stride = kv.number("stride", 1.1)
-    init = effective.get("init", "gaussian")
-    composite_order = effective.get("composite.order", "explicit_first")
-    if composite_order not in COMPOSITE_ORDERS:
-        raise kv.error(
-            "composite.order",
-            f"unknown composite order {composite_order!r} (known: {', '.join(COMPOSITE_ORDERS)})",
-        )
-
-    # validate solver knobs early so errors carry config context
-    try:
-        SolverConfig(
-            method=method,
-            step=step,
-            momentum=momenta[0][1],
-            iterations=iterations,
-            seed=seeds[0],
-            constraint=constraint,
-            stride=stride,
-            composite_order=composite_order,
-            init=init,
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"invalid configuration: {exc}") from None
+    kv.refuse(_pairing_fault(method, kind, constraint.kind))
 
     echo = dict(effective)
     if preset_name is not None:

@@ -53,7 +53,9 @@ draws from the same generator state, which
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +88,9 @@ __all__ = [
 
 METHODS = ("ssgd", "prox_rm", "composite")
 COMPOSITE_ORDERS = ("explicit_first", "implicit_first")
+INITS = ("gaussian", "zeros")
+# checkpoints a run may record; each costs a full objective pass
+_MAX_CHECKPOINTS = 1 << 20
 # steps per block of row indices and schedule values: 128 KB of int64 and
 # two 16384-entry float lists at most
 _DRAW_BLOCK = 1 << 14
@@ -105,18 +110,11 @@ class SolverConfig:
     instrument: bool = False
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigurationError(f"unknown method {self.method!r}")
-        if self.iterations < 2:
-            raise ConfigurationError(f"iteration budget must be >= 2, got {self.iterations}")
-        if not 1.0 < self.stride < float("inf"):
-            raise ConfigurationError(
-                f"checkpoint stride must be finite and exceed 1, got {self.stride}"
-            )
-        if self.composite_order not in COMPOSITE_ORDERS:
-            raise ConfigurationError(f"unknown composite order {self.composite_order!r}")
-        if self.init not in ("gaussian", "zeros"):
-            raise ConfigurationError(f"unknown init {self.init!r}")
+        fault = _settings_fault(
+            self.method, self.iterations, self.stride, self.composite_order, self.init
+        )
+        if fault is not None:
+            raise ConfigurationError(fault[1])
 
 
 @dataclass(frozen=True)
@@ -174,6 +172,38 @@ def _pairing_fault(
     return None
 
 
+def _settings_fault(
+    method: str, iterations: int, stride: float, composite_order: str, init: str
+) -> tuple[tuple[str, ...], str] | None:
+    """(config keys at fault, reason) when a SolverConfig value is invalid,
+    else None."""
+    if method not in METHODS:
+        return ("method",), f"unknown method {method!r} (known: {', '.join(METHODS)})"
+    if iterations < 2:
+        return ("N",), f"iteration budget N must be >= 2, got {iterations}"
+    if not 1.0 < stride < math.inf:
+        return ("stride",), f"checkpoint stride must be finite and exceed 1, got {stride}"
+    if composite_order not in COMPOSITE_ORDERS:
+        known = ", ".join(COMPOSITE_ORDERS)
+        return ("composite.order",), f"unknown composite order {composite_order!r} (known: {known})"
+    if init not in INITS:
+        return ("init",), f"unknown init {init!r} (known: {', '.join(INITS)})"
+    return None
+
+
+def _checkpoint_fault(iterations: int, stride: float) -> tuple[tuple[str, ...], str] | None:
+    """(config keys at fault, reason) when the run would record more than
+    _MAX_CHECKPOINTS checkpoints, else None. The marks are counted, not
+    stored, and the count stops one past the limit."""
+    marks = _checkpoint_indices(iterations, stride)
+    if sum(1 for _ in itertools.islice(marks, _MAX_CHECKPOINTS + 1)) <= _MAX_CHECKPOINTS:
+        return None
+    return ("N", "stride"), (
+        f"N = {iterations} at stride {stride!r} records more than {_MAX_CHECKPOINTS} "
+        "checkpoints; raise stride or lower N"
+    )
+
+
 def _steps(config: SolverConfig, inst: ProblemInstance, g: np.random.Generator):
     """(k, 0-based row index, alpha_k, theta_k) for k = 2 .. N - 1, produced
     in blocks of at most ``_DRAW_BLOCK`` steps. The indices equal one scalar
@@ -189,14 +219,15 @@ def _steps(config: SolverConfig, inst: ProblemInstance, g: np.random.Generator):
         )
 
 
-def _checkpoint_indices(n_final: int, stride: float) -> list[int]:
-    ks = {1, 2, n_final}
+def _checkpoint_indices(n_final: int, stride: float) -> Iterator[int]:
+    """The checkpointed k in increasing order: 1, 2, then k -> max(k + 1,
+    int(k stride)) while below n_final, then n_final (n_final >= 2)."""
+    yield 1
     k = 2
     while k < n_final:
+        yield k
         k = max(k + 1, int(k * stride))
-        if k < n_final:
-            ks.add(k)
-    return sorted(ks)
+    yield n_final
 
 
 def _validity_metadata(cfg: SolverConfig) -> dict[str, str]:
@@ -226,7 +257,8 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
 
     Checkpoints land on k in {1, 2} cup {geometric stride} cup {N} and record
     dist to the reference optimum, objective gap, iterate increment, and the
-    schedule values at that index. The first non-finite iterate v_j ends the
+    schedule values at that index; more than _MAX_CHECKPOINTS of them are
+    refused before the first step. The first non-finite iterate v_j ends the
     run early: the trace keeps the checkpoints so far, with diverged set and
     diverged_at = j.
     """
@@ -234,9 +266,12 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         raise ConfigurationError(
             "instance has no reference optimum; compute one before running"
         )
-    fault = _pairing_fault(config.method, inst.kind, config.constraint.kind)
-    if fault is not None:
-        raise ConfigurationError(fault[1])
+    for fault in (
+        _pairing_fault(config.method, inst.kind, config.constraint.kind),
+        _checkpoint_fault(config.iterations, config.stride),
+    ):
+        if fault is not None:
+            raise ConfigurationError(fault[1])
     # the one momentum-range check of the run; the loop extrapolates unchecked
     lo, hi = config.momentum.bounds
     if not (0.0 <= lo and hi < 1.0):

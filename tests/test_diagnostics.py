@@ -27,7 +27,6 @@ from nagsa.diagnostics import (
     negative_controls,
     pair_series_from_trace,
     power_sequence,
-    prox_lyapunov,
     relay,
     run_lemma_check,
     summability_check,
@@ -252,42 +251,6 @@ def test_lyapunov_needs_two_entries():
 
 
 # ---------------------------------------------------------------------------
-# single-step Lyapunov values
-
-
-def test_prox_lyapunov_no_slack_returns_tail_of_r():
-    r = np.array([4.0, 3.0, 2.0])
-    out = prox_lyapunov(r, a=np.array([1.0, 0.5]), eta=np.zeros(3))
-    assert out.tolist() == [3.0, 2.0]
-
-
-def test_prox_lyapunov_hand_case():
-    out = prox_lyapunov(
-        np.array([1.0, 1.0]), a=np.array([0.5, 0.25]), eta=np.array([0.0, 2.0])
-    )
-    assert out.tolist() == [2.0]
-
-
-def test_prox_lyapunov_zeros():
-    out = prox_lyapunov(np.zeros(4), a=np.full(3, 1e-9), eta=np.zeros(4))
-    assert np.all(out == 0.0)
-
-
-def test_prox_lyapunov_validation():
-    r = np.array([1.0, 1.0, 1.0])
-    with pytest.raises(ValueError):
-        prox_lyapunov(r, a=np.array([0.5, 0.75]), eta=np.zeros(3))  # increasing
-    with pytest.raises(ValueError):
-        prox_lyapunov(r, a=np.array([0.5, 0.0]), eta=np.zeros(3))  # hits zero
-    with pytest.raises(ValueError):
-        prox_lyapunov(r, a=np.array([0.5, 0.4]), eta=np.array([0.0, -1.0, 0.0]))
-    with pytest.raises(ValueError):
-        prox_lyapunov(np.array([1.0]), a=np.array([0.5]), eta=np.array([0.0]))
-    with pytest.raises(ValueError):
-        prox_lyapunov(r, a=np.array([0.5]), eta=np.zeros(3))  # weights too short
-
-
-# ---------------------------------------------------------------------------
 # averaged relay
 
 
@@ -399,6 +362,27 @@ def test_synth_unknown_params():
         synth_paths("relay", {"sigma": 1.0}, seed=1, paths=2, length=10)
 
 
+@pytest.mark.parametrize(
+    "lemma_id, key, value",
+    [
+        ("slack", "betabar", 0.0),
+        ("drift", "eta", [0.0] * 10),
+        ("drift", "momentum", None),
+        ("coupled", "h", 1.0),
+        ("relay", "theta_lo", 0.1),
+        ("first_order", "a_ratio", 0.97),
+        ("coupled_weighted", "rho_limit", 0.05),
+        ("drift_const", "sigma_ratio", 0.99),
+        ("first_order", "r1", 5.0),
+    ],
+)
+def test_synth_refuses_fixed_scenario_constants(lemma_id, key, value):
+    """A scenario's constants are fixed; params sets only control, sigma
+    and the delayed scenarios' r1 and r2."""
+    with pytest.raises(ConfigurationError, match=f"unknown scenario parameters.*{key}"):
+        synth_paths(lemma_id, {key: value}, seed=1, paths=2, length=10)
+
+
 def test_synth_homogeneous_constant_path():
     # sigma = 0, eta = 0, equal starts: the recursion reproduces the constant
     ens = synth_paths(
@@ -460,6 +444,17 @@ def test_synth_coupled_auxiliary_decays():
 
 def test_synth_coupled_weighted_z_nonincreasing():
     ens = synth_paths("coupled_weighted", None, seed=7, paths=10, length=800)
+    assert np.all(np.diff(ens.z) <= 1e-15)
+    assert np.all(ens.z >= 0.0)
+
+
+@pytest.mark.parametrize("lemma_id", ["coupled", "coupled_weighted"])
+def test_synth_coupled_z_stays_nonincreasing_on_long_paths(lemma_id):
+    """The fixed coupled constants keep the auxiliary path non-negative and
+    non-increasing, as the telescoped tail of V needs, into the subnormal
+    range that z reaches near step 6700."""
+    ens = synth_paths(lemma_id, None, seed=7, paths=1, length=20_000)
+    assert ens.z[-1] < 1e-307
     assert np.all(np.diff(ens.z) <= 1e-15)
     assert np.all(ens.z >= 0.0)
 

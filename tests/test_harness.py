@@ -819,6 +819,11 @@ def test_cli_nonfinite_numbers_exit_two(tmp_path, capsys, command, key, template
     [
         ("run", "lambda", "-0.5"),
         ("run", "problem.seed", "-1"),
+        ("run", "N", "1"),
+        ("run", "stride", "1"),
+        ("run", "init", "ones"),
+        ("run", "method", "sgd"),
+        ("run", "composite.order", "sideways"),
         ("lemma", "seed", "-1"),
         ("lemma", "length", "50"),
         ("lemma", "length", "99"),
@@ -834,6 +839,26 @@ def test_cli_values_that_fail_at_run_time_exit_two(tmp_path, capsys, command, ke
     assert rc == 2
     err = capsys.readouterr().err
     assert f"configuration error: line {len(lines)}: " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("preset = lsq-ssgd\nN = 2000000\nstride = 1.000000001\n", "line 2, line 3"),
+        ("preset = lsq-ssgd\nstride = 1.0000000000000002\nN = 1048577\n", "line 3, line 2"),
+        ("preset = lsq-ssgd\nN = 4000000\nstride = 1.0000001\n", "line 2, line 3"),
+    ],
+)
+def test_cli_refuses_too_many_checkpoints(tmp_path, capsys, text, where):
+    """More than 2^20 checkpoints exit 2 naming the N and stride lines,
+    before any run or output."""
+    config = _write(tmp_path / "c.txt", text)
+    rc = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {where}: " in err
+    assert "1048576 checkpoints" in err
     assert not (tmp_path / "out").exists()
 
 

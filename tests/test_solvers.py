@@ -31,7 +31,9 @@ from nagsa.schedules import (
 )
 from nagsa.solvers import (
     _DRAW_BLOCK,
+    _MAX_CHECKPOINTS,
     SolverConfig,
+    _checkpoint_fault,
     _checkpoint_indices,
     _steps,
     extrapolate,
@@ -682,3 +684,35 @@ def test_solver_config_validation():
         )
     with pytest.raises(ConfigurationError):
         SolverConfig(method="ssgd", step=step, momentum=mom, iterations=10, seed=1, init="ones")
+
+
+def _stored_checkpoint_indices(n_final, stride):
+    """Reference marks: the stride rule with every mark stored in a set, then sorted."""
+    ks = {1, 2, n_final}
+    k = 2
+    while k < n_final:
+        k = max(k + 1, int(k * stride))
+        if k < n_final:
+            ks.add(k)
+    return sorted(ks)
+
+
+def test_checkpoint_indices_equal_the_stored_set():
+    for stride in (1.0 + 1e-9, 1.01, 1.1, 1.5, 2.0, 7.3, 1e300):
+        for n_final in (2, 3, 4, 5, 17, 300, 20_000):
+            want = _stored_checkpoint_indices(n_final, stride)
+            assert list(_checkpoint_indices(n_final, stride)) == want, (n_final, stride)
+
+
+def test_checkpoint_count_is_bounded():
+    """Dense marks up to 2^20 pass; one more is refused naming N and stride,
+    at parse time and by run for a SolverConfig used directly, before any
+    mark is stored."""
+    assert _checkpoint_fault(_MAX_CHECKPOINTS, 1.0 + 1e-9) is None
+    keys, why = _checkpoint_fault(_MAX_CHECKPOINTS + 1, 1.0 + 1e-9)
+    assert keys == ("N", "stride")
+    assert str(_MAX_CHECKPOINTS) in why
+    assert _checkpoint_fault(10**300, 1.1) is None  # geometric marks stay few
+    config = _small_config(iterations=10**7, stride=1.0 + 1e-12)
+    with pytest.raises(ConfigurationError, match="raise stride or lower N"):
+        run(config, _case_instance("least_squares"))
