@@ -64,9 +64,11 @@ def word_doubles(words: np.ndarray, count: int) -> np.ndarray:
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if words.ndim != 2 or words.shape[1] != 4:
         raise ValueError("seed words come four per row")
-    raw = np.empty((len(words), count), dtype=np.uint64)
-    for out, row in zip(raw, words):
-        out[:] = np.random.PCG64(WordSeed(row)).random_raw(count)
+    # each row's words collected, then joined once: at most two arrays of
+    # the draw's size are held, as with the shift and the conversion below
+    draws = [np.random.PCG64(WordSeed(row)).random_raw(count) for row in words]
+    raw = np.array(draws, dtype=np.uint64).reshape(len(words), count)
+    del draws
     u = np.right_shift(raw, np.uint64(11), out=raw).astype(float)
     del raw
     u *= 2.0**-53

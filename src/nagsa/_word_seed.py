@@ -14,10 +14,14 @@ class WordSeed(ISeedSequence):
     """Four uint64 words, as SeedSequence.generate_state(4, np.uint64) gives
     them; PCG64 does its own 128-bit seeding from them."""
 
+    __slots__ = ("words",)
+
     def __init__(self, words: np.ndarray):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
+        if n_words == 4 and dtype is np.uint64:  # PCG64's own call
+            return self.words
         if n_words != 4 or np.dtype(dtype) != np.uint64:
             raise ValueError("seed words are four uint64 values")
         return self.words

@@ -18,11 +18,12 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from ._rng import RNG_ID
-from .diagnostics import LEMMA_IDS, CheckReport, negative_controls, run_lemma_check
+from .diagnostics import _PROBES, LEMMA_IDS, CheckReport, negative_controls, run_lemma_check
 from .errors import ConfigurationError
 from .problems import (
     _MAX_ENTRIES,
@@ -483,7 +484,13 @@ def parse_lemma_config(text: str) -> LemmaSuiteConfig:
     if branches < 30:
         raise kv.error("branches", "need at least 30 branches")
     _check_entries(kv, ("paths", "length"), (paths, length))
-    _check_entries(kv, ("branches",), (branches,))
+    # one path's probe block draws its branches for up to _PROBES steps at once
+    if _PROBES * branches > _MAX_ENTRIES:
+        why = (
+            f"branches x {_PROBES} probes = {_PROBES * branches} entries "
+            f"exceeds the limit of {_MAX_ENTRIES}"
+        )
+        raise kv.error("branches", why)
 
     control_raw = values.get("control", "none")
     control = None if control_raw == "none" else control_raw
@@ -684,14 +691,22 @@ def _lemma_summary_lines(config: LemmaSuiteConfig, reports: list[CheckReport]) -
     return lines
 
 
+# detail rows per % format; details hold Python floats, which %.17g formats
+# as _fmt does ("inf", "nan" and "-0" too)
+_DETAIL_BLOCK = 256
+_DETAIL_ROW = "%s,%d,%d,%.17g,%.17g,%.17g"
+
+
 def _lemma_detail_lines(reports: list[CheckReport]) -> list[str]:
-    # details hold Python floats, which :.17g formats as _fmt does ("inf" too)
+    """The detail CSV's header, then its rows in blocks of _DETAIL_BLOCK
+    lines, each block one % format over the rows' fields."""
     lines = ["lemma_id,path,step,V_n,estimate,z_score"]
+    full = "\n".join([_DETAIL_ROW] * _DETAIL_BLOCK)
     for rep in reports:
-        lines.extend(
-            f"{lemma_id},{path},{step},{v_n:.17g},{estimate:.17g},{zscore:.17g}"
-            for lemma_id, path, step, v_n, estimate, zscore in rep.details
-        )
+        for first in range(0, len(rep.details), _DETAIL_BLOCK):
+            rows = rep.details[first : first + _DETAIL_BLOCK]
+            fmt = full if len(rows) == _DETAIL_BLOCK else "\n".join([_DETAIL_ROW] * len(rows))
+            lines.append(fmt % tuple(chain.from_iterable(rows)))
     return lines
 
 

@@ -221,12 +221,14 @@ def _steps(config: SolverConfig, inst: ProblemInstance, g: np.random.Generator):
 
 def _checkpoint_indices(n_final: int, stride: float) -> Iterator[int]:
     """The checkpointed k in increasing order: 1, 2, then k -> max(k + 1,
-    int(k stride)) while below n_final, then n_final (n_final >= 2)."""
+    int(k stride)) while below n_final, then n_final (n_final >= 2). k stride
+    is capped at n_final before int(), which ends the marks as int(k stride)
+    would, also where k stride overflows to inf."""
     yield 1
     k = 2
     while k < n_final:
         yield k
-        k = max(k + 1, int(k * stride))
+        k = max(k + 1, int(min(k * stride, n_final)))
     yield n_final
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -712,6 +713,77 @@ def test_walk_draws_equal_path_generator_streams(seed):
 @pytest.mark.parametrize("seed", _STREAM_SEEDS)
 def test_relay_draws_equal_path_generator_streams(seed, control):
     _assert_relay_paths_equal_scalar_relay(seed, control)
+
+
+# every scenario with a recursion, under each of its controls
+_WALK_CASES = [
+    (lemma_id, control)
+    for lemma_id in LEMMA_IDS
+    if lemma_id != "relay"
+    for control in (None, *negative_controls(lemma_id))
+]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-3])
+@pytest.mark.parametrize("lemma_id, control", _WALK_CASES)
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_walk_equals_five_term_step_loop(seed, lemma_id, control, sigma):
+    """Every path is, bit for bit, a scalar loop of the full five-term mean
+    (1 + theta_i) r_{q-1} - theta_i r_i + beta_i - eta_i + couple_i plus
+    sigma_i w_i, on the noise of make_generator(STREAM_PATH, seed, p), from
+    the path's first `order` values."""
+    params = {"sigma": sigma, **({"control": control} if control else {})}
+    paths, length = 3, 150
+    ens = synth_paths(lemma_id, params, seed, paths, length)
+    rec = ens.recursion
+    for p in range(paths):
+        g = make_generator(STREAM_PATH, seed, p)
+        g.random()  # the spread that set the first `order` values
+        w = g.uniform(-1.0, 1.0, length - rec.order)
+        r = list(ens.r[p, : rec.order])
+        for i in range(length - rec.order):
+            prev, curr, theta = r[i], r[i + rec.order - 1], rec.thetas[i]
+            mean = (1.0 + theta) * curr - theta * prev + rec.beta[i] - rec.eta[i] + rec.couple[i]
+            r.append(mean + rec.sigma[i] * w[i])
+        assert np.array(r).tobytes() == ens.r[p].tobytes(), p
+
+
+@pytest.mark.parametrize("lemma_id, control", _WALK_CASES)
+def test_recursion_mean_rows_equal_scalar_calls(lemma_id, control):
+    """mean with an array of steps (as branches call it) equals, row for row,
+    its calls with one step: on one state each, and on a row of states (as
+    the walk calls it)."""
+    params = {"control": control} if control else None
+    paths, length = 4, 120
+    ens = synth_paths(lemma_id, params, seed=3, paths=paths, length=length)
+    rec = ens.recursion
+    picks = np.random.default_rng(0)
+    i = picks.integers(0, length - rec.order, size=40)
+    p = picks.integers(0, paths, size=40)
+    prev, curr = ens.r[p, i], ens.r[p, i + rec.order - 1]
+    rows = rec.mean(i, prev, curr)
+    assert rows.shape == (40,)
+    for k in range(40):
+        one = rec.mean(int(i[k]), prev[k], curr[k])
+        assert float(one).hex() == float(rows[k]).hex(), k
+        on_rows = rec.mean(int(i[k]), ens.r[:, i[k]], ens.r[:, i[k] + rec.order - 1])
+        assert float(on_rows[p[k]]).hex() == float(rows[k]).hex(), k
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_synth_paths_traced_peak_is_bounded(lemma_id):
+    """At 200 paths x 2000 steps the ensemble keeps r and V, 3.05 MiB each;
+    building it traces under 8 MiB, so no full-size temporary outlives its
+    stage."""
+    synth_paths(lemma_id, None, 1, 20, 200)  # the first call's imports
+    tracemalloc.start()
+    try:
+        ens = synth_paths(lemma_id, None, 1, 200, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.r.shape == (200, 2000)
+    assert peak < 8 * 2**20, peak / 2**20
 
 
 def test_supermartingale_check_is_reproducible():

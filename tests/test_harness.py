@@ -306,6 +306,13 @@ def test_parse_config_fuzz(overrides, extra):
         pass
 
 
+def test_parse_config_stride_near_float_max():
+    """The fuzz example stride = 1e308, whose marks overflow k stride,
+    parses with the marks 1, 2 and N."""
+    config = parse_config(TINY_RUN + "stride = 1e308\n")
+    assert config.stride == 1e308
+
+
 @settings(max_examples=500)
 @given(
     overrides=st.dictionaries(st.sampled_from(sorted(_LEMMA_KEYS)), _VALUES, max_size=4),
@@ -354,6 +361,18 @@ def test_cli_oversized_config_exits_two(tmp_path, capsys, command, text):
     err = capsys.readouterr().err
     assert "configuration error: line " in err and "exceeds the limit" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_branches_bounded_by_one_probe_block(tmp_path, capsys):
+    """One path's probe block draws 24 x branches samples at once, so
+    branches stops at floor(2^25 / 24) = 1398101; only the parser runs."""
+    config = _write(tmp_path / "c.txt", "lemmas = drift\nbranches = 1398102\n")
+    rc = main(["lemma", "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: line 2: branches x 24 probes = 33554448 entries exceeds" in err
+    assert not (tmp_path / "out").exists()
+    assert parse_lemma_config("lemmas = drift\nbranches = 1398101\n").branches == 1398101
 
 
 def test_lemma_config_control_validation():

@@ -716,3 +716,11 @@ def test_checkpoint_count_is_bounded():
     config = _small_config(iterations=10**7, stride=1.0 + 1e-12)
     with pytest.raises(ConfigurationError, match="raise stride or lower N"):
         run(config, _case_instance("least_squares"))
+
+
+def test_checkpoint_stride_whose_product_overflows():
+    """A finite stride with k stride past the float range marks 1, 2 and
+    n_final, and parses, where int(k stride) used to raise OverflowError."""
+    assert list(_checkpoint_indices(300, 1e308)) == [1, 2, 300]
+    assert list(_checkpoint_indices(3, 1e308)) == [1, 2, 3]
+    assert _checkpoint_fault(300, 1e308) is None
