@@ -20,8 +20,7 @@ class WordSeed(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words == 4 and dtype is np.uint64:  # PCG64's own call
-            return self.words
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes the type np.uint64 itself, which needs no np.dtype()
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("seed words are four uint64 values")
         return self.words

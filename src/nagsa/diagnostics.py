@@ -48,9 +48,10 @@ its noise by sigma in one pass and adds each step's row to the mean in place.
 V is formed over blocks of whole paths, so no full-size s = r + h z is held,
 and supermartingale_check runs numpy's mean and std(ddof=1) steps once per
 block. At 200 paths x 2000 steps the six stochastic synth_paths calls take
-about 95 ms (160 ms before), and a traced synth_paths peaks at 7.0-7.6 MiB
-(9.4-12.5 MiB before), of which r and V hold 6.1 MiB; 2-core x86_64,
-Python 3.11.7, numpy 2.4.6.
+87-103 ms together (160-207 ms before; best of seven, alternating
+processes), and a traced synth_paths peaks at 7.0-7.6 MiB (9.4-12.5 MiB
+before), of which r and V hold 6.1 MiB; 2-core x86_64, Python 3.11.7,
+numpy 2.4.6.
 """
 
 from __future__ import annotations
@@ -359,9 +360,10 @@ class Recursion:
     each of beta, eta and the coupling that is, and the lag terms
     (1 + theta) curr - theta prev -> curr when order is 1 and theta is.
     Leaving out x + 0.0 or x - 0.0 changes no bit unless x is -0.0, and no
-    state is: paths start positive and every step adds sigma w. (The lag is
-    left out only on the single-step recursion, whose states stay finite, so
-    0 * prev is never 0 * inf.)
+    state is: paths start positive and every step adds sigma w. (Only r1 or
+    r2 given as -0.0 with sigma = 0 can keep a later zero's sign where the
+    full sum gives +0.0. The lag is left out only on the single-step
+    recursion, whose states stay finite, so 0 * prev is never 0 * inf.)
     """
 
     order: int
