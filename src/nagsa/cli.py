@@ -35,12 +35,7 @@ from .harness import (
     run_experiment,
     run_lemma_suite,
 )
-from .momentum_algebra import (
-    _coefficients,
-    _column_sum_error,
-    _head_blocks,
-    tail_coefficients,
-)
+from .momentum_algebra import head_blocks, tail_coefficients
 from .problems import dump_instance, gen, lasso_reference, with_reference
 from .schedules import MomentumSchedule
 
@@ -125,19 +120,18 @@ def _cmd_algebra(args) -> int:
     tails = tail_coefficients(schedule, args.n + 1).values
     sys.stdout.write("k,theta,d,c,residual,t\n")
     start = 0
-    for p in _head_blocks(thetas):
-        d, c, bad = _coefficients(p)
-        stop = start + (len(p) if bad is None else bad)
+    # a bad theta or column sum raises after the rows before it are written
+    for p, d, c in head_blocks(thetas):
+        stop = start + len(p)
         # one write per chunk of at most _WRITE_ROWS rows, so the text and the
         # Python floats of a whole block are never held at once
         for lo in range(start, stop, _WRITE_ROWS):
             hi = min(lo + _WRITE_ROWS, stop)
-            # + 0.0 normalizes negative zero
             rows = zip(
                 range(lo + 1, hi + 1),
                 thetas[lo:hi].tolist(),
-                (d[lo - start : hi - start] + 0.0).tolist(),
-                (c[lo - start : hi - start] + 0.0).tolist(),
+                d[lo - start : hi - start].tolist(),
+                c[lo - start : hi - start].tolist(),
                 tails[lo:hi].tolist(),
             )
             sys.stdout.write(
@@ -146,8 +140,6 @@ def _cmd_algebra(args) -> int:
                     for k, theta, d_k, c_k, t_k in rows
                 )
             )
-        if bad is not None:
-            raise _column_sum_error(p[bad])
         start = stop
     return 0
 

@@ -14,22 +14,21 @@ property is preserved under products. Two product families matter:
 * Tail products Q_n = M_n Q_{n+1}, which collapse to the rank-one form
   [[-t_n, -t_n], [1+t_n, 1+t_n]] driven by the tail coefficients
   t_n = sum_{k>=n} prod_{j=n..k} theta_j, satisfying t_n = (1 + t_{n+1}) theta_n.
+  tail_coefficients gives t_n, and fixed_point_matrix(t_n) is Q_n.
 
 Matrices of the rank-one form are exactly the fixed points of right
 multiplication by any M(theta); the squared distance of a head product to
 that fixed-point family is (d_n - c_n)^2.
 
-Head products are folded in blocks of at most 2^14 rows: one array pass
-builds a block's step matrices and checks its momentum range once, each
-product is one 2x2 np.matmul of the previous product and the next step
-matrix (the matmul ``p @ M(theta)`` makes, so every bit equals the
-one-factor-at-a-time fold), and one pass takes d_n, c_n and the column-sum
-check of the whole block. head_products yields read-only views of those
-blocks; head_product and head_coefficients use the same helpers. The
-``nagsa algebra`` table holds theta and t_n (16 bytes per row) plus one
-block, and a 500-row harmonic table takes about 1.55 ms, against 3.8 ms with
-one companion_matrix, one ProductState and one print per row (best of 20 in
-one process; 2-vCPU x86_64, Python 3.11.7, numpy 2.4.6).
+head_blocks is the one path to head products. It folds them in blocks of at
+most 2^14 rows: one array pass builds a block's step matrices and checks its
+momentum range once, each product is one 2x2 np.matmul of the previous
+product and the next step matrix (the matmul ``p @ M(theta)`` makes, so
+every bit equals the one-factor-at-a-time fold), and one pass takes d_n, c_n
+and the column-sum check of the whole block. head_product and the
+``nagsa algebra`` table read their products from it. The table holds theta
+and t_n (16 bytes per row) plus one block; README's algebra section gives
+its timings.
 """
 
 from __future__ import annotations
@@ -48,13 +47,10 @@ __all__ = [
     "ProductState",
     "TailCoefficients",
     "companion_matrix",
+    "head_blocks",
     "head_product",
-    "head_products",
-    "head_coefficients",
     "fixed_point_matrix",
-    "fixed_point_residual",
     "tail_coefficients",
-    "tail_product",
 ]
 
 _COLUMN_SUM_TOL = 1e-9
@@ -72,29 +68,28 @@ def companion_matrix(theta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProductState:
-    """A head or tail product with its sequence position.
-
-    entries is the 2x2 matrix, index the product's n, kind "head" or "tail".
-    """
+    """A head product P_n: entries is the 2x2 matrix, index its n."""
 
     entries: np.ndarray
     index: int
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in ("head", "tail"):
-            raise ValueError(f"kind must be 'head' or 'tail', got {self.kind!r}")
         if self.entries.shape != (2, 2):
             raise ValueError("product entries must be 2x2")
         if self.index < 1:
             raise ValueError("product index must be >= 1")
 
 
-def _head_blocks(thetas: Iterable[float]) -> Iterator[np.ndarray]:
-    """Head products P_1, P_2, ... as read-only (rows, 2, 2) blocks of at most
-    ``_BLOCK`` rows, folded by P_k = P_{k-1} M(theta_k) with the same 2x2
-    matmul as ``p @ step``. A theta outside [0, 1) ends the fold: the block of
-    products before it comes out first, then ValueError."""
+def head_blocks(
+    thetas: Iterable[float],
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Head products P_1, P_2, ... in blocks of at most ``_BLOCK`` rows, each
+    as (p, d, c): p the read-only (rows, 2, 2) products, folded by
+    P_k = P_{k-1} M(theta_k) with the same 2x2 matmul as ``p @ step``, and d
+    and c their coefficients, with no negative zero. A theta outside [0, 1)
+    raises ValueError, and a product whose column sums stray from (1, 1)
+    beyond 1e-9 raises StructuralError, the signature of a matrix outside
+    the product family; either way the rows before it come out first."""
     values = iter(thetas)
     prev = None
     while True:
@@ -119,78 +114,36 @@ def _head_blocks(thetas: Iterable[float]) -> Iterator[np.ndarray]:
             for left, step, out in zip(rows, steps[1:], rows[1:]):
                 np.matmul(left, step, out=out)
             p.setflags(write=False)
-            yield p
+            sums = p[:, 0, :] + p[:, 1, :]
+            off = np.flatnonzero(~(np.abs(sums - 1.0) <= _COLUMN_SUM_TOL).all(axis=1))
+            good = int(off[0]) if off.size else stop
+            if good:
+                # + 0.0 normalizes negative zero
+                yield p[:good], -p[:good, 0, 0] + 0.0, -p[:good, 0, 1] + 0.0
+            if off.size:
+                raise StructuralError(
+                    f"column sums {sums[good]} differ from (1, 1) beyond 1e-9"
+                )
             prev = p[-1]
         if bad.size:
             raise ValueError(f"momentum must lie in [0, 1), got {float(block[stop])}")
 
 
-def _coefficients(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """(d, c) of every row of a (rows, 2, 2) block of head products, and the
-    first row whose column sums stray from (1, 1) beyond _COLUMN_SUM_TOL
-    (None when every row passes)."""
-    sums = p[:, 0, :] + p[:, 1, :]
-    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= _COLUMN_SUM_TOL).all(axis=1))
-    return -p[:, 0, 0], -p[:, 0, 1], (int(bad[0]) if bad.size else None)
-
-
-def _column_sum_error(entries: np.ndarray) -> StructuralError:
-    sums = entries.sum(axis=0)
-    return StructuralError(f"column sums {sums} differ from (1, 1) beyond 1e-9")
-
-
-def head_products(thetas: Iterable[float]) -> Iterator[ProductState]:
-    """P_1, P_2, ... over the given momentum values, by one left fold:
-    P_n = P_{n-1} M(theta_n), so a table of n products costs n steps. The
-    states' entries are read-only views of the fold's blocks."""
-    n = 0
-    for p in _head_blocks(thetas):
-        for entries in p:
-            n += 1
-            yield ProductState(entries=entries, index=n, kind="head")
-
-
 def head_product(thetas: Sequence[float], n: int) -> ProductState:
-    """P_n = M(theta_1) ... M(theta_n), multiplying new factors on the right."""
+    """P_n = M(theta_1) ... M(theta_n), multiplying new factors on the right:
+    the last row of head_blocks, which raises as head_blocks does."""
     if n < 1:
         raise ValueError(f"head product needs n >= 1, got {n}")
     if len(thetas) < n:
         raise ValueError(f"need at least {n} momentum values, got {len(thetas)}")
-    for last in _head_blocks(thetas[:n]):
+    for p, _, _ in head_blocks(thetas[:n]):
         pass
-    return ProductState(entries=last[-1], index=n, kind="head")
-
-
-def head_coefficients(state: ProductState) -> tuple[float, float]:
-    """Extract (d_n, c_n) from the structural form [[-d, -c], [1+d, 1+c]].
-
-    Raises StructuralError when the column sums stray from (1, 1) by more
-    than 1e-9, which is the signature of a matrix outside the product family.
-    """
-    d, c, bad = _coefficients(state.entries[np.newaxis])
-    if bad is not None:
-        raise _column_sum_error(state.entries)
-    return d[0], c[0]
+    return ProductState(entries=p[-1], index=n)
 
 
 def fixed_point_matrix(t: float) -> np.ndarray:
     """Rank-one fixed point [[-t, -t], [1+t, 1+t]] of right momentum steps."""
     return np.array([[-t, -t], [1.0 + t, 1.0 + t]])
-
-
-def fixed_point_residual(state: ProductState, theta: float) -> float:
-    """Squared Frobenius distance (d_n - c_n)^2 from the fixed-point family.
-
-    The minimizing member has parameter t = (d_n + c_n)/2; as a consistency
-    check this projection is verified to be fixed under a further step with
-    the supplied theta, which holds for every member of the family.
-    """
-    d, c = head_coefficients(state)
-    projection = fixed_point_matrix((d + c) / 2.0)
-    moved = projection @ companion_matrix(theta)
-    if not np.all(np.abs(moved - projection) <= 1e-12):
-        raise StructuralError("projection failed the fixed-point identity")
-    return (d - c) ** 2
 
 
 @dataclass(frozen=True)
@@ -258,7 +211,3 @@ def tail_coefficients(
                 values[n - 1] = t_next
     return TailCoefficients(values=values, horizon=horizon, tolerance=tol)
 
-
-def tail_product(tc: TailCoefficients, n: int) -> ProductState:
-    """Rank-one tail product Q_n = [[-t_n, -t_n], [1+t_n, 1+t_n]]."""
-    return ProductState(entries=fixed_point_matrix(tc.t(n)), index=n, kind="tail")

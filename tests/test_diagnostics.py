@@ -3,18 +3,12 @@ ensembles against closed-form recursions, and the statistical checks against
 both calibrated positives and deliberately broken negatives."""
 
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import types
-from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
-import nagsa
 from nagsa import diagnostics
 from nagsa._rng import STREAM_BRANCH, STREAM_PATH, make_generator
 from nagsa.diagnostics import (
@@ -27,7 +21,6 @@ from nagsa.diagnostics import (
     lyapunov,
     negative_controls,
     pair_series_from_trace,
-    power_sequence,
     relay,
     run_lemma_check,
     summability_check,
@@ -37,7 +30,7 @@ from nagsa.diagnostics import (
     SummableSequence,
 )
 from nagsa.errors import ConfigurationError
-from nagsa.momentum_algebra import tail_coefficients, tail_product
+from nagsa.momentum_algebra import fixed_point_matrix, tail_coefficients
 from nagsa.problems import gen
 from nagsa.schedules import constant_momentum, harmonic_momentum
 from nagsa.solvers import Checkpoint, SolverTrace
@@ -55,31 +48,16 @@ def test_geometric_tail_closed_form():
     assert abs(sum(seq.value(k) for k in range(1, 60)) - seq.tail(1)) <= 1e-15
 
 
-def test_power_tail_matches_hurwitz_zeta():
-    seq = power_sequence(2.0, scale=3.0)
-    for n in (1, 2, 17):
-        with mpmath.workdps(30):
-            expected = 3.0 * float(mpmath.zeta(2, n))
-        assert abs(seq.tail(n) - expected) <= 1e-12 * expected
-
-
-def test_scipy_is_imported_only_for_power_tails():
-    """The CLI and the solvers never need scipy; the first power-family tail
-    imports it. Checked in a fresh interpreter."""
-    src = str(Path(nagsa.__file__).resolve().parents[1])
-    code = (
-        "import sys\n"
-        "import nagsa.cli\n"
-        "from nagsa.diagnostics import power_sequence\n"
-        "assert 'scipy' not in sys.modules, 'imported by nagsa.cli'\n"
-        "power_sequence(2.0).tail(3)\n"
-        "assert 'scipy.special' in sys.modules\n"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
+@pytest.mark.parametrize("ratio", [0.5, 0.85, 0.9, 0.97, 0.99])
+def test_geometric_values_and_tails_equal_the_scalar_forms(ratio):
+    """values and tails keep every bit of the scalar closed forms over 2000
+    terms; np.power would change some of them, and with them the lemma CSVs."""
+    for scale in (1.0, 1e-3, 1e-5):
+        seq = geometric_sequence(ratio, scale=scale)
+        values = [scale * ratio**k for k in range(1, 2001)]
+        tails = [scale * ratio**n / (1.0 - ratio) for n in range(1, 2001)]
+        assert seq.values(2000).tobytes() == np.array(values).tobytes()
+        assert seq.tails(2000).tobytes() == np.array(tails).tobytes()
 
 
 def test_zero_sequence():
@@ -98,7 +76,7 @@ def test_summable_sequence_validation():
     with pytest.raises(ValueError):
         geometric_sequence(-0.1)
     with pytest.raises(ValueError):
-        power_sequence(1.0)
+        SummableSequence("power", scale=1.0)
     with pytest.raises(ValueError):
         SummableSequence("geometric", scale=-1.0, ratio=0.5)
     with pytest.raises(ValueError):
@@ -204,7 +182,8 @@ def test_lyapunov_beta_tail_offset():
 
 def test_lyapunov_matches_matrix_form():
     """The expanded form must agree with [r_n, r_{n+1}] Q_n phi + 2 beta tail
-    computed through the algebra module's rank-one tail products, for a phi
+    computed through the algebra module's rank-one tail products Q_n =
+    fixed_point_matrix(t_n), for a phi
     other than (1/2, 1/2): V does not depend on the weights."""
     rng = np.random.default_rng(3)
     schedule = harmonic_momentum(3.0)
@@ -216,7 +195,7 @@ def test_lyapunov_matches_matrix_form():
         out = lyapunov(series, t, betas=betas)
         for n in range(1, length):
             rho = np.array([r[n - 1], r[n]])
-            q = tail_product(t, n).entries
+            q = fixed_point_matrix(t.t(n))
             expected = float(rho @ q @ np.array([0.25, 0.75])) + 2.0 * betas.tail(n)
             assert abs(out[n - 1] - expected) <= 1e-10
 
@@ -409,6 +388,15 @@ def test_synth_geometric_increment_closed_form():
     expected = 2.0 - 0.5 ** (ns - 2.0)
     assert np.max(np.abs(ens.r[0, 1:] - expected)) <= 1e-12
     assert abs(ens.r[0, -1] - 2.0) <= 1e-9
+
+
+def test_synth_explicit_init_normalizes_negative_zero():
+    """r2 = -0.0 at sigma = 0 starts the paths at +0.0, so no state keeps a
+    sign bit."""
+    ens = synth_paths(
+        "drift_const", {"sigma": 0.0, "r1": 0.0, "r2": -0.0}, seed=3, paths=3, length=10
+    )
+    assert not np.signbit(ens.r).any()
 
 
 def test_synth_explicit_init_below_floor_is_refused():
@@ -840,6 +828,43 @@ def test_convergence_check_window_validation():
         convergence_check(np.zeros(50), window=51)
     with pytest.raises(ValueError):
         convergence_check(np.zeros(50), window=1)
+
+
+def test_convergence_check_rows_equal_per_row_calls():
+    """A (paths, length) array is tested row by row in one call: its bool
+    array equals the per-row calls, non-finite rows included, and a window
+    outside 2..length is refused as for one row."""
+    ns = np.arange(1, 301, dtype=float)
+    x = np.stack(
+        [np.full(300, 2.0), np.arange(300.0), 1.0 + 0.9**ns, 1.0 + 0.99**ns, np.ones(300), np.ones(300)]
+    )
+    x[4, 250] = np.nan
+    x[5, 280:] = [np.inf, -np.inf] * 10
+    seen = set()
+    for window, tol in ((None, 1e-4), (100, 1e-3), (2, 1e-12), (300, 1.0)):
+        got = convergence_check(x, window=window, tol=tol)
+        assert got.dtype == bool and got.shape == (6,)
+        rows = [convergence_check(row, window=window, tol=tol) for row in x]
+        assert all(type(row) is bool for row in rows)
+        assert got.tolist() == rows
+        seen.update(rows)
+    assert seen == {True, False}
+    for window in (1, 301):
+        with pytest.raises(ValueError, match=f"window {window} outside 2..300"):
+            convergence_check(x, window=window)
+
+
+def test_run_lemma_check_tests_convergence_in_one_call(monkeypatch):
+    calls = []
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return convergence_check(x, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "convergence_check", counted)
+    report = run_lemma_check("drift", paths=5, length=200, branches=30)
+    assert calls == [(5, 200)]
+    assert report.converged_fraction is not None
 
 
 def test_summability_check_examples():

@@ -26,12 +26,9 @@ from nagsa.momentum_algebra import (
     ProductState,
     companion_matrix,
     fixed_point_matrix,
-    fixed_point_residual,
-    head_coefficients,
+    head_blocks,
     head_product,
-    head_products,
     tail_coefficients,
-    tail_product,
 )
 from nagsa.schedules import constant_momentum, harmonic_momentum, power_momentum
 
@@ -61,12 +58,18 @@ def test_companion_matrix_rejects_bad_momentum(theta):
         companion_matrix(theta)
 
 
+def _rows(thetas):
+    """Every (P_k, d_k, c_k) that head_blocks yields, one row at a time."""
+    return [row for p, d, c in head_blocks(thetas) for row in zip(p, d.tolist(), c.tolist())]
+
+
 def test_head_product_constant_half_n3():
     """P_3 for theta = 0.5, multiplied out by hand."""
     state = head_product([0.5, 0.5, 0.5], 3)
     expected = np.array([[-0.75, -0.875], [1.75, 1.875]])
     assert np.allclose(state.entries, expected, atol=1e-12)
-    d, c = head_coefficients(state)
+    entries, d, c = _rows([0.5, 0.5, 0.5])[-1]
+    assert np.array_equal(entries, state.entries)
     assert abs(d - 0.75) <= 1e-12
     assert abs(c - 0.875) <= 1e-12
 
@@ -87,13 +90,17 @@ def test_head_product_zero_momentum_is_idempotent():
 
 
 def test_head_products_fold_equals_each_head_product():
+    """head_blocks rows are P_1 .. P_n, each equal to its own head_product,
+    with d and c read off the top row and negative zero normalized."""
     thetas = harmonic_momentum(2.0).values(40)
-    states = list(head_products(thetas))
-    assert [state.index for state in states] == list(range(1, 41))
-    for n, state in enumerate(states, 1):
-        assert state.kind == "head"
-        assert np.array_equal(state.entries, head_product(thetas, n).entries)
-    assert list(head_products([])) == []
+    rows = _rows(thetas)
+    assert len(rows) == 40
+    for n, (entries, d, c) in enumerate(rows, 1):
+        assert np.array_equal(entries, head_product(thetas, n).entries)
+        assert (d, c) == (-entries[0, 0] + 0.0, -entries[0, 1] + 0.0)
+    assert list(head_blocks([])) == []
+    entries, d, c = _rows([0.0])[0]
+    assert np.signbit(entries[0, 1]) and not np.signbit(d) and not np.signbit(c)
 
 
 _THETA = st.one_of(st.just(0.0), st.floats(0.0, 0.999))
@@ -114,12 +121,14 @@ def test_head_products_block_fold_is_bitwise_the_direct_fold(thetas, block):
     """Blocks of 1..5 rows make the lists cross block boundaries; every
     product keeps every bit of the per-factor fold and is read-only."""
     with mock.patch.object(momentum_algebra, "_BLOCK", block):
-        states = list(head_products(thetas))
+        blocks = list(head_blocks(thetas))
+        assert all(0 < len(p) <= block and not p.flags.writeable for p, _, _ in blocks)
+        rows = _rows(thetas)
         direct = _direct_fold(thetas)
-        assert [state.index for state in states] == list(range(1, len(thetas) + 1))
-        for n, (state, p) in enumerate(zip(states, direct), 1):
-            assert np.array_equal(state.entries.view(np.uint64), p.view(np.uint64))
-            assert not state.entries.flags.writeable
+        assert len(rows) == len(direct)
+        for n, ((entries, d, c), p) in enumerate(zip(rows, direct), 1):
+            assert np.array_equal(entries.view(np.uint64), p.view(np.uint64))
+            assert (d, c) == (-p[0, 0] + 0.0, -p[0, 1] + 0.0)
             nth = head_product(thetas, n).entries
             assert np.array_equal(nth.view(np.uint64), p.view(np.uint64))
 
@@ -138,10 +147,39 @@ def test_head_products_stop_before_a_bad_momentum(thetas, block, bad, data):
     got = []
     with mock.patch.object(momentum_algebra, "_BLOCK", block):
         with pytest.raises(ValueError) as exc:
-            for state in head_products(values):
-                got.append(state)
+            for p, _, _ in head_blocks(values):
+                got.extend(p)
     assert len(got) == j - 1
     assert str(exc.value) == f"momentum must lie in [0, 1), got {bad}"
+
+
+def _first_column_sum_fault(products):
+    """1-based index of the first product whose column sums are not exactly
+    (1, 1), or None."""
+    for n, p in enumerate(products, 1):
+        if not (p[0] + p[1] == 1.0).all():
+            return n
+    return None
+
+
+@given(st.lists(_THETA, max_size=40), st.integers(1, 5))
+def test_head_blocks_stop_before_a_column_sum_fault(thetas, block):
+    """With no column-sum tolerance, the rows before the first product whose
+    sums round away from (1, 1) come out, then StructuralError."""
+    direct = _direct_fold(thetas)
+    fault = _first_column_sum_fault(direct)
+    got = []
+    with mock.patch.object(momentum_algebra, "_BLOCK", block):
+        with mock.patch.object(momentum_algebra, "_COLUMN_SUM_TOL", 0.0):
+            if fault is None:
+                got = [row for row, _, _ in _rows(thetas)]
+            else:
+                with pytest.raises(StructuralError, match="column sums"):
+                    for p, _, _ in head_blocks(thetas):
+                        got.extend(p)
+    want = direct if fault is None else direct[: fault - 1]
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize(
@@ -158,16 +196,15 @@ def test_head_products_stop_before_a_bad_momentum(thetas, block, bad, data):
 )
 def test_cli_algebra_table_equals_per_row_head_products(argv, schedule, capsys):
     """The table folds the head products once; every row must equal the one
-    built from its own head_product(thetas, k), byte for byte."""
+    built from its own product of companion matrices, byte for byte."""
     n = 60
     assert main(["algebra", *argv, "--n", str(n)]) == 0
     table = capsys.readouterr().out.splitlines()
     thetas = schedule.values(n)
     tails = tail_coefficients(schedule, n + 1)
     expected = ["k,theta,d,c,residual,t"]
-    for k in range(1, n + 1):
-        d, c = head_coefficients(head_product(thetas, k))
-        d, c = d + 0.0, c + 0.0
+    for k, p in enumerate(_direct_fold(thetas), 1):
+        d, c = -p[0, 0] + 0.0, -p[0, 1] + 0.0
         expected.append(
             f"{k},{thetas[k - 1]:.17g},{d:.17g},{c:.17g},{(d - c) ** 2:.17g},{tails.t(k):.17g}"
         )
@@ -273,11 +310,9 @@ def test_head_product_validation():
 
 def test_product_state_validation():
     with pytest.raises(ValueError):
-        ProductState(entries=np.eye(2), index=1, kind="middle")
+        ProductState(entries=np.eye(3), index=1)
     with pytest.raises(ValueError):
-        ProductState(entries=np.eye(3), index=1, kind="head")
-    with pytest.raises(ValueError):
-        ProductState(entries=np.eye(2), index=0, kind="head")
+        ProductState(entries=np.eye(2), index=0)
 
 
 def test_column_sums_are_one():
@@ -290,17 +325,12 @@ def test_column_sums_are_one():
 
 
 def _cauchy_gaps(thetas, n_max):
-    """(gap, budget) pairs: Frobenius step gap vs twice the running product."""
-    p = companion_matrix(thetas[0])
-    prod = thetas[0]
-    out = []
-    for k in range(1, n_max):
-        p_next = p @ companion_matrix(thetas[k])
-        gap = float(np.linalg.norm(p_next - p, "fro"))
-        out.append((gap, 2.0 * prod))
-        p = p_next
-        prod *= thetas[k]
-    return out
+    """(gap, budget) pairs: the Frobenius gap ||P_{k+1} - P_k|| between the
+    head_blocks rows vs twice the running product theta_1 ... theta_k."""
+    p = np.concatenate([p for p, _, _ in head_blocks(thetas[:n_max])])
+    gaps = np.linalg.norm(p[1:] - p[:-1], axis=(1, 2))
+    budgets = 2.0 * np.cumprod(thetas[: n_max - 1])
+    return list(zip(gaps.tolist(), budgets.tolist()))
 
 
 def test_cauchy_bound_harmonic_n10():
@@ -330,25 +360,24 @@ def test_cauchy_bound_through_n200(thetas):
 @pytest.mark.parametrize("d", [0.25, 0.5, 0.9])
 def test_entries_bounded_by_geometric_sum(d):
     bound = 1.0 + d / (1.0 - d) + 1e-12
-    p = companion_matrix(d)
-    for _ in range(199):
+    for p, _, _ in head_blocks([d] * 199):
         assert np.max(np.abs(p)) <= bound
-        p = p @ companion_matrix(d)
 
 
 @given(st.lists(st.floats(0.0, 0.95), min_size=1, max_size=24))
 def test_head_coefficient_gap_is_momentum_product(thetas):
     """d_n - c_n telescopes to minus the product of the momentum values."""
-    state = head_product(thetas, len(thetas))
-    d, c = head_coefficients(state)
-    expected = -float(np.prod(thetas))
-    assert abs((d - c) - expected) <= 1e-12
+    gaps = [d - c for _, d, c in _rows(thetas)]
+    expected = -np.cumprod(thetas)
+    assert np.max(np.abs(np.array(gaps) - expected)) <= 1e-12
 
 
-def test_head_coefficients_reject_foreign_matrix():
-    bad = ProductState(entries=np.array([[0.5, 0.0], [0.0, 0.5]]), index=1, kind="head")
-    with pytest.raises(StructuralError):
-        head_coefficients(bad)
+def test_head_coefficients_reject_foreign_matrix(monkeypatch):
+    """A tolerance no product meets stands in for a matrix outside the
+    family: nothing comes out, and the error names the column sums."""
+    monkeypatch.setattr(momentum_algebra, "_COLUMN_SUM_TOL", -1.0)
+    with pytest.raises(StructuralError, match=r"column sums \[1\. 1\.\] differ"):
+        next(head_blocks([0.5, 0.5]))
 
 
 def test_fixed_point_matrix_shape():
@@ -367,23 +396,38 @@ def test_fixed_point_identity_random_pairs():
     assert worst <= 1e-12
 
 
+def _projection_distance(entries, d, c, theta):
+    """Squared Frobenius distance from P to its projection fixed_point_matrix
+    ((d + c) / 2) on the fixed-point family, after checking that the
+    projection is fixed under one more step with theta."""
+    projection = fixed_point_matrix((d + c) / 2.0)
+    moved = projection @ companion_matrix(theta)
+    assert np.all(np.abs(moved - projection) <= 1e-12)
+    return float(np.sum((entries - projection) ** 2))
+
+
 def test_fixed_point_residual_on_family_member():
-    state = ProductState(entries=fixed_point_matrix(0.7), index=4, kind="head")
-    assert fixed_point_residual(state, 0.3) == 0.0
+    """A zero momentum value makes both columns of the next product equal,
+    so P_3 is a member of the family and its residual (d - c)^2 is 0."""
+    entries, d, c = _rows([0.3, 0.7, 0.0])[-1]
+    assert (d - c) ** 2 == 0.0
+    assert np.array_equal(entries[:, 0], entries[:, 1])
+    assert _projection_distance(entries, d, c, 0.3) == 0.0
 
 
 def test_fixed_point_residual_hand_case():
-    entries = np.array([[-0.3, -0.1], [1.3, 1.1]])
-    state = ProductState(entries=entries, index=2, kind="head")
-    assert abs(fixed_point_residual(state, 0.5) - 0.04) <= 1e-15
+    # P_2 = M(0.5) M(0.4) = [[-0.5, -0.7], [1.5, 1.7]]: d = 0.5, c = 0.7
+    entries, d, c = _rows([0.5, 0.4])[-1]
+    assert np.allclose(entries, [[-0.5, -0.7], [1.5, 1.7]], atol=1e-15)
+    assert abs((d - c) ** 2 - 0.04) <= 1e-15
+    assert abs(_projection_distance(entries, d, c, 0.5) - 0.04) <= 1e-15
 
 
 def test_residual_decays_like_squared_product():
     # |d_n - c_n| equals the momentum product, so the squared distance
     # to the fixed-point family is the squared product
-    thetas = [0.5] * 20
-    state = head_product(thetas, 20)
-    residual = fixed_point_residual(state, 0.5)
+    _, d, c = _rows([0.5] * 20)[-1]
+    residual = (d - c) ** 2
     expected = 0.5 ** 40
     assert residual <= expected * (1.0 + 1e-6)
     assert residual >= expected * (1.0 - 1e-6)
@@ -454,8 +498,8 @@ def test_tail_chain_identity():
     schedule = harmonic_momentum(3.0)
     tc = tail_coefficients(schedule, 51, tol=1e-12)
     for n in range(1, 50):
-        q_n = tail_product(tc, n).entries
-        chained = companion_matrix(schedule.at(n)) @ tail_product(tc, n + 1).entries
+        q_n = fixed_point_matrix(tc.t(n))
+        chained = companion_matrix(schedule.at(n)) @ fixed_point_matrix(tc.t(n + 1))
         assert np.max(np.abs(q_n - chained)) <= 1e-11
 
 
@@ -524,8 +568,11 @@ def test_tail_validation():
 
 
 def test_tail_product_matches_fixed_point_matrix():
-    tc = tail_coefficients(constant_momentum(0.5), 5)
-    state = tail_product(tc, 3)
-    assert state.kind == "tail"
-    assert state.index == 3
-    assert np.array_equal(state.entries, fixed_point_matrix(1.0))
+    """The tail product Q_n = M_n M_{n+1} ... is the limit of head products
+    started at n, so 60 factors from n reach fixed_point_matrix(t_n)."""
+    for schedule, atol in ((constant_momentum(0.5), 1e-15), (harmonic_momentum(3.0), 1e-12)):
+        tc = tail_coefficients(schedule, 5)
+        thetas = schedule.values(70)
+        for n in range(1, 6):
+            q_n = head_product(thetas[n - 1 :], 60).entries
+            assert np.max(np.abs(q_n - fixed_point_matrix(tc.t(n)))) <= atol
