@@ -75,42 +75,32 @@ def word_doubles(words: np.ndarray, count: int) -> np.ndarray:
     return u
 
 
-def _key_table(keys) -> tuple[np.ndarray, np.ndarray]:
-    """(components, present): keys as a 2-D integer or object array, and
-    which entries are key components (rows may differ in length)."""
-    if isinstance(keys, np.ndarray):
-        if keys.ndim != 2:
-            raise ValueError("a key array must be 2-D, one key per row")
-        table, present = keys, np.ones(keys.shape, dtype=bool)
-    else:
-        rows = [list(key) for key in keys]
-        width = max(map(len, rows), default=0)
-        table = np.zeros((len(rows), width), dtype=object)
-        present = np.zeros((len(rows), width), dtype=bool)
-        for row, key in enumerate(rows):
-            table[row, : len(key)] = key
-            present[row, : len(key)] = True
-    if table.dtype.kind == "O":
-        values = table[present].tolist()
+def _key_table(keys: np.ndarray) -> np.ndarray:
+    """keys, checked: a 2-D integer or object array of non-negative integers."""
+    if not isinstance(keys, np.ndarray) or keys.ndim != 2:
+        raise ValueError("seed keys must be a 2-D array, one key per row")
+    if keys.dtype.kind == "O":
+        values = keys.ravel().tolist()
         if not all(isinstance(x, (int, np.integer)) for x in values):
             raise TypeError("seed key components must be integers")
         if any(x < 0 for x in values):
             raise ValueError("seed key components must be non-negative")
-        return table, present
-    if table.dtype.kind not in "iu":
-        raise TypeError(f"seed key components must be integers, not {table.dtype}")
-    if table.dtype.kind == "i" and (table < 0).any():
+        return keys
+    if keys.dtype.kind not in "iu":
+        raise TypeError(f"seed key components must be integers, not {keys.dtype}")
+    if keys.dtype.kind == "i" and (keys < 0).any():
         raise ValueError("seed key components must be non-negative")
-    return table, present
+    return keys
 
 
-def _entropy(table: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _entropy(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(entropy, lengths): each row's words in key order, zero-padded to at
     least the pool size, and each row's word count."""
     lengths = np.zeros(table.shape[0], dtype=np.int64)
     slots = []  # (rows holding a word, the word's position in them, the word)
-    for col, has in zip(table.T, present.T):
+    for col in table.T:
         rest = col if col.dtype == object else col.astype(np.uint64)
+        has = np.ones(len(col), dtype=bool)
         while has.any():
             slots.append((has, lengths[has], (rest[has] & _MASK32).astype(np.uint32)))
             lengths += has
@@ -139,14 +129,14 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def seed_words(keys) -> np.ndarray:
     """Row for row, SeedSequence(list(key)).generate_state(4, np.uint64).
 
-    keys is a 2-D integer array with one key per row, or a sequence of keys
-    whose lengths may differ. Each component is split into little-endian
-    32-bit words (0 is one word), a row's words are concatenated, and
-    numpy's SeedSequence hash runs once over all rows, one uint32 column at a
-    time. Negative or non-integer components raise. Returns a (rows, 4)
-    uint64 array; word_doubles draws from the rows' streams.
+    keys is a 2-D integer (or object) array with one key per row. Each
+    component is split into little-endian 32-bit words (0 is one word), a
+    row's words are concatenated, and numpy's SeedSequence hash runs once
+    over all rows, one uint32 column at a time. Negative or non-integer
+    components raise. Returns a (rows, 4) uint64 array; word_doubles draws
+    from the rows' streams.
     """
-    entropy, lengths = _entropy(*_key_table(keys))
+    entropy, lengths = _entropy(_key_table(keys))
     rows = len(lengths)
 
     # mix_entropy: the padding zeros are the hashmix(0) of short rows

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -189,6 +190,10 @@ def _read_key_values(text: str, known: frozenset[str]) -> tuple[dict[str, str], 
     return values, lines
 
 
+# a plain decimal integer literal, read exactly by int()
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 class _KeyedValues:
     """Effective config values with per-key provenance for error messages."""
 
@@ -230,9 +235,18 @@ class _KeyedValues:
             raise self.error(key, f"malformed number {raw!r} ({exc})") from None
 
     def integer(self, key: str, default: int | None = None) -> int:
+        """A plain decimal literal exactly; any other number only when it is
+        integral and at most 2^53 in magnitude, where a float is exact."""
+        raw = self.values.get(key)
+        if raw is not None and _DECIMAL.fullmatch(raw):
+            try:
+                return int(raw)
+            except ValueError as exc:  # past int()'s digit limit
+                raise self.error(key, f"malformed integer {raw!r} ({exc})") from None
         value = self.number(key, default if default is None else float(default))
-        if value != int(value):
-            raise self.error(key, f"expected an integer, got {self.values[key]!r}")
+        if abs(value) > 2**53 or value != int(value):
+            why = f"expected an integer (at most 2^53 unless written in digits), got {raw!r}"
+            raise self.error(key, why)
         return int(value)
 
 

@@ -152,16 +152,11 @@ class TailCoefficients:
 
     values[i-1] holds t_i. horizon is the extra recursion depth K beyond
     n_max at which the backward recursion was seeded, chosen so the dropped
-    geometric remainder d^(K+1) / (1-d) stays below tolerance.
+    geometric remainder d^(K+1) / (1-d) stays below the tolerance asked for.
     """
 
     values: np.ndarray
     horizon: int
-    tolerance: float
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values)
 
     def t(self, n: int) -> float:
         if not 1 <= n <= len(self.values):
@@ -188,7 +183,7 @@ def tail_coefficients(
     if d >= 1.0:
         raise DivergenceError(f"tail coefficients diverge for momentum sup {d} >= 1")
     if d == 0.0:
-        return TailCoefficients(values=np.zeros(n_max), horizon=0, tolerance=tol)
+        return TailCoefficients(values=np.zeros(n_max), horizon=0)
     if schedule.is_constant:
         horizon = 0
         seed = d / (1.0 - d)
@@ -209,5 +204,5 @@ def tail_coefficients(
             t_next = (1.0 + t_next) * theta
             if n <= n_max:
                 values[n - 1] = t_next
-    return TailCoefficients(values=values, horizon=horizon, tolerance=tol)
+    return TailCoefficients(values=values, horizon=horizon)
 

@@ -154,7 +154,6 @@ class MomentumSchedule:
 class ValidityReport:
     diverges_sum: bool
     square_summable: bool
-    reason: str
 
 
 def constant_step(c: float) -> StepSchedule:
@@ -184,17 +183,7 @@ def classify(schedule: StepSchedule) -> ValidityReport:
     square_summable: the partial sums of alpha_k^2 converge.
     """
     if schedule.family == "constant":
-        return ValidityReport(
-            diverges_sum=True,
-            square_summable=False,
-            reason="constant steps: partial sums grow linearly, squares likewise",
-        )
+        # partial sums grow linearly, and so do those of the squares
+        return ValidityReport(diverges_sum=True, square_summable=False)
     p = schedule.p
-    diverges = p <= 1.0
-    square = 2.0 * p > 1.0
-    reason = (
-        f"power decay p={p:g}: sum alpha_k {'diverges' if diverges else 'converges'} "
-        f"(p {'<=' if diverges else '>'} 1), sum alpha_k^2 "
-        f"{'converges' if square else 'diverges'} (2p {'>' if square else '<='} 1)"
-    )
-    return ValidityReport(diverges_sum=diverges, square_summable=square, reason=reason)
+    return ValidityReport(diverges_sum=p <= 1.0, square_summable=2.0 * p > 1.0)

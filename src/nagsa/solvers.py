@@ -24,9 +24,9 @@ lasso, a constraint with prox_rm or composite. The first non-finite iterate
 v_j ends the run with ``diverged_at = j`` and the checkpoints recorded so far.
 
 Everything fixed for a whole run is settled before the loop. The momentum
-range is checked once (the loop computes v_k + theta_k (v_k - v_{k-1}) as
-``extrapolate`` does, without its per-call checks); rows and targets are
-bound as Python lists and the proximal stage binds the squared row norms.
+range is checked once, so the loop computes v_k + theta_k (v_k - v_{k-1})
+unchecked; rows and targets are bound as Python lists and the proximal
+stage binds the squared row norms.
 Row indices and the schedule values alpha_k, theta_k come in blocks of at
 most ``_DRAW_BLOCK`` steps, so memory stays bounded for any N; the
 schedules' ``block`` applies their scalar formula per index, so the values
@@ -82,7 +82,6 @@ __all__ = [
     "SolverConfig",
     "Checkpoint",
     "SolverTrace",
-    "extrapolate",
     "run",
 ]
 
@@ -138,21 +137,6 @@ class SolverTrace:
     @property
     def final(self) -> Checkpoint:
         return self.checkpoints[-1]
-
-
-def extrapolate(v_curr: np.ndarray, v_prev: np.ndarray, theta: float) -> np.ndarray:
-    """(1 + theta) v_curr - theta v_prev, evaluated as v_curr + theta (v_curr - v_prev).
-
-    The increment form makes the extrapolation an exact no-op when the two
-    iterates coincide (the first step, by construction) and keeps the step
-    identity ||x - v_curr|| = theta ||v_curr - v_prev|| tight at rounding
-    scale; the expanded form loses both to cancellation.
-    """
-    if v_curr.shape != v_prev.shape:
-        raise ValueError(f"shape mismatch {v_curr.shape} vs {v_prev.shape}")
-    if not 0.0 <= theta < 1.0:
-        raise ValueError(f"momentum must lie in [0, 1), got {theta}")
-    return v_curr + theta * (v_curr - v_prev)
 
 
 def _pairing_fault(
@@ -354,6 +338,11 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     # intermediate overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for k, i, alpha, theta in _steps(config, inst, g):
+            # (1 + theta) v_k - theta v_{k-1} in increment form: an exact
+            # no-op when the two iterates coincide (the first step, by
+            # construction), and the step identity ||x - v_k|| = theta
+            # ||v_k - v_{k-1}|| stays tight at rounding scale; the expanded
+            # form loses both to cancellation
             x = v_curr + theta * (v_curr - v_prev)
             r = float(rows[i].dot(x)) - targets[i]
             # v_{k-1} is finite, so a non-finite v_k makes x and then r

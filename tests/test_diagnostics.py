@@ -1,4 +1,4 @@
-"""Lyapunov constructions against the independent matrix form, synthetic
+"""The ensembles' Lyapunov values against the independent matrix form, synthetic
 ensembles against closed-form recursions, and the statistical checks against
 both calibrated positives and deliberately broken negatives."""
 
@@ -14,13 +14,10 @@ from nagsa._rng import STREAM_BRANCH, STREAM_PATH, make_generator
 from nagsa.diagnostics import (
     LEMMA_IDS,
     CheckReport,
-    PairSeries,
     _lyapunov_form,
     convergence_check,
     geometric_sequence,
-    lyapunov,
     negative_controls,
-    pair_series_from_trace,
     relay,
     run_lemma_check,
     summability_check,
@@ -31,9 +28,6 @@ from nagsa.diagnostics import (
 )
 from nagsa.errors import ConfigurationError
 from nagsa.momentum_algebra import fixed_point_matrix, tail_coefficients
-from nagsa.problems import gen
-from nagsa.schedules import constant_momentum, harmonic_momentum
-from nagsa.solvers import Checkpoint, SolverTrace
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +36,9 @@ from nagsa.solvers import Checkpoint, SolverTrace
 
 def test_geometric_tail_closed_form():
     seq = geometric_sequence(0.5)
-    assert seq.value(3) == 0.125
-    assert seq.tail(1) == 1.0  # sum_{k>=1} 0.5^k
-    assert seq.tail(4) == 0.125
-    assert abs(sum(seq.value(k) for k in range(1, 60)) - seq.tail(1)) <= 1e-15
+    assert seq.values(3)[2] == 0.125
+    assert seq.tails(4).tolist() == [1.0, 0.5, 0.25, 0.125]  # sum_{k>=n} 0.5^k
+    assert abs(float(seq.values(59).sum()) - seq.tails(1)[0]) <= 1e-15
 
 
 @pytest.mark.parametrize("ratio", [0.5, 0.85, 0.9, 0.97, 0.99])
@@ -62,8 +55,6 @@ def test_geometric_values_and_tails_equal_the_scalar_forms(ratio):
 
 def test_zero_sequence():
     seq = zero_sequence()
-    assert seq.value(5) == 0.0
-    assert seq.tail(1) == 0.0
     assert np.all(seq.values(10) == 0.0)
     assert np.all(seq.tails(10) == 0.0)
 
@@ -79,10 +70,6 @@ def test_summable_sequence_validation():
         SummableSequence("power", scale=1.0)
     with pytest.raises(ValueError):
         SummableSequence("geometric", scale=-1.0, ratio=0.5)
-    with pytest.raises(ValueError):
-        geometric_sequence(0.5).value(0)
-    with pytest.raises(ValueError):
-        geometric_sequence(0.5).tail(0)
 
 
 def test_tails_match_values_sum():
@@ -91,143 +78,6 @@ def test_tails_match_values_sum():
     # tail(n) - tail(n+1) telescopes back to the term
     diffs = tails[:-1] - tails[1:]
     assert np.allclose(diffs, seq.values(4), rtol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# pair series
-
-
-def test_pair_series_validation():
-    with pytest.raises(ValueError):
-        PairSeries(r=np.zeros(3), z=np.zeros(2), thetas=np.zeros(3))
-    with pytest.raises(ValueError):
-        PairSeries(r=np.array([-1.0, 0.0]), z=np.zeros(2), thetas=np.zeros(2))
-    with pytest.raises(ValueError):
-        PairSeries(r=np.zeros(2), z=np.array([0.0, -2.0]), thetas=np.zeros(2))
-
-
-def _toy_trace(ks, dists, incs, thetas, diverged=False):
-    cps = [
-        Checkpoint(k=k, dist=d, obj_gap=0.0, increment=i, alpha=0.1, theta=t)
-        for k, d, i, t in zip(ks, dists, incs, thetas)
-    ]
-    return SolverTrace(checkpoints=cps, metadata={}, diverged=diverged)
-
-
-def test_pair_series_from_trace_hand_case(tiny_ls):
-    trace = _toy_trace([1, 2, 3], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.5] * 3)
-    series = pair_series_from_trace(trace, tiny_ls)
-    assert series.r.tolist() == [0.0, 1.0, 1.0]
-    assert series.z.tolist() == [0.0, 1.0, 0.0]
-    assert series.thetas.tolist() == [0.5, 0.5, 0.5]
-
-
-def test_pair_series_squares_the_columns(tiny_ls):
-    trace = _toy_trace([1, 2], [3.0, 0.5], [0.0, 2.0], [0.0, 0.0])
-    series = pair_series_from_trace(trace, tiny_ls)
-    assert series.r.tolist() == [9.0, 0.25]
-    assert series.z.tolist() == [0.0, 4.0]
-
-
-def test_pair_series_rejects_strided_trace(tiny_ls):
-    trace = _toy_trace([1, 2, 4], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.5] * 3)
-    with pytest.raises(ValueError):
-        pair_series_from_trace(trace, tiny_ls)
-
-
-def test_pair_series_rejects_diverged_trace(tiny_ls):
-    trace = _toy_trace([1, 2], [0.0, 1.0], [0.0, 1.0], [0.5] * 2, diverged=True)
-    with pytest.raises(ValueError):
-        pair_series_from_trace(trace, tiny_ls)
-
-
-def test_pair_series_requires_reference():
-    inst = gen("lasso", m=5, n=2, seed=1, lam=0.1)  # no reference yet
-    trace = _toy_trace([1, 2], [0.0, 1.0], [0.0, 1.0], [0.5] * 2)
-    with pytest.raises(ConfigurationError):
-        pair_series_from_trace(trace, inst)
-
-
-# ---------------------------------------------------------------------------
-# Lyapunov construction
-
-
-def _series(r, theta):
-    r = np.asarray(r, dtype=float)
-    return PairSeries(r=r, z=np.zeros(len(r)), thetas=np.full(len(r), theta))
-
-
-def test_lyapunov_constant_series_is_constant():
-    t = tail_coefficients(constant_momentum(0.5), 10)
-    out = lyapunov(_series([3.0] * 10, 0.5), t)
-    assert np.allclose(out, 3.0, atol=1e-12)
-
-
-def test_lyapunov_hand_case():
-    # t = 1 for constant theta = 0.5: V_1 = 2 * 0.5 - 1 * 1 = 0
-    t = tail_coefficients(constant_momentum(0.5), 2)
-    out = lyapunov(_series([1.0, 0.5], 0.5), t)
-    assert out.shape == (1,)
-    assert abs(out[0]) <= 1e-15
-
-
-def test_lyapunov_beta_tail_offset():
-    t = tail_coefficients(constant_momentum(0.5), 3)
-    base = lyapunov(_series([2.0, 2.0, 2.0], 0.5), t)
-    shifted = lyapunov(_series([2.0, 2.0, 2.0], 0.5), t, betas=geometric_sequence(0.5))
-    # the geometric(0.5) tail at n=1 is exactly 1, doubled by the 2 sum_beta term
-    assert abs((shifted[0] - base[0]) - 2.0) <= 1e-15
-    assert abs((shifted[1] - base[1]) - 1.0) <= 1e-15
-
-
-def test_lyapunov_matches_matrix_form():
-    """The expanded form must agree with [r_n, r_{n+1}] Q_n phi + 2 beta tail
-    computed through the algebra module's rank-one tail products Q_n =
-    fixed_point_matrix(t_n), for a phi
-    other than (1/2, 1/2): V does not depend on the weights."""
-    rng = np.random.default_rng(3)
-    schedule = harmonic_momentum(3.0)
-    length = 40
-    t = tail_coefficients(schedule, length + 1)
-    r = rng.uniform(0.0, 5.0, length)
-    series = PairSeries(r=r, z=np.zeros(length), thetas=schedule.values(length))
-    for betas in (zero_sequence(), geometric_sequence(0.6, scale=0.3)):
-        out = lyapunov(series, t, betas=betas)
-        for n in range(1, length):
-            rho = np.array([r[n - 1], r[n]])
-            q = fixed_point_matrix(t.t(n))
-            expected = float(rho @ q @ np.array([0.25, 0.75])) + 2.0 * betas.tail(n)
-            assert abs(out[n - 1] - expected) <= 1e-10
-
-
-def test_lyapunov_constant_momentum_closed_form():
-    # with constant theta and no beta, V_n = (r_{n+1} - theta r_n) / (1 - theta)
-    rng = np.random.default_rng(4)
-    for theta in (0.25, 0.5, 0.9):
-        r = rng.uniform(0.0, 3.0, 30)
-        t = tail_coefficients(constant_momentum(theta), 30)
-        out = lyapunov(_series(r, theta), t)
-        expected = (r[1:] - theta * r[:-1]) / (1.0 - theta)
-        assert np.max(np.abs(out - expected)) <= 1e-10
-
-
-def test_lyapunov_requires_covering_tail():
-    t = tail_coefficients(constant_momentum(0.5), 4)
-    with pytest.raises(ValueError):
-        lyapunov(_series([1.0] * 10, 0.5), t)
-
-
-def test_lyapunov_rejects_mismatched_momentum():
-    # tail coefficients computed for theta = 0.5 cannot serve a 0.9 series
-    t = tail_coefficients(constant_momentum(0.5), 10)
-    with pytest.raises(ValueError):
-        lyapunov(_series([1.0] * 10, 0.9), t)
-
-
-def test_lyapunov_needs_two_entries():
-    t = tail_coefficients(constant_momentum(0.5), 5)
-    with pytest.raises(ValueError):
-        lyapunov(_series([1.0], 0.5), t)
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +303,6 @@ def test_synth_first_order_shape_and_offset():
     assert ens.r.shape == (6, 120)
     assert ens.v_offset == 1
     assert ens.v.shape == (6, 119)
-    # V_n = r_n + a_{n-1} eta_n is available for n = 2..L
-    assert ens.v_value(0, 2) == pytest.approx(float(ens.v[0, 0]))
-    with pytest.raises(ValueError):
-        ens.v_value(0, 1)
 
 
 def test_synth_relay_fields():
@@ -465,6 +311,35 @@ def test_synth_relay_fields():
     assert ens.theta_valid
     assert ens.v.shape == (6, 99)
     assert ens.recursion is None  # deterministic driver
+
+
+@pytest.mark.parametrize("lemma_id", ["drift", "slack", "coupled_weighted"])
+def test_ensemble_v_matches_matrix_form(lemma_id):
+    """V_n = [s_n, s_{n+1}] Q_n phi + c_n with Q_n = fixed_point_matrix(t_n),
+    the algebra module's rank-one tail product, for a phi other than
+    (1/2, 1/2): V does not depend on the weights. s = r + h z, and c_n =
+    2 (sum_{k>=n} beta_k + h theta_1 z_n), the beta tail in closed form."""
+    length = 200
+    ens = synth_paths(lemma_id, {"sigma": 0.0}, seed=3, paths=3, length=length)
+    scn = diagnostics._DELAYED[lemma_id]
+    t = tail_coefficients(scn.momentum, length)
+    ns = np.arange(1, length, dtype=float)
+    beta_tail = scn.beta.scale * np.power(scn.beta.ratio, ns) / (1.0 - scn.beta.ratio)
+    c = 2.0 * (beta_tail + scn.h * scn.momentum.at(1) * ens.z[: length - 1])
+    s = ens.r + scn.h * ens.z
+    phi = np.array([0.25, 0.75])
+    for n in range(1, length):
+        expected = np.column_stack([s[:, n - 1], s[:, n]]) @ fixed_point_matrix(t.t(n)) @ phi
+        np.testing.assert_allclose(ens.v[:, n - 1], expected + c[n - 1], rtol=1e-10, atol=0)
+
+
+def test_ensemble_v_constant_momentum_closed_form():
+    """With constant theta and no beta, V_n = (s_{n+1} - theta s_n) / (1 - theta)
+    + c_n; drift_const (theta = 1/2) has h = 0 and beta = 0, so s = r and
+    c = 0."""
+    ens = synth_paths("drift_const", {"sigma": 0.0}, seed=4, paths=3, length=200)
+    expected = (ens.r[:, 1:] - 0.5 * ens.r[:, :-1]) / 0.5
+    np.testing.assert_allclose(ens.v, expected, rtol=1e-10, atol=0)
 
 
 def test_branch_values_are_probe_order_independent():
@@ -541,7 +416,7 @@ def test_noiseless_branches_equal_realized_values(lemma_id):
     for p in range(ens.paths):
         for n in range(1 + ens.v_offset, ens.length - 1 + ens.v_offset):
             samples = ens.branch_values(p, np.array([n]), 5)[0]
-            assert np.array_equal(samples, np.full(5, ens.v_value(p, n + 1))), (p, n)
+            assert np.array_equal(samples, np.full(5, ens.v[p, n - ens.v_offset])), (p, n)
 
 
 def test_negative_controls_mapping():

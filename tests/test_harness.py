@@ -174,6 +174,22 @@ def test_non_integer_count_rejected():
         parse_config(TINY_RUN.replace("N = 300", "N = 300.5"))
 
 
+def test_integer_seeds_are_read_exactly():
+    """A seed past 2^53, where a float would round it, comes through as
+    written, as the seeds list does."""
+    big = 9007199254740993  # 2^53 + 1
+    assert parse_config(TINY_RUN + f"problem.seed = {big}\n").problem_seed == big
+    assert parse_config(TINY_RUN.replace("1,2", str(big))).seeds == (big,)
+    assert parse_lemma_config(f"lemmas = relay\nseed = {big}\n").seed == big
+
+
+def test_integer_keys_take_integral_number_literals():
+    assert parse_config(TINY_RUN.replace("N = 300", "N = 2e4")).iterations == 20000
+    assert parse_config(TINY_RUN.replace("N = 300", "N = 300.0")).iterations == 300
+    assert parse_lemma_config("lemmas = relay\npaths = 1e1\n").paths == 10
+    assert parse_config(TINY_RUN + "problem.seed = 9007199254740992.0\n").problem_seed == 2**53
+
+
 def test_unknown_method_and_kind():
     with pytest.raises(ConfigurationError, match="unknown method"):
         parse_config(TINY_RUN.replace("ssgd", "sgd"))
@@ -846,10 +862,14 @@ def test_cli_nonfinite_numbers_exit_two(tmp_path, capsys, command, key, template
         ("lemma", "seed", "-1"),
         ("lemma", "length", "50"),
         ("lemma", "length", "99"),
+        ("run", "problem.seed", "1e300"),
+        ("run", "problem.seed", "9007199254740994.0"),
+        ("lemma", "seed", "1e300"),
     ],
 )
 def test_cli_values_that_fail_at_run_time_exit_two(tmp_path, capsys, command, key, value):
-    """Values that parse but would fail later are refused naming their line."""
+    """Values that would fail later, and number literals past 2^53 that an
+    integer key cannot take exactly, are refused naming their line."""
     base = TINY_RUN if command == "run" else "lemmas = relay\npaths = 5\nbranches = 30\n"
     lines = [ln for ln in base.splitlines() if ln.split("=")[0].strip() != key]
     lines.append(f"{key} = {value}")

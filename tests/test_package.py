@@ -70,3 +70,13 @@ def test_cli_imports_only_public_algebra_names():
     assert set(imported) <= set(momentum_algebra.__all__), sorted(
         set(imported) - set(momentum_algebra.__all__)
     )
+
+
+def test_readme_python_blocks_run():
+    """Every ```python block of README.md runs, each in a fresh namespace, so
+    a public name the docs use cannot be deleted or renamed unnoticed."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [part.split("\n```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert len(blocks) >= 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})

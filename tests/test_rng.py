@@ -30,56 +30,73 @@ def _assert_streams_match(keys, words):
         assert row.tobytes() == make_generator(*key).random(42).tobytes(), key
 
 
+def _key_array(keys, width: int) -> np.ndarray:
+    """The keys, each `width` components, as a 2-D object array of Python ints."""
+    table = np.empty((len(keys), width), dtype=object)
+    for row, key in enumerate(keys):
+        table[row, :] = list(key)
+    return table
+
+
 component = st.one_of(st.sampled_from(EDGE_COMPONENTS), st.integers(0, 2**70))
 
 
 @settings(max_examples=150)
-@given(st.lists(st.lists(component, max_size=7), max_size=6))
+@given(
+    st.integers(0, 7).flatmap(
+        lambda width: st.lists(st.lists(component, min_size=width, max_size=width), max_size=6)
+        .map(lambda keys: _key_array(keys, width))
+    )
+)
 def test_seed_words_equal_seed_sequence(keys):
-    _assert_streams_match(keys, seed_words(keys))
+    _assert_streams_match(keys.tolist(), seed_words(keys))
 
 
 @given(st.integers(0, 2**63 - 1), st.integers(1, 40), st.integers(1, 2**25))
 def test_seed_words_of_int64_key_arrays(seed, paths, step):
-    """The array form the diagnostics pass gives the same words as the
-    sequence form, row for row."""
+    """An int64 key array gives the same words as its uint64 and object
+    forms, row for row."""
     keys = np.array([(3, seed, p, step + p) for p in range(paths)], dtype=np.int64)
     words = seed_words(keys)
     assert np.array_equal(words, seed_words(keys.astype(np.uint64)))
+    assert np.array_equal(words, seed_words(keys.astype(object)))
     _assert_streams_match(keys.tolist(), words)
 
 
 def test_seed_words_edge_components():
-    keys = [(c,) for c in EDGE_COMPONENTS] + [(3, c, 7, 2**25) for c in EDGE_COMPONENTS]
-    _assert_streams_match(keys, seed_words(keys))
+    for keys in ([(c,) for c in EDGE_COMPONENTS], [(3, c, 7, 2**25) for c in EDGE_COMPONENTS]):
+        _assert_streams_match(keys, seed_words(_key_array(keys, len(keys[0]))))
 
 
-def test_seed_words_mixed_key_lengths():
-    """One batch whose keys differ in component count and in word count,
-    including keys longer than the four-word pool and the empty key."""
+def test_seed_words_rows_of_differing_word_counts():
+    """One batch whose rows have equal component counts but differ in word
+    count (0 is one word, 2^32 two, 2^64 + 1 three), including rows longer
+    than the four-word pool: an int64 array and object arrays."""
+    small = np.array([[0, 0, 0], [2**32, 0, 1], [3, 2**32, 2**32], [2**63 - 1, 5, 0]])
+    assert small.dtype == np.int64
+    _assert_streams_match(small.tolist(), seed_words(small))
     keys = [
-        (),
-        (0,),
-        (3, 1, 2),
-        (3, 1, 2, 5),
+        (0, 0, 0),
         (2**64 + 1, 2**32, 0),
-        tuple(range(9)),
-        (2**32 - 1,) * 6,
-        (1,),
+        (2**64 + 1, 2**64 + 1, 2**64 + 1),
+        (3, 1, 2),
+        (2**32 - 1, 2**32, 2**64 - 1),
     ]
-    _assert_streams_match(keys, seed_words(keys))
+    _assert_streams_match(keys, seed_words(_key_array(keys, 3)))
+    wide = [tuple(range(9)), (2**32,) * 9, (0,) * 9]
+    _assert_streams_match(wide, seed_words(np.array(wide, dtype=np.int64)))
 
 
 def test_seed_words_empty_batch():
-    assert seed_words([]).shape == (0, 4)
     assert seed_words(np.empty((0, 4), dtype=np.int64)).shape == (0, 4)
-    assert word_doubles(seed_words([]), 5).shape == (0, 5)
+    assert seed_words(np.empty((0, 2), dtype=object)).shape == (0, 4)
+    assert word_doubles(seed_words(np.empty((0, 3), dtype=np.int64)), 5).shape == (0, 5)
 
 
 @pytest.mark.parametrize(
     "keys",
-    [[(3, -1)], [(0,), (2, 5, -7)], np.array([[3, 1], [3, -2]])],
-    ids=["list", "ragged", "array"],
+    [np.array([[3, 1], [3, -2]]), _key_array([(0, 2**64), (2, -7)], 2)],
+    ids=["array", "object-array"],
 )
 def test_seed_words_refuse_negative_components(keys):
     with pytest.raises(ValueError, match="non-negative"):
@@ -88,8 +105,8 @@ def test_seed_words_refuse_negative_components(keys):
 
 @pytest.mark.parametrize(
     "keys",
-    [[(3, 1.0)], [(3,), (2.5,)], np.array([[3.0, 1.0]]), np.array([[True, False]])],
-    ids=["list", "ragged", "float-array", "bool-array"],
+    [np.array([[3.0, 1.0]]), np.array([[True, False]]), _key_array([(3, 2.5)], 2)],
+    ids=["float-array", "bool-array", "object-array"],
 )
 def test_seed_words_refuse_non_integer_components(keys):
     with pytest.raises(TypeError, match="integers"):
@@ -99,6 +116,8 @@ def test_seed_words_refuse_non_integer_components(keys):
 def test_seed_words_refuse_non_2d_arrays():
     with pytest.raises(ValueError, match="2-D"):
         seed_words(np.arange(4))
+    with pytest.raises(ValueError, match="2-D"):
+        seed_words([(0,), (3, 1, 2)])  # a sequence of keys, ragged or not
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 200])
@@ -107,8 +126,14 @@ def test_word_uniforms_equal_generator_uniforms(count):
     doubles gives its uniform draws bit for bit: uniform(-1, 1), where 2 u is
     exact, and a range whose width rounds. Keys have components 0, 2^32 and
     past 2^64."""
-    keys = [(0,), (3, 0, 0, 0), (3, 2**32, 5, 2**32 - 1), (3, 2**64 + 7, 1, 2), (1, 2**70, 0)]
-    u = word_doubles(seed_words(keys), count)
+    keys = [
+        (0, 0, 0, 0),
+        (3, 0, 0, 0),
+        (3, 2**32, 5, 2**32 - 1),
+        (3, 2**64 + 7, 1, 2),
+        (1, 2**70, 0, 9),
+    ]
+    u = word_doubles(seed_words(_key_array(keys, 4)), count)
     assert u.shape == (len(keys), count)
     for lo, hi in ((-1.0, 1.0), (0.8, 0.95)):
         got = lo + (hi - lo) * u

@@ -180,7 +180,6 @@ def test_momentum_nonincreasing_prefix():
 def test_classify_examples():
     report = classify(power_step(1.0 / 16.0, 3.0, 8.0 / 9.0))
     assert report.diverges_sum and report.square_summable
-    assert report.reason
 
     report = classify(constant_step(0.5))
     assert report.diverges_sum and not report.square_summable

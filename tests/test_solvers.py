@@ -36,7 +36,6 @@ from nagsa.solvers import (
     _checkpoint_fault,
     _checkpoint_indices,
     _steps,
-    extrapolate,
     run,
 )
 
@@ -78,28 +77,6 @@ def _every_step(method, inst, alpha, theta, iterations=6, seed=2, **kw):
 
 def _dists(trace):
     return {cp.k: cp.dist for cp in trace.checkpoints}
-
-
-def test_extrapolate_hand_case():
-    out = extrapolate(np.array([2.0]), np.array([1.0]), 0.5)
-    assert out[0] == 2.5
-
-
-def test_extrapolate_zero_momentum():
-    v = np.array([3.0, -1.0])
-    assert np.array_equal(extrapolate(v, np.array([9.0, 9.0]), 0.0), v)
-
-
-def test_extrapolate_equal_pair_is_identity():
-    v = np.array([1.5, 2.5])
-    assert np.array_equal(extrapolate(v, v, 0.9), v)
-
-
-def test_extrapolate_validation():
-    with pytest.raises(ValueError):
-        extrapolate(np.zeros(2), np.zeros(3), 0.5)
-    with pytest.raises(ValueError):
-        extrapolate(np.zeros(2), np.zeros(2), 1.0)
 
 
 def test_ssgd_step_hand_case():
@@ -619,6 +596,23 @@ def test_extrapolation_identity_on_instrumented_runs(method, relative_error):
     assert len(trace.instrumentation) == 500
     for k, lhs, rhs in trace.instrumentation:
         assert relative_error(lhs, rhs) <= 1e-10, (k, lhs, rhs)
+
+
+def test_extrapolate_zero_momentum():
+    """At theta = 0 the extrapolated point is v_k itself at every step."""
+    inst = gen("least_squares", m=30, n=5, seed=16)
+    config = _small_config(theta=0.0, iterations=102, instrument=True)
+    instrumentation = run(config, inst).instrumentation
+    assert len(instrumentation) == 100
+    assert all(lhs == 0.0 for _, lhs, _ in instrumentation)
+
+
+def test_extrapolate_equal_pair_is_identity():
+    """v_1 = v_2 at the first step, so the increment form moves nothing
+    there even under large momentum."""
+    inst = gen("least_squares", m=30, n=5, seed=16)
+    config = _small_config(theta=0.9, iterations=12, instrument=True)
+    assert run(config, inst).instrumentation[0] == (2, 0.0, 0.0)
 
 
 def test_instrumentation_off_by_default():
