@@ -162,6 +162,19 @@ _LEMMA_KEYS = frozenset(
 )
 
 
+# characters of a config literal an error message quotes
+_QUOTE_CHARS = 40
+
+
+def _quote(text: str) -> str:
+    """repr(text) for an error message, cut to its first _QUOTE_CHARS
+    characters and its length when longer, so no message grows with the
+    literal it refuses."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}… ({len(text)} chars)"
+
+
 def _read_key_values(text: str, known: frozenset[str]) -> tuple[dict[str, str], dict[str, int]]:
     """Flat key = value lines; returns values and the line each key came from."""
     values: dict[str, str] = {}
@@ -173,14 +186,18 @@ def _read_key_values(text: str, known: frozenset[str]) -> tuple[dict[str, str], 
         if "\ufffd" in stripped:
             # a byte that is not UTF-8, read as U+FFFD: refused here, so a
             # path value is never silently rewritten
-            raise ConfigurationError(f"line {lineno}: bytes that are not UTF-8 in {stripped!r}")
+            raise ConfigurationError(
+                f"line {lineno}: bytes that are not UTF-8 in {_quote(stripped)}"
+            )
         if "=" not in stripped:
-            raise ConfigurationError(f"line {lineno}: expected `key = value`, got {stripped!r}")
+            raise ConfigurationError(
+                f"line {lineno}: expected `key = value`, got {_quote(stripped)}"
+            )
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in known:
-            raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigurationError(f"line {lineno}: unknown key {_quote(key)}")
         if key in values:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
         if not value:
@@ -232,7 +249,7 @@ class _KeyedValues:
         try:
             return _parse_number(raw)
         except ValueError as exc:
-            raise self.error(key, f"malformed number {raw!r} ({exc})") from None
+            raise self.error(key, f"malformed number {_quote(raw)} ({exc})") from None
 
     def integer(self, key: str, default: int | None = None) -> int:
         """A plain decimal literal exactly; any other number only when it is
@@ -241,11 +258,13 @@ class _KeyedValues:
         if raw is not None and _DECIMAL.fullmatch(raw):
             try:
                 return int(raw)
-            except ValueError as exc:  # past int()'s digit limit
-                raise self.error(key, f"malformed integer {raw!r} ({exc})") from None
+            except ValueError:  # past int()'s digit limit
+                limit = sys.get_int_max_str_digits()
+                why = f"malformed integer {_quote(raw)} (more than {limit} digits)"
+                raise self.error(key, why) from None
         value = self.number(key, default if default is None else float(default))
         if abs(value) > 2**53 or value != int(value):
-            why = f"expected an integer (at most 2^53 unless written in digits), got {raw!r}"
+            why = f"expected an integer (at most 2^53 unless written in digits), got {_quote(raw)}"
             raise self.error(key, why)
         return int(value)
 
@@ -259,11 +278,22 @@ def _check_entries(kv: _KeyedValues, keys: tuple[str, ...], sizes: tuple[int, ..
         raise kv.error(keys[0], why, *keys[1:])
 
 
+def _float(text: str) -> float:
+    """float(text); the error quotes a text longer than _QUOTE_CHARS not at
+    all, as the message it ends up in quotes the literal already."""
+    try:
+        return float(text)
+    except ValueError as exc:
+        if len(text) <= _QUOTE_CHARS:
+            raise
+        raise ValueError("could not convert string to float") from exc
+
+
 def _parse_number(token: str) -> float:
     """Finite decimal or exact rational literal like 8/9."""
     num_s, slash, den_s = token.partition("/")
-    num = float(num_s)
-    den = float(den_s) if slash else 1.0
+    num = _float(num_s)
+    den = _float(den_s) if slash else 1.0
     if den == 0:
         raise ValueError("zero denominator")
     value = num / den
@@ -317,18 +347,18 @@ def _parse_constraint(spec: str, kv: _KeyedValues) -> ConstraintSet:
         try:
             radius = _parse_number(spec[len("ball:"):])
         except ValueError:
-            raise kv.error("constraint", f"malformed ball radius in {spec!r}") from None
+            raise kv.error("constraint", f"malformed ball radius in {_quote(spec)}") from None
         return ball(radius=radius)
     if spec.startswith("box:"):
         parts = spec[len("box:"):].split(":")
         if len(parts) != 2:
-            raise kv.error("constraint", f"box needs lo:hi, got {spec!r}")
+            raise kv.error("constraint", f"box needs lo:hi, got {_quote(spec)}")
         try:
             lo, hi = _parse_number(parts[0]), _parse_number(parts[1])
         except ValueError:
-            raise kv.error("constraint", f"malformed box bounds in {spec!r}") from None
+            raise kv.error("constraint", f"malformed box bounds in {_quote(spec)}") from None
         return box(lo=lo, hi=hi)
-    raise kv.error("constraint", f"unknown constraint {spec!r} (none, ball:R, box:LO:HI)")
+    raise kv.error("constraint", f"unknown constraint {_quote(spec)} (none, ball:R, box:LO:HI)")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -339,7 +369,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if preset_name is not None:
         if preset_name not in PRESETS:
             raise ConfigurationError(
-                f"line {lines['preset']}: unknown preset {preset_name!r} "
+                f"line {lines['preset']}: unknown preset {_quote(preset_name)} "
                 f"(known: {', '.join(sorted(PRESETS))})"
             )
         effective = {**PRESETS[preset_name], **explicit}
@@ -363,7 +393,7 @@ def parse_config(text: str) -> ExperimentConfig:
     kv.refuse(_checkpoint_fault(iterations, stride))
     kind = effective["kind"]
     if kind not in KINDS:
-        raise kv.error("kind", f"unknown problem kind {kind!r} (known: {', '.join(KINDS)})")
+        raise kv.error("kind", f"unknown problem kind {_quote(kind)} (known: {', '.join(KINDS)})")
 
     m = kv.integer("m")
     n = kv.integer("n")
@@ -382,7 +412,7 @@ def parse_config(text: str) -> ExperimentConfig:
     try:
         seeds = tuple(int(tok.strip()) for tok in seeds_raw.split(","))
     except ValueError:
-        raise kv.error("seeds", f"malformed seed list {seeds_raw!r}") from None
+        raise kv.error("seeds", f"malformed seed list {_quote(seeds_raw)}") from None
     if not seeds or any(s < 0 for s in seeds):
         raise kv.error("seeds", "seeds must be non-negative integers")
     if len(set(seeds)) != len(seeds):
@@ -408,7 +438,7 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             sweep_values = [_parse_number(tok) for tok in sweep_raw.split(",")]
         except ValueError:
-            raise kv.error("mom.sweep", f"malformed sweep list {sweep_raw!r}") from None
+            raise kv.error("mom.sweep", f"malformed sweep list {_quote(sweep_raw)}") from None
         if len(set(sweep_values)) != len(sweep_values):
             raise kv.error("mom.sweep", "duplicate sweep values")
         for value in sweep_values:

@@ -216,26 +216,22 @@ def _sign(r: float) -> float:
     return 1.0 if r > 0.0 else -1.0 if r < 0.0 else r + 0.0
 
 
-def _subgrad_row(a: np.ndarray, r: float, absolute: bool):
-    """(value, subgradient) of the sample term of row a at a point whose
-    residual a.x - b is the Python float r."""
-    if absolute:
-        return abs(r), _sign(r) * a
-    return r * r, (2.0 * r) * a
+def _subgrad_scale(r: float, absolute: bool) -> float:
+    """The factor c of the subgradient c a of the sample term of row a at a
+    point whose residual a.x - b is the Python float r: 2 r for the squared
+    residual, sign(r) for its absolute value."""
+    return _sign(r) if absolute else 2.0 * r
 
 
-def _prox_row(
-    a: np.ndarray, r: float, x: np.ndarray, q: float, alpha: float, absolute: bool
-) -> np.ndarray:
-    """Closed-form prox of the sample term of row a (q = ||a||^2) at x, whose
-    residual a.x - b is the Python float r."""
+def _prox_gamma(r: float, q: float, alpha: float, absolute: bool) -> float | None:
+    """gamma of the closed-form prox x - gamma a of the sample term of row a
+    (q = ||a||^2) at a point whose residual a.x - b is the Python float r;
+    None for a zero row, whose prox is x itself."""
     if q == 0.0:
-        return x.copy()
+        return None
     if absolute:
-        gamma = _sign(r) * min(alpha, abs(r) / q)
-    else:
-        gamma = 2.0 * alpha * r / (1.0 + 2.0 * alpha * q)
-    return x - gamma * a
+        return _sign(r) * min(alpha, abs(r) / q)
+    return 2.0 * alpha * r / (1.0 + 2.0 * alpha * q)
 
 
 def _residual(inst: ProblemInstance, x: np.ndarray, i: int) -> tuple[np.ndarray, float]:
@@ -254,8 +250,12 @@ def subgrad(inst: ProblemInstance, x: np.ndarray, i: int) -> SampleOracleResult:
     quadratic term only (unnormalized); the l1 part is handled by prox_l1.
     """
     a, r = _residual(inst, x, i)
-    value, g = _subgrad_row(a, r, inst.kind == "least_absolute")
-    return SampleOracleResult(value=value, subgradient=g, index=i)
+    absolute = inst.kind == "least_absolute"
+    return SampleOracleResult(
+        value=abs(r) if absolute else r * r,
+        subgradient=_subgrad_scale(r, absolute) * a,
+        index=i,
+    )
 
 
 def prox_sample(inst: ProblemInstance, x: np.ndarray, i: int, alpha: float) -> np.ndarray:
@@ -270,7 +270,8 @@ def prox_sample(inst: ProblemInstance, x: np.ndarray, i: int, alpha: float) -> n
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     a, r = _residual(inst, x, i)
-    return _prox_row(a, r, x, float(a @ a), alpha, inst.kind == "least_absolute")
+    gamma = _prox_gamma(r, float(a @ a), alpha, inst.kind == "least_absolute")
+    return x.copy() if gamma is None else x - gamma * a
 
 
 def prox_l1(x: np.ndarray, tau: float) -> np.ndarray:

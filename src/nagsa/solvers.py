@@ -17,16 +17,27 @@ loop over the pair (v_{k-1}, v_k): each step extrapolates once, takes its row
 index, forms the sampled residual r_k = a_i.x_{k+1} - b_i and updates in
 stages, each written once and picked by flags set before the loop: the
 proximal stage (prox_rm, composite implicit_first) or the gradient stage,
-both calling the private row kernels of ``problems`` with r_k, then
+both taking the scalar of the row step (2 r_k, sign(r_k) or the proximal
+gamma) from the private row formulas of ``problems`` with r_k, then
 composite's l1 stage or the projection onto a set constraint. A run refuses
 what these stages cannot honour: composite off lasso, ssgd or prox_rm on
 lasso, a constraint with prox_rm or composite. The first non-finite iterate
 v_j ends the run with ``diverged_at = j`` and the checkpoints recorded so far.
 
-Everything fixed for a whole run is settled before the loop. The momentum
-range is checked once, so the loop computes v_k + theta_k (v_k - v_{k-1})
-unchecked; rows and targets are bound as Python lists and the proximal
-stage binds the squared row norms.
+Everything fixed for a whole run is settled before the loop, buffers
+included. The momentum range is checked once, so the loop computes v_k +
+theta_k (v_k - v_{k-1}) unchecked; rows and targets are bound as Python
+lists and the proximal stage binds the squared row norms. The iterates live
+in a ring of three buffers, v_{k-1}, v_k and a spare: each step forms
+x_{k+1} and the scaled row in two scratch vectors with ``out=`` ufuncs, each
+scalar factor held in a 0-d float64 array, in the operation order of the
+plain expressions, so every value is bitwise the same; it writes v_{k+1}
+into the spare and rotates the three, so an uninstrumented ssgd or prox_rm
+step without a constraint allocates no array. A stage that returns a new array (soft
+threshold, box clip, ball projection from outside) or the zero row's copy
+of x is copied into the spare; neither x nor a returned array joins the
+ring. Checkpoints are an ordered walk of ``_checkpoint_indices``: the loop
+compares k + 1 with the next mark only, and no set of marks is built.
 Row indices and the schedule values alpha_k, theta_k come in blocks of at
 most ``_DRAW_BLOCK`` steps, so memory stays bounded for any N; the
 schedules' ``block`` applies their scalar formula per index, so the values
@@ -67,8 +78,8 @@ from .problems import (
     ConstraintSet,
     ProblemInstance,
     _norm,
-    _prox_row,
-    _subgrad_row,
+    _prox_gamma,
+    _subgrad_scale,
     objective,
     project,
     prox_l1,
@@ -265,10 +276,23 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     ref = inst.reference_optimum
     f_ref = objective(inst, ref)
     g = make_generator(STREAM_RUN, config.seed)
-    # iterates are never modified in place, so v_1 and v_2 may share storage
-    v_prev = v_curr = normals(g, inst.n) if config.init == "gaussian" else np.zeros(inst.n)
-
-    marks = set(_checkpoint_indices(config.iterations, config.stride))
+    # the iterate ring: v_{k-1}, v_k and the spare that v_{k+1} is written
+    # into; every step overwrites the spare and rotates the three, so the
+    # start v_1 = v_2 needs two buffers
+    v_curr = normals(g, inst.n) if config.init == "gaussian" else np.zeros(inst.n)
+    v_prev = v_curr.copy()
+    spare = np.empty(inst.n)
+    # scratch for x_{k+1} and for the scaled row, and a 0-d array that holds
+    # each scalar factor: numpy multiplies by a float64 array faster than by
+    # a Python float, and the product is the same
+    x = np.empty(inst.n)
+    scaled = np.empty(inst.n)
+    coef = np.empty(())
+    # the marks after 1 and 2 in increasing order: the loop compares k + 1
+    # with the next one and advances on a hit (0, which no k + 1 equals,
+    # after the last)
+    marks = itertools.islice(_checkpoint_indices(config.iterations, config.stride), 2, None)
+    mark = next(marks, 0)
     checkpoints: list[Checkpoint] = []
     instrumentation: list[tuple[int, float, float]] | None = (
         [] if config.instrument else None
@@ -328,6 +352,9 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     norms = np.vecdot(inst.rows, inst.rows).tolist() if proximal else None
     lam = inst.lam
     constraint = None if config.constraint.kind == "whole_space" else config.constraint
+    # the step's ufuncs, looked up once: on vectors of n = 20 to 100 entries a
+    # step is a handful of calls, and the lookups are a measurable part of it
+    subtract, multiply, add = np.subtract, np.multiply, np.add
 
     def diverged(k: int) -> SolverTrace:
         trace.diverged = True
@@ -343,8 +370,12 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
             # construction), and the step identity ||x - v_k|| = theta
             # ||v_k - v_{k-1}|| stays tight at rounding scale; the expanded
             # form loses both to cancellation
-            x = v_curr + theta * (v_curr - v_prev)
-            r = float(rows[i].dot(x)) - targets[i]
+            subtract(v_curr, v_prev, x)
+            coef[()] = theta
+            multiply(x, coef, x)
+            add(v_curr, x, x)
+            a = rows[i]
+            r = float(a.dot(x)) - targets[i]
             # v_{k-1} is finite, so a non-finite v_k makes x and then r
             # non-finite: a finite r certifies v_k
             if not math.isfinite(r) and not np.isfinite(v_curr).all():
@@ -357,18 +388,40 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
                         theta * float(np.linalg.norm(v_curr - v_prev)),
                     )
                 )
+            # every stage writes into the spare; what a stage returns as a
+            # new array is copied in, so neither x nor a returned array
+            # enters the ring
             if proximal:
-                v = _prox_row(rows[i], r, x, norms[i], alpha, absolute)
+                gamma = _prox_gamma(r, norms[i], alpha, absolute)
+                if gamma is None:
+                    np.copyto(spare, x)
+                else:
+                    coef[()] = gamma
+                    multiply(a, coef, scaled)
+                    subtract(x, scaled, spare)
             else:
-                v = x - alpha * _subgrad_row(rows[i], r, absolute)[1]
+                coef[()] = _subgrad_scale(r, absolute)
+                multiply(a, coef, scaled)
+                coef[()] = alpha
+                multiply(scaled, coef, scaled)
+                subtract(x, scaled, spare)
             if composite:
-                # implicit_first: an l1 subgradient step, with sign(0) = 0
-                v = v - alpha * lam * np.sign(v) if proximal else prox_l1(v, alpha * lam)
+                if proximal:
+                    # implicit_first: an l1 subgradient step, with sign(0) = 0
+                    np.sign(spare, scaled)
+                    coef[()] = alpha * lam
+                    multiply(scaled, coef, scaled)
+                    subtract(spare, scaled, spare)
+                else:
+                    np.copyto(spare, prox_l1(spare, alpha * lam))
             if constraint is not None:
-                v = project(v, constraint)
-            v_prev, v_curr = v_curr, v
-            if k + 1 in marks:
+                v = project(spare, constraint)
+                if v is not spare:
+                    np.copyto(spare, v)
+            v_prev, v_curr, spare = v_curr, spare, v_prev
+            if k + 1 == mark:
                 if not np.isfinite(v_curr).all():
                     return diverged(k + 1)
                 record(k + 1, v_curr, v_prev)
+                mark = next(marks, 0)
     return trace

@@ -849,6 +849,60 @@ def test_cli_nonfinite_numbers_exit_two(tmp_path, capsys, command, key, template
     assert f"line {len(lines)}" in err
 
 
+_LONG_LITERALS = {
+    "integer-digits": ("N", "9" * 5000),
+    "integer-fraction": ("N", "1.5" + "0" * 5000),
+    "number": ("step.c", "x" * 5000),
+    "number-denominator": ("step.c", "1/" + "y" * 5000),
+    "ball": ("constraint", "ball:" + "z" * 5000),
+    "box": ("constraint", "box:" + "1:" * 2500),
+    "constraint": ("constraint", "cone" * 1250),
+    "seeds": ("seeds", "1," * 2500 + "w"),
+    "sweep": ("mom.sweep", "0," * 2500 + "v"),
+    "kind": ("kind", "k" * 5000),
+    "key": ("u" * 5000, "1"),
+}
+
+
+@pytest.mark.parametrize(
+    "key, value", list(_LONG_LITERALS.values()), ids=list(_LONG_LITERALS)
+)
+def test_cli_oversized_literal_is_quoted_short(tmp_path, capsys, key, value):
+    """A refused literal of 5000 characters exits 2 naming its line, and no
+    stderr line quotes more than its head."""
+    lines = [ln for ln in TINY_RUN.splitlines() if ln.split("=")[0].strip() != key]
+    lines.append(f"{key} = {value}")
+    config = _write(tmp_path / "c.txt", "\n".join(lines) + "\n")
+    rc = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"line {len(lines)}: " in err
+    assert "chars)" in err
+    assert all(len(line) < 200 for line in err.splitlines())
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("N", "1.5", "expected an integer (at most 2^53 unless written in digits), got '1.5'"),
+        ("step.c", "abc", "malformed number 'abc' (could not convert string to float: 'abc')"),
+        ("step.c", "1/", "malformed number '1/' (could not convert string to float: '')"),
+        ("seeds", "1,x", "malformed seed list '1,x'"),
+        ("constraint", "ball:r", "malformed ball radius in 'ball:r'"),
+        ("seeds", "1," * 19 + "xy", f"malformed seed list {'1,' * 19 + 'xy'!r}"),
+        ("seeds", "1," * 19 + "xyz", f"malformed seed list {'1,' * 19 + 'xy'!r}… (41 chars)"),
+    ],
+)
+def test_config_errors_quote_short_literals_whole(key, value, message):
+    """Literals of at most 40 characters keep their whole quote; from 41 on
+    the quote is the first 40 and the length."""
+    lines = [ln for ln in TINY_RUN.splitlines() if ln.split("=")[0].strip() != key]
+    lines.append(f"{key} = {value}")
+    with pytest.raises(ConfigurationError) as info:
+        parse_config("\n".join(lines) + "\n")
+    assert f"line {len(lines)}: {message}" in str(info.value)
+
+
 @pytest.mark.parametrize(
     "command, key, value",
     [

@@ -228,11 +228,15 @@ def _reference_update(case, inst, x, i, alpha):
         return y
     q = float(a @ a)
     if case.method == "prox_rm" or case.variant == "implicit_first":
-        if case.kind == "least_absolute":
-            gamma = np.sign(r) * min(alpha, abs(r) / q)
+        if q == 0.0:
+            # a zero row leaves x unchanged
+            v = x.copy()
         else:
-            gamma = 2.0 * alpha * r / (1.0 + 2.0 * alpha * q)
-        v = x - gamma * a
+            if case.kind == "least_absolute":
+                gamma = np.sign(r) * min(alpha, abs(r) / q)
+            else:
+                gamma = 2.0 * alpha * r / (1.0 + 2.0 * alpha * q)
+            v = x - gamma * a
         if case.method == "prox_rm":
             return v
         return v - alpha * inst.lam * np.sign(v)
@@ -275,9 +279,11 @@ def _reference_run(case, inst):
     return expected, None
 
 
-def _assert_run_matches_reference(case):
-    inst = _case_instance(case.kind)
-    config = _case_config(case)
+def _assert_run_matches_reference(case, inst=None, **kw):
+    """The run of ``case`` (on ``inst``, default its case instance; ``kw``
+    go to its config) against the reference loop."""
+    inst = _case_instance(case.kind) if inst is None else inst
+    config = _case_config(case, **kw)
     trace = run(config, inst)
     expected, diverged_at = _reference_run(case, inst)
     assert trace.diverged_at == diverged_at
@@ -382,6 +388,112 @@ def test_diverging_run_instruments_steps_before_divergence(case_id):
     trace = run(_case_config(case, instrument=True), _case_instance(case.kind))
     assert trace.diverged_at is not None
     assert [k for k, _, _ in trace.instrumentation] == list(range(2, trace.diverged_at))
+
+
+def _zero_row_instance(kind):
+    """The case instance of kind with its first ten rows and their targets
+    zeroed: about a fifth of the steps sample a row with ||a||^2 = 0."""
+    inst = _case_instance(kind)
+    rows = inst.rows.copy()
+    targets = inst.targets.copy()
+    rows[:10] = 0.0
+    targets[:10] = 0.0
+    return dataclasses.replace(inst, rows=rows, targets=targets)
+
+
+def _origin_case_instance(kind):
+    return _origin_referenced(_case_instance(kind))
+
+
+# runs whose stages return a copy of x (a zero row under prox_rm), their
+# argument (a ball projection from inside), a new array (from outside, every
+# box clip, the soft threshold) or write in place (implicit_first's l1 step)
+_RING_CASES = {
+    "prox_rm-least_squares-zero-rows": (_Case("prox_rm", "least_squares"), _zero_row_instance),
+    "prox_rm-least_absolute-zero-rows": (_Case("prox_rm", "least_absolute"), _zero_row_instance),
+    "ssgd-ball": (_Case("ssgd", "least_squares", "ball", 0.5), _origin_case_instance),
+    "ssgd-box": (_Case("ssgd", "least_squares", "box", 0.25), _case_instance),
+    "composite-explicit_first": (_Case("composite", "lasso", "explicit_first"), _case_instance),
+    "composite-implicit_first": (_Case("composite", "lasso", "implicit_first"), _case_instance),
+}
+
+
+@pytest.mark.parametrize("instrument", [False, True])
+@pytest.mark.parametrize("case_id", list(_RING_CASES))
+def test_iterate_ring_matches_reference_at_every_step(case_id, instrument):
+    """Each step writes v_{k+1} into the spare buffer of the iterate ring,
+    whatever its stages return; a stage output or x adopted into the ring
+    would be overwritten by a later step. Checkpointed at every k, the run
+    equals the reference loop bit for bit, with instrumentation on or off."""
+    case, make_instance = _RING_CASES[case_id]
+    trace = _assert_run_matches_reference(
+        case, make_instance(case.kind), stride=1.0 + 1e-9, instrument=instrument
+    )
+    assert len(trace.checkpoints) == case.iterations
+
+
+def test_ring_cases_reach_every_stage_branch():
+    """The zero-row runs sample zero rows, and the ball run has steps that
+    land inside the ball (projection returns its argument) and steps
+    projected onto its sphere (a new array)."""
+    g = make_generator(STREAM_RUN, 4)
+    normals(g, 6)
+    assert (g.integers(1, 51, size=298) <= 10).sum() >= 20
+    case, make_instance = _RING_CASES["ssgd-ball"]
+    trace = run(_case_config(case, stride=1.0 + 1e-9), make_instance(case.kind))
+    # the reference is the center, so dist is ||v_k||
+    dists = [cp.dist for cp in trace.checkpoints[2:]]
+    assert sum(d < 0.999 * case.bound for d in dists) >= 50
+    assert sum(abs(d - case.bound) <= 1e-12 * case.bound for d in dists) >= 50
+
+
+def test_runs_share_no_state():
+    """Running A, then B, then A again gives two equal A traces: every run
+    owns its buffers."""
+    def once(case_id):
+        case, make_instance = _RING_CASES[case_id]
+        return run(_case_config(case, instrument=True), make_instance(case.kind))
+
+    first = once("ssgd-ball")
+    once("prox_rm-least_absolute-zero-rows")
+    again = once("ssgd-ball")
+    assert first.checkpoints == again.checkpoints
+    assert first.instrumentation == again.instrumentation
+
+
+@pytest.mark.parametrize(
+    "iterations, stride",
+    [
+        (2, 1.1),
+        (3, 1.1),
+        (3, 1.0 + 1e-9),
+        (40, 1.0 + 1e-9),
+        (_DRAW_BLOCK + 2, 1.1),
+        (_DRAW_BLOCK + 3, 1.1),
+        (_DRAW_BLOCK + 3, 1.0 + 1e-9),
+    ],
+)
+def test_recorded_checkpoints_walk_the_marks_in_order(iterations, stride):
+    """The loop walks the marks in order, comparing k + 1 with the next one:
+    a run records exactly _checkpoint_indices, at the smallest budgets, with
+    every k a mark, and past the first block of draws."""
+    trace = run(
+        _small_config(iterations=iterations, stride=stride), _case_instance("least_squares")
+    )
+    assert [cp.k for cp in trace.checkpoints] == list(_checkpoint_indices(iterations, stride))
+
+
+@pytest.mark.parametrize("stride", [1.1, 1.0 + 1e-9])
+def test_diverging_run_records_a_prefix_of_the_marks(stride):
+    """A diverged run records the marks below diverged_at and no other; the
+    next mark is at or past it."""
+    case = _CASES["ssgd-least_squares-diverging"]
+    trace = run(_case_config(case, stride=stride), _case_instance(case.kind))
+    marks = list(_checkpoint_indices(case.iterations, stride))
+    ks = [cp.k for cp in trace.checkpoints]
+    assert trace.diverged
+    assert ks == marks[: len(ks)]
+    assert ks[-1] < trace.diverged_at <= marks[len(ks)]
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 300, 2000, 10000, 2**31, 2**33])
