@@ -25,7 +25,7 @@ import numpy as np
 
 from ._rng import RNG_ID
 from .diagnostics import _PROBES, LEMMA_IDS, CheckReport, negative_controls, run_lemma_check
-from .errors import ConfigurationError
+from .errors import _QUOTE_CHARS, ConfigurationError, _quote
 from .problems import (
     _MAX_ENTRIES,
     KINDS,
@@ -160,19 +160,6 @@ _REQUIRED_RUN_KEYS = ("method", "kind", "m", "n", "N", "seeds", "step.family", "
 _LEMMA_KEYS = frozenset(
     {"lemmas", "paths", "length", "branches", "seed", "control", "out"}
 )
-
-
-# characters of a config literal an error message quotes
-_QUOTE_CHARS = 40
-
-
-def _quote(text: str) -> str:
-    """repr(text) for an error message, cut to its first _QUOTE_CHARS
-    characters and its length when longer, so no message grows with the
-    literal it refuses."""
-    if len(text) <= _QUOTE_CHARS:
-        return repr(text)
-    return f"{text[:_QUOTE_CHARS]!r}… ({len(text)} chars)"
 
 
 def _read_key_values(text: str, known: frozenset[str]) -> tuple[dict[str, str], dict[str, int]]:
@@ -418,14 +405,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if len(set(seeds)) != len(seeds):
         raise kv.error("seeds", "duplicate seeds")
 
+    # the numbers are read before the schedule is built, so a malformed one
+    # names its own line
+    step_c = kv.number("step.c")
+    step_s = kv.number("step.s", 0.0)
+    step_p = kv.number("step.p", 0.0)
     try:
-        step = StepSchedule(
-            family=effective["step.family"],
-            c=kv.number("step.c"),
-            s=kv.number("step.s", 0.0),
-            p=kv.number("step.p", 0.0),
-        )
-    except (ValueError, ConfigurationError) as exc:
+        step = StepSchedule(family=effective["step.family"], c=step_c, s=step_s, p=step_p)
+    except ValueError as exc:
         raise kv.error("step.family", f"invalid step schedule: {exc}") from None
 
     sweep_raw = effective.get("mom.sweep")

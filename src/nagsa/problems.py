@@ -60,6 +60,9 @@ KINDS = ("least_squares", "least_absolute", "lasso")
 # largest float64 array a config or an instance cache may ask for (256 MB):
 # the m x n instance matrix, a paths x length lemma ensemble, a branch sample
 _MAX_ENTRIES = 1 << 25
+# float64 entries of one row block of A in an objective pass, and of the
+# residual buffer of a batch of points (1 MB each)
+_PASS_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -282,13 +285,58 @@ def prox_l1(x: np.ndarray, tau: float) -> np.ndarray:
 
 
 def objective(inst: ProblemInstance, x: np.ndarray) -> float:
-    """Deterministic full objective at x."""
-    residual = inst.rows @ x - inst.targets
+    """Deterministic full objective at x: the one-point case of the blocked
+    pass of ``_objective_values``, so it equals a checkpoint's value at the
+    same point bit for bit, at any BLAS thread count."""
+    return _objective_values(inst, (x,), np.empty((1, inst.m)))[0]
+
+
+def _pass_shape(m: int, n: int) -> tuple[int, int]:
+    """(points per batch, rows per block) of the objective pass over an m x n
+    row matrix: as many points, 1 to 64, as keep a (points, m) residual
+    within _PASS_ENTRIES, and the largest multiple of 64 rows, at least 64,
+    that keeps a row block within it."""
+    return min(64, max(1, _PASS_ENTRIES // m)), max(64, _PASS_ENTRIES // n // 64 * 64)
+
+
+def _objective_values(inst: ProblemInstance, points, residual: np.ndarray) -> list[float]:
+    """The full objective at each of ``points`` (vectors of length n), with
+    the first len(points) rows of ``residual`` (at least that many rows of m
+    entries) as scratch; the three per-kind formulas are written here once.
+
+    A is read once for the whole batch, in row blocks of about 1 MB that stay
+    in L2 while each one is applied to every point. The block bounds are
+    multiples of 64 rows, and a one-row tail joins the block before it, as
+    numpy takes a lone row through a dot product instead of GEMV. GEMV forms
+    rows in groups of four, and a bound at a multiple of 64 keeps every row
+    in the group it has in the whole-matrix product, so every residual entry
+    equals the single-thread whole-matrix product bit for bit. A block stays
+    below OpenBLAS's GEMV threading threshold (for n up to about 7000), so
+    the values are also the same at any BLAS thread count, which a threaded
+    whole-matrix product is not: at two threads, a 33333 x 20 product
+    differs in the last bits of some entries. Each full residual row is then
+    reduced as one array, so the reductions see the same operands as on a
+    fresh residual vector.
+    """
+    rows, m = inst.rows, inst.m
+    count = len(points)
+    residual = residual[:count]
+    block = _pass_shape(m, inst.n)[1]
+    lo = 0
+    while lo < m:
+        hi = lo + block if m - lo - block > 1 else m
+        part = rows[lo:hi]
+        for x, r in zip(points, residual):
+            np.matmul(part, x, out=r[lo:hi])
+        lo = hi
+    np.subtract(residual, inst.targets, out=residual)
     if inst.kind == "least_squares":
-        return float(residual @ residual)
+        return [float(r @ r) for r in residual]
     if inst.kind == "least_absolute":
-        return float(np.sum(np.abs(residual)))
-    return float(residual @ residual / inst.m + inst.lam * np.sum(np.abs(x)))
+        return [float(np.sum(np.abs(r))) for r in residual]
+    return [
+        float(r @ r / m + inst.lam * np.sum(np.abs(x))) for x, r in zip(points, residual)
+    ]
 
 
 def lasso_reference(inst: ProblemInstance, steps: int = 100_000) -> np.ndarray:

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _quote
+
 __all__ = [
     "StepSchedule",
     "MomentumSchedule",
@@ -66,7 +68,7 @@ class StepSchedule:
 
     def __post_init__(self):
         if self.family not in ("constant", "power"):
-            raise ValueError(f"unknown step family {self.family!r}")
+            raise ValueError(f"unknown step family {_quote(self.family)}")
         if not self.c > 0:
             raise ValueError("step constant c must be positive")
         if self.family == "power":
@@ -96,7 +98,7 @@ class MomentumSchedule:
 
     def __post_init__(self):
         if self.family not in ("constant", "harmonic", "power"):
-            raise ValueError(f"unknown momentum family {self.family!r}")
+            raise ValueError(f"unknown momentum family {_quote(self.family)}")
         if self.family == "constant":
             if not 0.0 <= self.theta < 1.0:
                 raise ValueError(f"constant momentum must lie in [0, 1), got {self.theta}")

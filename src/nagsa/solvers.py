@@ -37,7 +37,13 @@ step without a constraint allocates no array. A stage that returns a new array (
 threshold, box clip, ball projection from outside) or the zero row's copy
 of x is copied into the spare; neither x nor a returned array joins the
 ring. Checkpoints are an ordered walk of ``_checkpoint_indices``: the loop
-compares k + 1 with the next mark only, and no set of marks is built.
+compares k + 1 with the next mark only, and no set of marks is built. A
+checkpoint takes k, dist, increment, alpha_k and theta_k at once and copies
+v_k into a pending batch of up to ``problems._pass_shape`` points; the
+batch gets its objectives from one blocked pass over A when it is full, when
+the run ends and before a diverged run returns, so A is read once per batch
+instead of once per checkpoint. Each value is bitwise the one ``objective``
+gives at that point (see ``problems._objective_values``).
 Row indices and the schedule values alpha_k, theta_k come in blocks of at
 most ``_DRAW_BLOCK`` steps, so memory stays bounded for any N; the
 schedules' ``block`` applies their scalar formula per index, so the values
@@ -73,11 +79,13 @@ import numpy as np
 
 from . import __version__
 from ._rng import RNG_ID, STREAM_RUN, make_generator, normals
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _quote
 from .problems import (
     ConstraintSet,
     ProblemInstance,
     _norm,
+    _objective_values,
+    _pass_shape,
     _prox_gamma,
     _subgrad_scale,
     objective,
@@ -99,8 +107,10 @@ __all__ = [
 METHODS = ("ssgd", "prox_rm", "composite")
 COMPOSITE_ORDERS = ("explicit_first", "implicit_first")
 INITS = ("gaussian", "zeros")
-# checkpoints a run may record; each costs a full objective pass
+# checkpoints a run may record; each adds a point to a batched objective pass
 _MAX_CHECKPOINTS = 1 << 20
+# largest iteration budget N: step indices stay exact in float64
+_MAX_ITERATIONS = 1 << 53
 # steps per block of row indices and schedule values: 128 KB of int64 and
 # two 16384-entry float lists at most
 _DRAW_BLOCK = 1 << 14
@@ -173,16 +183,22 @@ def _settings_fault(
     """(config keys at fault, reason) when a SolverConfig value is invalid,
     else None."""
     if method not in METHODS:
-        return ("method",), f"unknown method {method!r} (known: {', '.join(METHODS)})"
-    if iterations < 2:
-        return ("N",), f"iteration budget N must be >= 2, got {iterations}"
+        return ("method",), f"unknown method {_quote(method)} (known: {', '.join(METHODS)})"
+    if not 2 <= iterations <= _MAX_ITERATIONS:
+        # the schedules evaluate k + s in float64, which is exact up to 2^53
+        # only; an integer too long for str() is told by its size
+        bits = iterations.bit_length()
+        got = iterations if bits <= 64 else f"an integer of {bits} bits"
+        return ("N",), f"iteration budget N must lie in [2, 2^53], got {got}"
     if not 1.0 < stride < math.inf:
         return ("stride",), f"checkpoint stride must be finite and exceed 1, got {stride}"
     if composite_order not in COMPOSITE_ORDERS:
         known = ", ".join(COMPOSITE_ORDERS)
-        return ("composite.order",), f"unknown composite order {composite_order!r} (known: {known})"
+        return ("composite.order",), (
+            f"unknown composite order {_quote(composite_order)} (known: {known})"
+        )
     if init not in INITS:
-        return ("init",), f"unknown init {init!r} (known: {', '.join(INITS)})"
+        return ("init",), f"unknown init {_quote(init)} (known: {', '.join(INITS)})"
     return None
 
 
@@ -297,21 +313,44 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     instrumentation: list[tuple[int, float, float]] | None = (
         [] if config.instrument else None
     )
+    # checkpoint objectives are taken in batches: a recorded iterate waits in
+    # ``pending`` until the batch is full, the run ends or diverges, and one
+    # blocked pass over A then gives the whole batch its values
+    batch = _pass_shape(inst.m, inst.n)[0]
+    pending = np.empty((batch, inst.n))
+    residual = np.empty((batch, inst.m))
+    held: list[tuple[int, float, float, float, float]] = []
+
+    def flush() -> None:
+        if not held:
+            return
+        values = _objective_values(inst, pending[: len(held)], residual)
+        for (k, dist, increment, alpha, theta), value in zip(held, values):
+            checkpoints.append(
+                Checkpoint(
+                    k=k,
+                    dist=dist,
+                    obj_gap=value - f_ref,
+                    increment=increment,
+                    alpha=alpha,
+                    theta=theta,
+                )
+            )
+        held.clear()
 
     def record(k: int, v_curr: np.ndarray, v_prev: np.ndarray) -> None:
-        checkpoints.append(
-            Checkpoint(
-                k=k,
-                dist=_norm(v_curr - ref),
-                obj_gap=objective(inst, v_curr) - f_ref,
-                increment=_norm(v_curr - v_prev),
-                alpha=config.step.at(k),
-                theta=config.momentum.at(k),
+        pending[len(held)] = v_curr
+        held.append(
+            (
+                k,
+                _norm(v_curr - ref),
+                _norm(v_curr - v_prev),
+                config.step.at(k),
+                config.momentum.at(k),
             )
         )
-
-    record(1, v_curr, v_prev)
-    record(2, v_curr, v_prev)
+        if len(held) == batch:
+            flush()
 
     metadata = {
         "package": f"nagsa {__version__}",
@@ -357,6 +396,7 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     subtract, multiply, add = np.subtract, np.multiply, np.add
 
     def diverged(k: int) -> SolverTrace:
+        flush()
         trace.diverged = True
         trace.diverged_at = k
         return trace
@@ -364,6 +404,8 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     # exploding iterates are caught by the finiteness checks, so the
     # intermediate overflow warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
+        record(1, v_curr, v_prev)
+        record(2, v_curr, v_prev)
         for k, i, alpha, theta in _steps(config, inst, g):
             # (1 + theta) v_k - theta v_{k-1} in increment form: an exact
             # no-op when the two iterates coincide (the first step, by
@@ -424,4 +466,5 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
                     return diverged(k + 1)
                 record(k + 1, v_curr, v_prev)
                 mark = next(marks, 0)
+        flush()
     return trace

@@ -3,12 +3,16 @@ plot-data shaping, and the CLI exit-code contract."""
 
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nagsa
 from nagsa import cli, harness, problems
 from nagsa.cli import main
 from nagsa.errors import ConfigurationError
@@ -781,6 +785,32 @@ def test_run_bundle_bytes_are_pinned(tmp_path, text, expected):
     assert _tree_sha256(tmp_path) == expected
 
 
+def test_run_bundle_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A short lad-proxrm bundle (10000 x 100) is the same tree at one and at
+    two BLAS threads. OpenBLAS fixes its thread count when it loads, so each
+    run is a fresh interpreter."""
+    src = str(Path(nagsa.__file__).resolve().parents[1])
+    config = _write(tmp_path / "c.txt", "preset = lad-proxrm\nN = 2000\nseeds = 1,2\n")
+    digests = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        out = tmp_path / f"threads_{threads}"
+        done = subprocess.run(
+            [sys.executable, "-m", "nagsa.cli", "run", "--config", config, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(_tree_sha256(out))
+    assert digests[0] == digests[1]
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -860,6 +890,10 @@ _LONG_LITERALS = {
     "seeds": ("seeds", "1," * 2500 + "w"),
     "sweep": ("mom.sweep", "0," * 2500 + "v"),
     "kind": ("kind", "k" * 5000),
+    "method": ("method", "m" * 5000),
+    "composite.order": ("composite.order", "o" * 5000),
+    "init": ("init", "i" * 5000),
+    "step.family": ("step.family", "f" * 5000),
     "key": ("u" * 5000, "1"),
 }
 
@@ -916,6 +950,9 @@ def test_config_errors_quote_short_literals_whole(key, value, message):
         ("lemma", "seed", "-1"),
         ("lemma", "length", "50"),
         ("lemma", "length", "99"),
+        ("run", "N", "1" + "0" * 39),
+        ("run", "N", "9" * 4000),
+        ("run", "N", "9007199254740993"),
         ("run", "problem.seed", "1e300"),
         ("run", "problem.seed", "9007199254740994.0"),
         ("lemma", "seed", "1e300"),
@@ -933,6 +970,38 @@ def test_cli_values_that_fail_at_run_time_exit_two(tmp_path, capsys, command, ke
     err = capsys.readouterr().err
     assert f"configuration error: line {len(lines)}: " in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "value, got",
+    [
+        ("9007199254740993", "got 9007199254740993"),
+        ("1" + "0" * 39, "got an integer of 130 bits"),
+        ("9" * 4000, "got an integer of 13288 bits"),
+        ("-" + "9" * 4000, "got an integer of 13288 bits"),
+    ],
+)
+def test_iteration_budget_past_two_to_the_53_is_refused(value, got):
+    """The schedules evaluate k + s in float64, exact up to 2^53: a larger N
+    is refused naming its line, in a message that does not grow with N."""
+    lines = [ln for ln in TINY_RUN.splitlines() if ln.split("=")[0].strip() != "N"]
+    lines.append(f"N = {value}")
+    with pytest.raises(ConfigurationError) as info:
+        parse_config("\n".join(lines) + "\n")
+    message = str(info.value)
+    assert message == f"line {len(lines)}: iteration budget N must lie in [2, 2^53], {got}"
+    assert parse_config(TINY_RUN.replace("N = 300", "N = 9007199254740992")).iterations == 2**53
+
+
+@pytest.mark.parametrize("key", ["step.c", "step.s", "step.p"])
+def test_malformed_step_number_names_its_own_line(key):
+    """A step number that does not parse is refused on its own line, not on
+    the step.family line."""
+    lines = [ln for ln in TINY_RUN.splitlines() if ln.split("=")[0].strip() != key]
+    lines.append(f"{key} = 1/x")
+    with pytest.raises(ConfigurationError) as info:
+        parse_config("\n".join(lines) + "\n")
+    assert str(info.value).startswith(f"line {len(lines)}: malformed number '1/x'")
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nagsa import problems
@@ -436,6 +436,80 @@ def test_lasso_objective_displayed_form():
     residual = np.array([-0.5, 1.5])
     expected = float(residual @ residual) / 2 + 2.0 * 1.0
     assert abs(objective(inst, x) - expected) <= 1e-15
+
+
+@given(
+    kind=st.sampled_from(KINDS),
+    n=st.integers(1, 300),
+    whole_blocks=st.integers(0, 3),
+    # tails of 1 to 3 rows often: a one-row tail is where numpy leaves GEMV
+    tail=st.one_of(st.integers(0, 3), st.integers(0, 100)),
+    batch_share=st.floats(0.0, 1.0),
+    scale=st.floats(-30.0, 308.0).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a 1281 x 100 matrix: 1280-row blocks and a one-row tail that must join the
+# block before it (taken through a dot product alone, one of these 64
+# residuals differs in its last bit)
+@example(
+    kind="least_squares", n=100, whole_blocks=1, tail=1, batch_share=1.0, scale=1.0, seed=12
+)
+def test_objective_pass_equals_per_point_formulas(
+    kind, n, whole_blocks, tail, batch_share, scale, seed
+):
+    """The blocked pass over A gives each point of a batch its objective bit
+    for bit as the formula written out on the whole matrix does: for m from
+    1 row to over three row blocks with any tail, batches of 1 to the
+    instance's batch size, and points large enough to overflow the
+    objective to inf (or nan, where inf products of both signs meet). The
+    matrices stay below 460800 entries, the size from which OpenBLAS
+    threads a GEMV, so the whole-matrix formula is the single-thread
+    product at any BLAS thread count."""
+    block = problems._pass_shape(1, n)[1]
+    m = max(1, whole_blocks * block + tail)
+    batch = problems._pass_shape(m, n)[0]
+    count = 1 + int(batch_share * (batch - 1))
+    rng = np.random.default_rng(seed)
+    inst = ProblemInstance(
+        kind=kind,
+        rows=rng.standard_normal((m, n)),
+        targets=rng.standard_normal(m),
+        lam=0.7 if kind == "lasso" else 0.0,
+        seed=0,
+    )
+    points = rng.standard_normal((count, n)) * scale
+    residual = np.full((batch, m), np.nan)  # scratch: what it held must not matter
+    with np.errstate(all="ignore"):
+        values = problems._objective_values(inst, points, residual)
+        singles = [objective(inst, x) for x in points]
+        expected = []
+        for x in points:
+            r = inst.rows @ x - inst.targets
+            if kind == "least_squares":
+                expected.append(float(r @ r))
+            elif kind == "least_absolute":
+                expected.append(float(np.sum(np.abs(r))))
+            else:
+                expected.append(float(r @ r / m + inst.lam * np.sum(np.abs(x))))
+    assert list(map(float.hex, values)) == list(map(float.hex, expected))
+    assert list(map(float.hex, singles)) == list(map(float.hex, expected))
+
+
+@pytest.mark.parametrize(
+    "m, n, batch, block",
+    [
+        (1, 5, 64, 26176),
+        (2000, 20, 64, 6528),
+        (10000, 100, 13, 1280),
+        (1 << 17, 1, 1, 1 << 17),
+        (1 << 18, 3000, 1, 64),
+    ],
+)
+def test_pass_shape_keeps_buffers_near_one_megabyte(m, n, batch, block):
+    """Batches hold 1 to 64 points and at most 2^17 residual entries unless
+    one point's residual is larger; blocks are multiples of 64 rows of at
+    most 2^17 entries unless 64 rows are larger."""
+    assert problems._pass_shape(m, n) == (batch, block)
 
 
 def test_lasso_objective_averages_over_rows():

@@ -70,6 +70,22 @@ def test_at_rejects_nonpositive_index():
         harmonic_momentum(3.0).at(-2)
 
 
+@pytest.mark.parametrize(
+    "make, family",
+    [
+        (lambda family: StepSchedule(family, 0.1), "step"),
+        (lambda family: MomentumSchedule(family, theta=0.5), "momentum"),
+    ],
+)
+def test_unknown_family_is_quoted_short(make, family):
+    """An unknown family of 5000 characters is quoted by its head and length."""
+    with pytest.raises(ValueError) as info:
+        make("f" * 5000)
+    assert str(info.value) == f"unknown {family} family {'f' * 40!r}… (5000 chars)"
+    with pytest.raises(ValueError, match=f"unknown {family} family 'linear'$"):
+        make("linear")
+
+
 def test_step_validation():
     with pytest.raises(ValueError):
         StepSchedule("linear", 0.1)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nagsa import problems
 from nagsa._rng import STREAM_RUN, make_generator, normals
 from nagsa.errors import ConfigurationError
 from nagsa.problems import (
@@ -20,6 +21,7 @@ from nagsa.problems import (
     box,
     gen,
     lasso_reference,
+    objective,
     with_reference,
 )
 from nagsa.schedules import (
@@ -254,14 +256,17 @@ def _reference_norm(v):
     return out
 
 
-def _reference_run(case, inst):
+def _reference_run(case, inst, iterates=None):
     """({k: (dist, increment)} for every finite v_k, diverged_at) of an
     independent loop over the run stream: one scalar row draw per step and
-    an entry-wise finiteness check of every new iterate."""
+    an entry-wise finiteness check of every new iterate. ``iterates``, when
+    given, receives {k: v_k} for the same k."""
     g = make_generator(STREAM_RUN, 4)
     v_prev = v = normals(g, inst.n)
     ref = inst.reference_optimum
     expected = {1: (_reference_norm(v - ref), 0.0), 2: (_reference_norm(v - ref), 0.0)}
+    if iterates is not None:
+        iterates[1] = iterates[2] = v
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(2, case.iterations):
             if case.step is None:
@@ -276,6 +281,8 @@ def _reference_run(case, inst):
                 return expected, k + 1
             v_prev, v = v, v_next
             expected[k + 1] = (_reference_norm(v - ref), _reference_norm(v - v_prev))
+            if iterates is not None:
+                iterates[k + 1] = v
     return expected, None
 
 
@@ -377,6 +384,46 @@ def test_run_divergence_matches_exact_reference(rule, theta, exponent):
     _assert_run_matches_reference(
         dataclasses.replace(rule, step=step, theta=theta, iterations=120)
     )
+
+
+# runs on 3000 x 100 instances, whose objective pass takes three row blocks
+# (1280, 1280 and 440 rows) and checkpoints in batches of 43
+_PASS_CASES = {
+    "ssgd-least_squares": _Case("ssgd", "least_squares", step=1e-6),
+    "prox_rm-least_absolute": _Case("prox_rm", "least_absolute"),
+    "composite-lasso": _Case("composite", "lasso", "explicit_first", step=1e-4),
+    "ssgd-least_squares-diverging": _Case("ssgd", "least_squares", step=1.0, diverges=True),
+}
+
+
+@functools.cache
+def _pass_instance(kind):
+    if kind == "lasso":
+        # any reference serves: the gaps are taken against its objective
+        inst = gen("lasso", m=3000, n=100, seed=8, lam=0.3)
+        return with_reference(inst, np.full(100, 0.25))
+    return gen(kind, m=3000, n=100, seed=8)
+
+
+@pytest.mark.parametrize("case_id", list(_PASS_CASES))
+def test_checkpoint_objectives_equal_per_point_objectives(case_id):
+    """Over three row blocks and several batches, every checkpoint's obj_gap
+    equals objective(v_k) - objective(ref) bit for bit at the reference
+    loop's v_k. The diverging run ends with a part-filled batch, which it
+    must flush before it returns."""
+    case = _PASS_CASES[case_id]
+    inst = _pass_instance(case.kind)
+    assert problems._pass_shape(inst.m, inst.n) == (43, 1280)
+    trace = _assert_run_matches_reference(case, inst, stride=1.0 + 1e-9)
+    assert trace.diverged == case.diverges
+    if case.diverges:
+        assert len(trace.checkpoints) % 43 != 0
+    iterates = {}
+    _reference_run(case, inst, iterates)
+    f_ref = objective(inst, inst.reference_optimum)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = [objective(inst, iterates[cp.k]) - f_ref for cp in trace.checkpoints]
+    assert [cp.obj_gap.hex() for cp in trace.checkpoints] == [gap.hex() for gap in gaps]
 
 
 @pytest.mark.parametrize("case_id", [name for name, case in _CASES.items() if case.diverges])
@@ -790,6 +837,12 @@ def test_solver_config_validation():
         )
     with pytest.raises(ConfigurationError):
         SolverConfig(method="ssgd", step=step, momentum=mom, iterations=10, seed=1, init="ones")
+    too_many = r"N must lie in \[2, 2\^53\], got 9007199254740993$"
+    with pytest.raises(ConfigurationError, match=too_many):
+        SolverConfig(method="ssgd", step=step, momentum=mom, iterations=2**53 + 1, seed=1)
+    # past str()'s digit limit, N is told by its size
+    with pytest.raises(ConfigurationError, match="got an integer of 16610 bits$"):
+        SolverConfig(method="ssgd", step=step, momentum=mom, iterations=10**5000, seed=1)
 
 
 def _stored_checkpoint_indices(n_final, stride):
