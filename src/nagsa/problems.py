@@ -156,7 +156,9 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def gen(kind: str, m: int, n: int, seed: int, lam: float = 0.0) -> ProblemInstance:
-    """Generate an instance. Draw order: v, then G, then x0 (or b for lasso)."""
+    """Generate an instance. Draw order: v, then G, then x0 (or b for lasso).
+    G v and A x0 go through ``_row_products``, so the instance has the same
+    bits at any BLAS thread count."""
     if kind not in KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
     if m < 1 or n < 1:
@@ -171,9 +173,9 @@ def gen(kind: str, m: int, n: int, seed: int, lam: float = 0.0) -> ProblemInstan
         targets = normals(g, m)
         reference = None
     else:
-        rows = gauss + np.outer(gauss @ v, v)
+        rows = gauss + np.outer(_row_products(gauss, v[None], np.empty((1, m)))[0], v)
         x0 = normals(g, n)
-        targets = rows @ x0
+        targets = _row_products(rows, x0[None], np.empty((1, m)))[0]
         reference = _freeze(x0)
     return ProblemInstance(
         kind=kind,
@@ -229,11 +231,15 @@ def _subgrad_scale(r: float, absolute: bool) -> float:
 def _prox_gamma(r: float, q: float, alpha: float, absolute: bool) -> float | None:
     """gamma of the closed-form prox x - gamma a of the sample term of row a
     (q = ||a||^2) at a point whose residual a.x - b is the Python float r;
-    None for a zero row, whose prox is x itself."""
+    None for a zero row, whose prox is x itself. The absolute term's
+    sign(r) min(alpha, |r| / q) is written out without calls; it gives the
+    same bits, the sign of a zero included."""
     if q == 0.0:
         return None
     if absolute:
-        return _sign(r) * min(alpha, abs(r) / q)
+        m = abs(r) / q
+        m = m if m < alpha else alpha
+        return m if r > 0.0 else -m if r < 0.0 else (r + 0.0) * m
     return 2.0 * alpha * r / (1.0 + 2.0 * alpha * q)
 
 
@@ -288,55 +294,70 @@ def objective(inst: ProblemInstance, x: np.ndarray) -> float:
     """Deterministic full objective at x: the one-point case of the blocked
     pass of ``_objective_values``, so it equals a checkpoint's value at the
     same point bit for bit, at any BLAS thread count."""
-    return _objective_values(inst, (x,), np.empty((1, inst.m)))[0]
+    points = np.asarray(x, dtype=float)[None]
+    return _objective_values(inst, points, np.empty((1, inst.m)))[0]
 
 
 def _pass_shape(m: int, n: int) -> tuple[int, int]:
     """(points per batch, rows per block) of the objective pass over an m x n
-    row matrix: as many points, 1 to 64, as keep a (points, m) residual
-    within _PASS_ENTRIES, and the largest multiple of 64 rows, at least 64,
-    that keeps a row block within it."""
+    row matrix, whose row blocks every ``_row_products`` call uses: as many
+    points, 1 to 64, as keep a (points, m) residual within _PASS_ENTRIES,
+    and the largest multiple of 64 rows, at least 64, that keeps a row block
+    within it."""
     return min(64, max(1, _PASS_ENTRIES // m)), max(64, _PASS_ENTRIES // n // 64 * 64)
 
 
-def _objective_values(inst: ProblemInstance, points, residual: np.ndarray) -> list[float]:
-    """The full objective at each of ``points`` (vectors of length n), with
-    the first len(points) rows of ``residual`` (at least that many rows of m
-    entries) as scratch; the three per-kind formulas are written here once.
+def _row_products(rows: np.ndarray, points: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[j, i] = rows[i] . points[j] for a (count, n) stack of points, into
+    the (count, m) array ``out``, which is returned. The objective pass and
+    ``gen`` take their matrix-vector products here.
 
-    A is read once for the whole batch, in row blocks of about 1 MB that stay
-    in L2 while each one is applied to every point. The block bounds are
-    multiples of 64 rows, and a one-row tail joins the block before it, as
-    numpy takes a lone row through a dot product instead of GEMV. GEMV forms
-    rows in groups of four, and a bound at a multiple of 64 keeps every row
-    in the group it has in the whole-matrix product, so every residual entry
-    equals the single-thread whole-matrix product bit for bit. A block stays
-    below OpenBLAS's GEMV threading threshold (for n up to about 7000), so
-    the values are also the same at any BLAS thread count, which a threaded
-    whole-matrix product is not: at two threads, a 33333 x 20 product
-    differs in the last bits of some entries. Each full residual row is then
-    reduced as one array, so the reductions see the same operands as on a
-    fresh residual vector.
+    The rows are taken in blocks of about 1 MB (``_pass_shape``), one matmul
+    call per block for the whole stack, which numpy runs as one GEMV per
+    point. The block bounds are multiples of 64 rows, and a one-row tail
+    joins the block before it, as numpy takes a lone row through a dot
+    product instead of GEMV. GEMV forms rows in groups of four, and a bound
+    at a multiple of 64 keeps every row in the group it has in the
+    whole-matrix product, so every entry equals the single-thread
+    whole-matrix product bit for bit. A block stays below OpenBLAS's GEMV
+    threading threshold (for n up to about 7000), so the entries are also
+    the same at any BLAS thread count, which a threaded whole-matrix product
+    is not: at two threads, a 33333 x 20 product differs in the last bits of
+    some entries.
     """
-    rows, m = inst.rows, inst.m
-    count = len(points)
-    residual = residual[:count]
-    block = _pass_shape(m, inst.n)[1]
+    m, n = rows.shape
+    block = _pass_shape(m, n)[1]
+    stack = points[:, :, None]
     lo = 0
     while lo < m:
         hi = lo + block if m - lo - block > 1 else m
-        part = rows[lo:hi]
-        for x, r in zip(points, residual):
-            np.matmul(part, x, out=r[lo:hi])
+        np.matmul(rows[lo:hi], stack, out=out[:, lo:hi, None])
         lo = hi
+    return out
+
+
+def _objective_values(
+    inst: ProblemInstance, points: np.ndarray, residual: np.ndarray
+) -> list[float]:
+    """The full objective at each row of ``points`` (a (count, n) array),
+    with the first count rows of ``residual`` (at least that many rows of m
+    entries) as scratch; the three per-kind formulas are written here once.
+
+    A is read once for the whole batch by ``_row_products``: each row block,
+    which stays in L2, is applied to every point in one matmul call. The
+    targets are then subtracted once, and each kind reduces the whole batch
+    in one call that treats every residual row as the formula does a fresh
+    residual vector: np.vecdot takes the BLAS dot of ``r @ r`` per row, and
+    a sum along the rows the pairwise sum of ``np.sum`` per row.
+    """
+    residual = _row_products(inst.rows, points, residual[: len(points)])
     np.subtract(residual, inst.targets, out=residual)
     if inst.kind == "least_squares":
-        return [float(r @ r) for r in residual]
+        return np.vecdot(residual, residual).tolist()
     if inst.kind == "least_absolute":
-        return [float(np.sum(np.abs(r))) for r in residual]
-    return [
-        float(r @ r / m + inst.lam * np.sum(np.abs(x))) for x, r in zip(points, residual)
-    ]
+        return np.abs(residual, out=residual).sum(axis=1).tolist()
+    penalty = inst.lam * np.abs(points).sum(axis=1)
+    return (np.vecdot(residual, residual) / inst.m + penalty).tolist()
 
 
 def lasso_reference(inst: ProblemInstance, steps: int = 100_000) -> np.ndarray:

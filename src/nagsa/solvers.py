@@ -18,7 +18,8 @@ index, forms the sampled residual r_k = a_i.x_{k+1} - b_i and updates in
 stages, each written once and picked by flags set before the loop: the
 proximal stage (prox_rm, composite implicit_first) or the gradient stage,
 both taking the scalar of the row step (2 r_k, sign(r_k) or the proximal
-gamma) from the private row formulas of ``problems`` with r_k, then
+gamma, whose absolute-term form makes no call) from the private row
+formulas of ``problems`` with r_k, then
 composite's l1 stage or the projection onto a set constraint. A run refuses
 what these stages cannot honour: composite off lasso, ssgd or prox_rm on
 lasso, a constraint with prox_rm or composite. The first non-finite iterate
@@ -42,12 +43,15 @@ checkpoint takes k, dist, increment, alpha_k and theta_k at once and copies
 v_k into a pending batch of up to ``problems._pass_shape`` points; the
 batch gets its objectives from one blocked pass over A when it is full, when
 the run ends and before a diverged run returns, so A is read once per batch
-instead of once per checkpoint. Each value is bitwise the one ``objective``
-gives at that point (see ``problems._objective_values``).
+instead of once per checkpoint, in one matmul call per row block for the
+whole batch. Each value is bitwise the one ``objective`` gives at that point
+(see ``problems._objective_values``).
 Row indices and the schedule values alpha_k, theta_k come in blocks of at
 most ``_DRAW_BLOCK`` steps, so memory stays bounded for any N; the
 schedules' ``block`` applies their scalar formula per index, so the values
-equal ``at(k)`` bit for bit.
+equal ``at(k)`` bit for bit. ``_steps`` yields each block as one iterator
+and ``run`` loops over the blocks and then over their steps, so a step
+resumes no generator.
 
 Finiteness is decided by the residual the step forms anyway. v_{k-1} is
 known to be finite, so a non-finite v_k makes x_{k+1} = v_k + theta_k (v_k -
@@ -216,13 +220,14 @@ def _checkpoint_fault(iterations: int, stride: float) -> tuple[tuple[str, ...], 
 
 
 def _steps(config: SolverConfig, inst: ProblemInstance, g: np.random.Generator):
-    """(k, 0-based row index, alpha_k, theta_k) for k = 2 .. N - 1, produced
-    in blocks of at most ``_DRAW_BLOCK`` steps. The indices equal one scalar
-    draw per step and the schedule values equal ``at(k)``."""
+    """Blocks of at most ``_DRAW_BLOCK`` steps, each an iterator of (k,
+    0-based row index, alpha_k, theta_k), together for k = 2 .. N - 1. The
+    indices equal one scalar draw per step and the schedule values equal
+    ``at(k)``. A block is drawn only when the one before it is used up."""
     stop = config.iterations
     for start in range(2, stop, _DRAW_BLOCK):
         count = min(_DRAW_BLOCK, stop - start)
-        yield from zip(
+        yield zip(
             range(start, start + count),
             (sample_index(inst, g, size=count) - 1).tolist(),
             config.step.block(start, count),
@@ -406,65 +411,66 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     with np.errstate(over="ignore", invalid="ignore"):
         record(1, v_curr, v_prev)
         record(2, v_curr, v_prev)
-        for k, i, alpha, theta in _steps(config, inst, g):
-            # (1 + theta) v_k - theta v_{k-1} in increment form: an exact
-            # no-op when the two iterates coincide (the first step, by
-            # construction), and the step identity ||x - v_k|| = theta
-            # ||v_k - v_{k-1}|| stays tight at rounding scale; the expanded
-            # form loses both to cancellation
-            subtract(v_curr, v_prev, x)
-            coef[()] = theta
-            multiply(x, coef, x)
-            add(v_curr, x, x)
-            a = rows[i]
-            r = float(a.dot(x)) - targets[i]
-            # v_{k-1} is finite, so a non-finite v_k makes x and then r
-            # non-finite: a finite r certifies v_k
-            if not math.isfinite(r) and not np.isfinite(v_curr).all():
-                return diverged(k)
-            if instrumentation is not None:
-                instrumentation.append(
-                    (
-                        k,
-                        float(np.linalg.norm(x - v_curr)),
-                        theta * float(np.linalg.norm(v_curr - v_prev)),
+        for block in _steps(config, inst, g):
+            for k, i, alpha, theta in block:
+                # (1 + theta) v_k - theta v_{k-1} in increment form: an exact
+                # no-op when the two iterates coincide (the first step, by
+                # construction), and the step identity ||x - v_k|| = theta
+                # ||v_k - v_{k-1}|| stays tight at rounding scale; the expanded
+                # form loses both to cancellation
+                subtract(v_curr, v_prev, x)
+                coef[()] = theta
+                multiply(x, coef, x)
+                add(v_curr, x, x)
+                a = rows[i]
+                r = float(a.dot(x)) - targets[i]
+                # v_{k-1} is finite, so a non-finite v_k makes x and then r
+                # non-finite: a finite r certifies v_k
+                if not math.isfinite(r) and not np.isfinite(v_curr).all():
+                    return diverged(k)
+                if instrumentation is not None:
+                    instrumentation.append(
+                        (
+                            k,
+                            float(np.linalg.norm(x - v_curr)),
+                            theta * float(np.linalg.norm(v_curr - v_prev)),
+                        )
                     )
-                )
-            # every stage writes into the spare; what a stage returns as a
-            # new array is copied in, so neither x nor a returned array
-            # enters the ring
-            if proximal:
-                gamma = _prox_gamma(r, norms[i], alpha, absolute)
-                if gamma is None:
-                    np.copyto(spare, x)
-                else:
-                    coef[()] = gamma
-                    multiply(a, coef, scaled)
-                    subtract(x, scaled, spare)
-            else:
-                coef[()] = _subgrad_scale(r, absolute)
-                multiply(a, coef, scaled)
-                coef[()] = alpha
-                multiply(scaled, coef, scaled)
-                subtract(x, scaled, spare)
-            if composite:
+                # every stage writes into the spare; what a stage returns as a
+                # new array is copied in, so neither x nor a returned array
+                # enters the ring
                 if proximal:
-                    # implicit_first: an l1 subgradient step, with sign(0) = 0
-                    np.sign(spare, scaled)
-                    coef[()] = alpha * lam
-                    multiply(scaled, coef, scaled)
-                    subtract(spare, scaled, spare)
+                    gamma = _prox_gamma(r, norms[i], alpha, absolute)
+                    if gamma is None:
+                        np.copyto(spare, x)
+                    else:
+                        coef[()] = gamma
+                        multiply(a, coef, scaled)
+                        subtract(x, scaled, spare)
                 else:
-                    np.copyto(spare, prox_l1(spare, alpha * lam))
-            if constraint is not None:
-                v = project(spare, constraint)
-                if v is not spare:
-                    np.copyto(spare, v)
-            v_prev, v_curr, spare = v_curr, spare, v_prev
-            if k + 1 == mark:
-                if not np.isfinite(v_curr).all():
-                    return diverged(k + 1)
-                record(k + 1, v_curr, v_prev)
-                mark = next(marks, 0)
+                    coef[()] = _subgrad_scale(r, absolute)
+                    multiply(a, coef, scaled)
+                    coef[()] = alpha
+                    multiply(scaled, coef, scaled)
+                    subtract(x, scaled, spare)
+                if composite:
+                    if proximal:
+                        # implicit_first: an l1 subgradient step, with sign(0) = 0
+                        np.sign(spare, scaled)
+                        coef[()] = alpha * lam
+                        multiply(scaled, coef, scaled)
+                        subtract(spare, scaled, spare)
+                    else:
+                        np.copyto(spare, prox_l1(spare, alpha * lam))
+                if constraint is not None:
+                    v = project(spare, constraint)
+                    if v is not spare:
+                        np.copyto(spare, v)
+                v_prev, v_curr, spare = v_curr, spare, v_prev
+                if k + 1 == mark:
+                    if not np.isfinite(v_curr).all():
+                        return diverged(k + 1)
+                    record(k + 1, v_curr, v_prev)
+                    mark = next(marks, 0)
         flush()
     return trace

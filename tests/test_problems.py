@@ -8,7 +8,10 @@ subgradients against finite differences and the subgradient inequality.
 import functools
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -78,6 +81,43 @@ def test_gen_bitwise_determinism():
     assert np.array_equal(a.reference_optimum, b.reference_optimum)
     c = gen("least_squares", m=50, n=5, seed=10)
     assert not np.array_equal(a.rows, c.rows)
+
+
+_GEN_DIGEST = """
+import hashlib, sys
+from nagsa.problems import gen
+inst = gen(sys.argv[1], 10001, 100, 10)
+digest = hashlib.sha256()
+for a in (inst.rows, inst.targets, inst.reference_optimum):
+    digest.update(a.tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "least_absolute"])
+def test_gen_does_not_depend_on_blas_threads(kind):
+    """A 10001 x 100 instance, whose whole-matrix products A v and A x0 a
+    two-thread GEMV forms with other last bits, is the same at one and at
+    two BLAS threads. OpenBLAS fixes its thread count when it loads, so each
+    instance comes from a fresh interpreter."""
+    src = str(Path(problems.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", _GEN_DIGEST, kind],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_gen_validation():
@@ -264,6 +304,50 @@ def test_prox_alpha_validation():
         prox_sample(inst, np.zeros(2), 1, alpha=0.0)
     with pytest.raises(ValueError):
         prox_sample(inst, np.zeros(2), 1, alpha=-1.0)
+
+
+def _gamma_written_out(r, q, alpha):
+    """The absolute term's gamma as the prox formula reads."""
+    return float(np.sign(r) * min(alpha, abs(r) / q))
+
+
+def _same_float(a, b):
+    """Equal bits, the sign of a zero included; any nan equals any nan."""
+    return (math.isnan(a) and math.isnan(b)) or float.hex(a) == float.hex(b)
+
+
+_TINY = 5e-324  # the smallest subnormal
+
+
+def test_prox_gamma_absolute_equals_the_formula_written_out():
+    """The absolute term's gamma, written without calls, gives the bits of
+    sign(r) min(alpha, |r| / q) for r = +-0, +-subnormal, +-inf, nan and
+    ordinary values, on both sides of alpha and at it; q = 0 is a zero row."""
+    residuals = [
+        0.0, -0.0, _TINY, -_TINY, 2.5e-310, -2.5e-310, 1.0, -1.0, 3.0, -3.0,
+        1e300, -1e300, math.inf, -math.inf, math.nan,
+    ]
+    norms = [_TINY, 1e-300, 0.5, 1.0, 2.0, 1e300, math.inf]
+    alphas = [_TINY, 1e-8, 0.5, 1.0, 1.5, 3.0, 1e300]
+    for r in residuals:
+        assert problems._prox_gamma(r, 0.0, 1.0, True) is None
+        for q in norms:
+            for alpha in alphas:
+                got = problems._prox_gamma(r, q, alpha, True)
+                want = _gamma_written_out(r, q, alpha)
+                assert _same_float(got, want), (r, q, alpha, got, want)
+
+
+@given(
+    r=st.floats(allow_nan=False, allow_infinity=False),
+    q=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    alpha=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+@settings(max_examples=2000, deadline=None)
+def test_prox_gamma_absolute_equals_the_formula_on_finite_values(r, q, alpha):
+    """Any finite residual, positive row norm and step size."""
+    got = problems._prox_gamma(r, q, alpha, True)
+    assert float.hex(got) == float.hex(_gamma_written_out(r, q, alpha))
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "least_absolute"])

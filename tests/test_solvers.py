@@ -6,6 +6,7 @@ extrapolation identity."""
 
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -581,7 +582,7 @@ def test_step_blocks_equal_scalar_schedule_values(step, momentum):
     )
     g = make_generator(STREAM_RUN, 3)
     scalar_g = make_generator(STREAM_RUN, 3)
-    steps = list(_steps(config, inst, g))
+    steps = list(itertools.chain.from_iterable(_steps(config, inst, g)))
     # k = 2 .. N - 1 crosses two block edges (after k = _DRAW_BLOCK + 1 and
     # k = 2 _DRAW_BLOCK + 1)
     assert [k for k, _, _, _ in steps] == list(range(2, iterations))
