@@ -11,12 +11,12 @@ One-off streams (instance, run) are seeded by make_generator through numpy's
 own SeedSequence. Streams that come by the thousand (one per synthetic path,
 one per branch probe) get their seed words from seed_words, which applies the
 same SeedSequence hash to a whole array of keys at once, and draw from them
-only through word_doubles: numpy's Generator.random() on a PCG64 stream is
-u = (x >> 11) 2^-53 for each raw 64-bit word x, so one array pass turns every
-row's raw words into the doubles make_generator(*key).random(count) gives.
-Callers form numpy's other uniforms from them with its own formula
-lo + (hi - lo) u; for uniform(-1, 1), 2 u is exact (a power of two times a
-53-bit integer), so -1 + 2 u has the one rounding numpy makes too.
+only through word_doubles, which fills each row of one result array with
+numpy's Generator.random() on that row's PCG64 stream: the doubles
+make_generator(*key).random(count) gives, u = (x >> 11) 2^-53 for each raw
+64-bit word x. Callers form numpy's other uniforms from them with its own
+formula lo + (hi - lo) u; for uniform(-1, 1), 2 u is exact (a power of two
+times a 53-bit integer), so -1 + 2 u has the one rounding numpy makes too.
 
 The identifier below is recorded in all output metadata.
 """
@@ -52,10 +52,11 @@ def word_doubles(words: np.ndarray, count: int) -> np.ndarray:
     make_generator(*key).random(count) draws for the key whose seed words are
     words[r] (one row of seed_words(keys)).
 
-    Each row takes `count` raw words x from PCG64 seeded by its words; one
-    array pass then maps them to (x >> 11) 2^-53, numpy's random(). The
-    53-bit integer x >> 11 converts exactly and 2^-53 scales it exactly, so
-    no step rounds.
+    The result is allocated once, and each row is filled in place by
+    Generator.random(out=row) on PCG64 seeded by its words: numpy's
+    (x >> 11) 2^-53 on the stream's raw words x, in which the 53-bit integer
+    converts exactly and 2^-53 scales it exactly, so no step rounds. No raw
+    words are held beside the result.
     """
     # numpy.random costs about 7 ms to import, which a run that draws nothing
     # (the algebra table) should not pay, so the seed source waits for it
@@ -64,14 +65,9 @@ def word_doubles(words: np.ndarray, count: int) -> np.ndarray:
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if words.ndim != 2 or words.shape[1] != 4:
         raise ValueError("seed words come four per row")
-    # each row's words collected, then joined once: at most two arrays of
-    # the draw's size are held, as with the shift and the conversion below
-    draws = [np.random.PCG64(WordSeed(row)).random_raw(count) for row in words]
-    raw = np.array(draws, dtype=np.uint64).reshape(len(words), count)
-    del draws
-    u = np.right_shift(raw, np.uint64(11), out=raw).astype(float)
-    del raw
-    u *= 2.0**-53
+    u = np.empty((len(words), count))
+    for row, out in zip(words, u):
+        np.random.Generator(np.random.PCG64(WordSeed(row))).random(out=out)
     return u
 
 

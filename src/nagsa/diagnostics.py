@@ -48,13 +48,17 @@ The hot loops are lean without changing a bit. Each Recursion decides once
 which of its terms are zero at every step and leaves them out of mean, whose
 one-step calls read their coefficients as Python floats; the walk scales all
 its noise by sigma in one pass and adds each step's row to the mean in place.
-V is formed over blocks of whole paths, so no full-size s = r + h z is held,
-and supermartingale_check runs numpy's mean and std(ddof=1) steps once per
-block. At 200 paths x 2000 steps the six stochastic synth_paths calls take
-87-103 ms together (160-207 ms before; best of seven, alternating
-processes), and a traced synth_paths peaks at 7.0-7.6 MiB (9.4-12.5 MiB
-before), of which r and V hold 6.1 MiB; 2-core x86_64, Python 3.11.7,
-numpy 2.4.6.
+word_doubles draws every stream straight into its row of one array. V is
+formed over blocks of whole paths, written into V's rows, so no full-size
+s = r + h z is held; a branch block forms V in place on its own noise, and
+supermartingale_check runs numpy's mean and std(ddof=1) steps once per
+block. At 200 paths x 2000 steps a traced synth_paths peaks at 6.6-7.2 MiB
+(7.0-7.6 MiB while raw words were held beside the doubles, 9.4-12.5 MiB
+before V was blocked), of which r and V hold 6.1 MiB. Drawing its 200 path
+streams of 1999 takes 3.7 ms (9.2 ms with the raw words), and 4,800 branch
+rows of 200 in blocks of 144 rows 25.4 ms (27.7 ms): medians of 41
+alternating calls of both versions in one process on a loaded 2-core
+x86_64, Python 3.11.7, numpy 2.4.6.
 """
 
 from __future__ import annotations
@@ -188,10 +192,17 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # the Lyapunov form and the averaged relay
 
-def _lyapunov_form(t, s_n, s_next, c):
+def _lyapunov_form(t, s_n, s_next, c, out=None):
     """V_n = (1 + t_n) s_{n+1} - t_n s_n + c_n, the one Lyapunov form of
-    synthetic paths and their branches (t = 0 is single-step)."""
-    return (1.0 + t) * s_next - t * s_n + c
+    synthetic paths and their branches (t = 0 is single-step). With `out`
+    (which may be s_next or s_n itself) V is written there, and the only
+    temporary of its size is t_n s_n. Either way the same operations run in
+    the same order, so V has the same bits."""
+    lag = t * s_n
+    out = np.multiply(1.0 + t, s_next, out=out)
+    out -= lag
+    out += c
+    return out
 
 
 def relay(thetas: np.ndarray, v_path: np.ndarray, r0: float | np.ndarray) -> np.ndarray:
@@ -399,13 +410,13 @@ class Ensemble:
         q = j + 1  # the redrawn states r_q
         i = q - rec.order
         # s_{n+1} = (mean + sigma w) + h z, formed in place on the noise (h z
-        # left out with h = 0, as in _path_form)
+        # left out with h = 0, as in _path_form), and V in place on s_{n+1}
         w *= rec.sigma[i][:, None]
         w += rec.mean(i, self.r[p, i], self.r[p, q - 1])[:, None]
         if self.h:
             w += (self.h * self.z[q])[:, None]
         s_n = self.r[p, q - 1] + self.h * self.z[q - 1]
-        return _lyapunov_form(self.t[j][:, None], s_n[:, None], w, self.c[j][:, None])
+        return _lyapunov_form(self.t[j][:, None], s_n[:, None], w, self.c[j][:, None], out=w)
 
 
 def _stream_keys(tag: int, seed: int, *columns) -> np.ndarray:
@@ -452,9 +463,10 @@ def _walk(rec: Recursion, seed: int, paths: int, length: int, init) -> np.ndarra
 
 def _path_form(r: np.ndarray, h: float, z: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
     """V = _lyapunov_form on s = r + h z for every path, formed over blocks of
-    whole paths of at most _BLOCK_ENTRIES entries (one path at least), so no
-    full-size s or temporary is held. With h = 0, s is r itself: r + 0.0 is
-    r for every state but -0.0, which no path reaches."""
+    whole paths of at most _BLOCK_ENTRIES entries (one path at least) and
+    written into V's rows, so no full-size s or temporary is held. With
+    h = 0, s is r itself: r + 0.0 is r for every state but -0.0, which no
+    path reaches."""
     paths, length = r.shape
     v = np.empty((paths, length - 1))
     block = max(1, _BLOCK_ENTRIES // length)
@@ -462,7 +474,7 @@ def _path_form(r: np.ndarray, h: float, z: np.ndarray, t: np.ndarray, c: np.ndar
         s = r[first : first + block]
         if h:
             s = s + h * z
-        v[first : first + block] = _lyapunov_form(t, s[:, :-1], s[:, 1:], c)
+        _lyapunov_form(t, s[:, :-1], s[:, 1:], c, out=v[first : first + block])
     return v
 
 

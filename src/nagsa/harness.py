@@ -161,6 +161,10 @@ _LEMMA_KEYS = frozenset(
     {"lemmas", "paths", "length", "branches", "seed", "control", "out"}
 )
 
+# most detail rows a lemma suite may hold (up to _PROBES per path and
+# scenario, about 224 B each, so about 470 MB)
+_MAX_DETAIL_ROWS = 1 << 21
+
 
 def _read_key_values(text: str, known: frozenset[str]) -> tuple[dict[str, str], dict[str, int]]:
     """Flat key = value lines; returns values and the line each key came from."""
@@ -522,6 +526,14 @@ def parse_lemma_config(text: str) -> LemmaSuiteConfig:
             f"exceeds the limit of {_MAX_ENTRIES}"
         )
         raise kv.error("branches", why)
+    # the suite holds every scenario's detail rows until the CSVs are written
+    rows = paths * _PROBES * len(lemmas)
+    if rows > _MAX_DETAIL_ROWS:
+        why = (
+            f"paths x {_PROBES} probes x {len(lemmas)} scenarios = {rows} detail rows "
+            f"exceeds the limit of {_MAX_DETAIL_ROWS}"
+        )
+        raise kv.error("paths", why, "lemmas")
 
     control_raw = values.get("control", "none")
     control = None if control_raw == "none" else control_raw
@@ -606,8 +618,10 @@ def _resolve_instance(config: ExperimentConfig) -> ProblemInstance:
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
+    """Each line, then LF, written one line (or detail block) at a time, so
+    the file is never held as one string; no lines is one LF."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{line}\n" for line in lines or [""])
 
 
 _TRACE_HEADER = "k,dist,obj_gap,increment,alpha,theta"

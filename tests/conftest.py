@@ -15,6 +15,7 @@ settings.load_profile("suite")
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 _acceptance: dict[int, tuple[str, str]] = {}
+_call_seconds: dict[int, float] = {}
 
 
 def pytest_runtest_logreport(report):
@@ -22,6 +23,8 @@ def pytest_runtest_logreport(report):
     if m is None:
         return
     num, name = int(m.group(1)), m.group(2).replace("_", " ")
+    if report.when == "call":
+        _call_seconds[num] = report.duration
     if report.failed:
         _acceptance[num] = (name, "FAIL")
     elif report.skipped:
@@ -31,12 +34,15 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_terminal_summary(terminalreporter):
+    """One line per criterion with its verdict and, when its test body ran,
+    the body's wall time, to read against the budget the test asserts."""
     if not _acceptance:
         return
     terminalreporter.section("acceptance criteria")
     for num in sorted(_acceptance):
         name, verdict = _acceptance[num]
-        terminalreporter.write_line(f"[criterion {num}] {name}: {verdict}")
+        took = f" ({_call_seconds[num]:.2f} s)" if num in _call_seconds else ""
+        terminalreporter.write_line(f"[criterion {num}] {name}: {verdict}{took}")
 
 
 @pytest.fixture

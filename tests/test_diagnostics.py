@@ -8,6 +8,9 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nagsa import diagnostics
 from nagsa._rng import STREAM_BRANCH, STREAM_PATH, make_generator
@@ -340,6 +343,53 @@ def test_ensemble_v_constant_momentum_closed_form():
     ens = synth_paths("drift_const", {"sigma": 0.0}, seed=4, paths=3, length=200)
     expected = (ens.r[:, 1:] - 0.5 * ens.r[:, :-1]) / 0.5
     np.testing.assert_allclose(ens.v, expected, rtol=1e-10, atol=0)
+
+
+_FORM_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.0, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _form_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=_FORM_VALUE)
+
+
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+        lambda shape: st.tuples(
+            _form_arrays((shape[0], 1)),
+            _form_arrays((shape[0], 1)),
+            _form_arrays(shape),
+            _form_arrays((shape[0], 1)),
+            _form_arrays(shape[1]),
+            _form_arrays(shape),
+            _form_arrays(shape[1]),
+            st.booleans(),
+        )
+    )
+)
+def test_lyapunov_form_in_place_equals_the_allocating_form(arrays):
+    """Written into `out`, even one aliasing s_next as a branch block does or
+    s_n, V has the bits of (1 + t) s_next - t s_n + c, on branch-shaped
+    ((rows, 1) t, s_n, c) and path-shaped ((L,) t, c) arrays, including
+    +-0, +-inf and nan."""
+    t, s_n, s_next, c, t_path, s_path, c_path, alias_s_n = arrays
+    with np.errstate(all="ignore"):
+        want = ((1.0 + t) * s_next - t * s_n + c).view(np.uint64)
+        assert _lyapunov_form(t, s_n, s_next, c).view(np.uint64).tolist() == want.tolist()
+        out = s_next.copy()
+        got = _lyapunov_form(t, s_n, out, c, out=out)
+        assert got is out and out.view(np.uint64).tolist() == want.tolist()
+
+        # path shape: V over s[:, :-1] and s[:, 1:], into rows of a separate
+        # array or into s_n's own buffer
+        s = np.concatenate([s_path, s_path[:, :1]], axis=1)
+        want = ((1.0 + t_path) * s[:, 1:] - t_path * s[:, :-1] + c_path).view(np.uint64)
+        out = s[:, :-1].copy() if alias_s_n else np.empty_like(s_path)
+        s_n = out if alias_s_n else s[:, :-1]
+        _lyapunov_form(t_path, s_n, s[:, 1:], c_path, out=out)
+        assert out.view(np.uint64).tolist() == want.tolist()
 
 
 def test_branch_values_are_probe_order_independent():

@@ -395,6 +395,29 @@ def test_cli_branches_bounded_by_one_probe_block(tmp_path, capsys):
     assert parse_lemma_config("lemmas = drift\nbranches = 1398101\n").branches == 1398101
 
 
+def test_lemma_detail_rows_bounded_before_allocation():
+    """A suite holds up to 24 detail rows per path and scenario until its
+    CSVs are written; above 2^21 rows the paths line is refused."""
+    too_many = "lemmas = all\npaths = 335544\nlength = 100\n"
+    with pytest.raises(ConfigurationError, match=r"^line 2, line 1: paths x 24 probes x 7 "
+                       r"scenarios = 56371392 detail rows exceeds the limit of 2097152"):
+        parse_lemma_config(too_many)
+    # one scenario stops at floor(2^21 / 24) = 87381 paths
+    assert parse_lemma_config("lemmas = relay\npaths = 87381\nlength = 100\n").paths == 87381
+    with pytest.raises(ConfigurationError, match=r"^line 2, line 1: .* = 2097168 detail rows"):
+        parse_lemma_config("lemmas = relay\npaths = 87382\nlength = 100\n")
+
+
+def test_cli_oversized_lemma_detail_exits_two(tmp_path, capsys):
+    config = _write(tmp_path / "c.txt", "lemmas = all\npaths = 335544\nlength = 100\n")
+    rc = main(["lemma", "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error: line 2, line 1: paths x 24 probes" in err
+    assert "detail rows exceeds the limit" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_lemma_config_control_validation():
     config = parse_lemma_config("lemmas = all\ncontrol = drift\n")
     assert config.control == "drift"
@@ -715,6 +738,18 @@ def test_lemma_csv_bytes_are_pinned(tmp_path, text, summary_sha, detail_sha):
     run_lemma_suite(parse_lemma_config(text + _LEMMA_SIZES), out_dir=str(tmp_path))
     for name, expected in (("lemma_summary.csv", summary_sha), ("lemma_detail.csv", detail_sha)):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected, name
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [[], [""], ["a"], ["# k = v", "h1,h2", "1,2\n3,4"], ["", "", "x"], ["caf\u00e9,\u03b8"]],
+)
+def test_write_lines_keeps_the_joined_bytes(tmp_path, lines):
+    """Written a line at a time, a file has the bytes of its lines joined
+    by LF plus a final LF: one LF for no lines, UTF-8, no CR."""
+    path = tmp_path / "f.csv"
+    harness._write_lines(str(path), lines)
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _tree_sha256(root) -> str:

@@ -142,6 +142,24 @@ def test_word_uniforms_equal_generator_uniforms(count):
             assert row.tobytes() == want.tobytes(), (key, lo, hi)
 
 
+@pytest.mark.parametrize("count", [0, 1, 5])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_word_doubles_rows_equal_generator_random(count, reverse):
+    """Each row filled in place is make_generator(*key).random(count) bit for
+    bit, for zero rows, for count 0 and 1, for keys past 2^64 and for a
+    reversed (non-contiguous) words array."""
+    keys = [(3, 2**64 + 7, 1, 2), (1, 2**70, 0, 9), (0, 0, 0, 0)]
+    words = seed_words(_key_array(keys, 4))
+    if reverse:
+        words, keys = words[::-1], keys[::-1]
+        assert not words.flags.c_contiguous
+    u = word_doubles(words, count)
+    assert u.shape == (len(keys), count) and u.dtype == np.float64
+    for row, key in zip(u, keys, strict=True):
+        assert row.tobytes() == make_generator(*key).random(count).tobytes(), key
+    assert word_doubles(words[:0], count).shape == (0, count)
+
+
 def test_word_uniforms_need_four_words_per_row():
     for bad in (np.zeros((2, 3), dtype=np.uint64), np.zeros(4, dtype=np.uint64)):
         with pytest.raises(ValueError, match="four per row"):
