@@ -47,7 +47,7 @@ def make_generator(*key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
 
 
-def word_doubles(words: np.ndarray, count: int) -> np.ndarray:
+def word_doubles(words: np.ndarray, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """(rows, count) array whose row r is what
     make_generator(*key).random(count) draws for the key whose seed words are
     words[r] (one row of seed_words(keys)).
@@ -56,7 +56,8 @@ def word_doubles(words: np.ndarray, count: int) -> np.ndarray:
     Generator.random(out=row) on PCG64 seeded by its words: numpy's
     (x >> 11) 2^-53 on the stream's raw words x, in which the 53-bit integer
     converts exactly and 2^-53 scales it exactly, so no step rounds. No raw
-    words are held beside the result.
+    words are held beside the result. With `out`, a C-contiguous float64
+    array of shape (rows, count), the rows are filled there instead.
     """
     # numpy.random costs about 7 ms to import, which a run that draws nothing
     # (the algebra table) should not pay, so the seed source waits for it
@@ -65,10 +66,13 @@ def word_doubles(words: np.ndarray, count: int) -> np.ndarray:
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if words.ndim != 2 or words.shape[1] != 4:
         raise ValueError("seed words come four per row")
-    u = np.empty((len(words), count))
-    for row, out in zip(words, u):
-        np.random.Generator(np.random.PCG64(WordSeed(row))).random(out=out)
-    return u
+    if out is None:
+        out = np.empty((len(words), count))
+    elif out.shape != (len(words), count) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape ({len(words)}, {count})")
+    for row, dest in zip(words, out):
+        np.random.Generator(np.random.PCG64(WordSeed(row))).random(out=dest)
+    return out
 
 
 def _key_table(keys: np.ndarray) -> np.ndarray:

@@ -59,6 +59,12 @@ streams of 1999 takes 3.7 ms (9.2 ms with the raw words), and 4,800 branch
 rows of 200 in blocks of 144 rows 25.4 ms (27.7 ms): medians of 41
 alternating calls of both versions in one process on a loaded 2-core
 x86_64, Python 3.11.7, numpy 2.4.6.
+
+The path-sized arrays (draws, noise, time-major states, paths, V) and the
+branch blocks are written into a Scratch, and run_lemma_suite gives all its
+scenarios the same one, so a suite allocates them once: a whole scenario
+check on a warm Scratch traces 0.95-1.4 MiB at 200 x 2000 x 200, against
+7.3-7.8 MiB with a Scratch of its own.
 """
 
 from __future__ import annotations
@@ -82,6 +88,7 @@ __all__ = [
     "geometric_sequence",
     "CheckReport",
     "relay",
+    "Scratch",
     "synth_paths",
     "supermartingale_check",
     "convergence_check",
@@ -197,7 +204,8 @@ def _lyapunov_form(t, s_n, s_next, c, out=None):
     synthetic paths and their branches (t = 0 is single-step). With `out`
     (which may be s_next or s_n itself) V is written there, and the only
     temporary of its size is t_n s_n. Either way the same operations run in
-    the same order, so V has the same bits."""
+    the same order, so V has the same bits (but for a NaN's sign: an
+    in-place add may take the NaN of either operand)."""
     lag = t * s_n
     out = np.multiply(1.0 + t, s_next, out=out)
     out -= lag
@@ -205,13 +213,16 @@ def _lyapunov_form(t, s_n, s_next, c, out=None):
     return out
 
 
-def relay(thetas: np.ndarray, v_path: np.ndarray, r0: float | np.ndarray) -> np.ndarray:
+def relay(
+    thetas: np.ndarray, v_path: np.ndarray, r0: float | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Averaged relay r_{n+1} = (1 - theta_n) r_n + theta_n V_{n+1}.
 
     Returns r_1..r_L with r_1 = r0, driven by V_2..V_L of the given path. A
     leading path axis is stepped in one pass: v_path of shape (P, L), r0 of
     shape (P,) and thetas of shape (P, L - 1) give the P relays at once, each
-    bit for bit its 1-D call.
+    bit for bit its 1-D call. With `out`, an array of v_path's shape, the
+    relay is written there.
     """
     thetas = np.asarray(thetas, dtype=float)
     v_path = np.asarray(v_path, dtype=float)
@@ -223,7 +234,9 @@ def relay(thetas: np.ndarray, v_path: np.ndarray, r0: float | np.ndarray) -> np.
     thetas = thetas[..., : length - 1]
     if np.any((thetas < 0) | (thetas >= 1)):
         raise ValueError("relay momentum values must lie in [0, 1)")
-    r = np.empty(v_path.shape)
+    if out is not None and out.shape != v_path.shape:
+        raise ValueError(f"out has shape {out.shape}, the driving path {v_path.shape}")
+    r = np.empty(v_path.shape) if out is None else out
     r[..., 0] = r0
     for i in range(length - 1):
         r[..., i + 1] = (1.0 - thetas[..., i]) * r[..., i] + thetas[..., i] * v_path[..., i + 1]
@@ -272,6 +285,43 @@ _ZETA = 0.1
 # 16 paths of V at length 2000 in synth_paths, and the branch samples of six
 # paths at 24 probes x 200 branches in supermartingale_check
 _BLOCK_ENTRIES = 1 << 15
+
+
+class Scratch:
+    """The arrays a scenario's paths, V and branch blocks are written into.
+
+    Two hold paths x length doubles each: "a" takes the walk's draws, then
+    its time-major states, then V; "b" takes the noise, then the paths r.
+    "block" takes supermartingale_check's branch samples, one block at a
+    time, and grows when a block needs more. An array handed out is a view
+    that the next request for the same buffer overwrites, so an ensemble
+    built on a Scratch holds only until the next synth_paths on it.
+
+    run_lemma_suite passes one Scratch to all its scenarios, so the suite
+    allocates its path-sized arrays once. Allocated and freed per scenario,
+    they came from the heap (glibc serves them there once the first one has
+    been freed), and whether a small long-lived allocation had split the
+    freed space decided whether the heap grew by two of them: the suite's
+    resident peak was about 55 or 61 MB from one process to the next.
+    """
+
+    def __init__(self, paths: int, length: int):
+        self.paths, self.length = paths, length
+        self._flat = {"a": np.empty(paths * length), "b": np.empty(paths * length)}
+        self._flat["block"] = np.empty(0)
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        """An uninitialised C-contiguous float64 array of `shape` over
+        buffer `name`; "a" and "b" hold at most paths x length entries."""
+        size = math.prod(shape)
+        flat = self._flat[name]
+        if size > flat.size:
+            if name != "block":
+                raise ValueError(
+                    f"scratch {name!r} holds {self.paths} x {self.length} entries, not {shape}"
+                )
+            self._flat[name] = flat = np.empty(size)
+        return flat[:size].reshape(shape)
 
 # the params keys synth_paths accepts, with their defaults; every other
 # constant of a scenario is fixed by _DELAYED or by its _build_* function
@@ -375,7 +425,12 @@ class Ensemble:
         return self.failure_reason is None
 
     def branch_values(
-        self, p, steps: np.ndarray, branches: int, words: np.ndarray | None = None
+        self,
+        p,
+        steps: np.ndarray,
+        branches: int,
+        words: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """`branches` draws of V_{n+1} from the frozen state at (p, n), one row
         per entry of the 1-D array `steps`; p is one path index or an array
@@ -385,7 +440,8 @@ class Ensemble:
         recursion mean and the Lyapunov form are evaluated once over all
         rows. `words` holds the rows' seed words as seed_words gives them for
         those keys (supermartingale_check seeds all its probes in one pass);
-        without it they are seeded here."""
+        without it they are seeded here. With `out`, a C-contiguous float64
+        array of shape (len(steps), branches), the values are formed there."""
         if self.v is None:
             raise DivergenceError("no Lyapunov series for momentum >= 1")
         steps = np.asarray(steps)
@@ -400,13 +456,16 @@ class Ensemble:
             lo, hi = self.v_offset + 1, self.v_offset + self.v.shape[1] - 1
             raise ValueError(f"branch step {steps[outside][0]} outside {lo}..{hi}")
         rec = self.recursion
+        if out is None:
+            out = np.empty((len(steps), branches))
         if rec is None:
-            return np.repeat(self.v[p, j][:, None], branches, axis=1)
+            out[...] = self.v[p, j][:, None]
+            return out
         if words is None:
             words = seed_words(_stream_keys(STREAM_BRANCH, self.seed, p, steps))
         elif words.shape != (len(steps), 4):
             raise ValueError(f"need seed words of shape ({len(steps)}, 4), got {words.shape}")
-        w = _uniform(word_doubles(words, branches), -1.0, 1.0)
+        w = _uniform(word_doubles(words, branches, out=out), -1.0, 1.0)
         q = j + 1  # the redrawn states r_q
         i = q - rec.order
         # s_{n+1} = (mean + sigma w) + h z, formed in place on the noise (h z
@@ -439,36 +498,48 @@ def _uniform(u: np.ndarray, lo, hi) -> np.ndarray:
     return u
 
 
-def _walk(rec: Recursion, seed: int, paths: int, length: int, init) -> np.ndarray:
-    """Paths of the recursion on the per-path streams, shape (paths, length).
-    Each stream gives one uniform [0, 1) spread, from which init(spreads)
-    sets the first `order` columns, then the uniform [-1, 1) noise of every
-    step. The walk runs time-major, on (steps, paths) noise and (length,
-    paths) states, so each step reads and writes contiguous rows."""
+def _walk(
+    rec: Recursion, seed: int, paths: int, length: int, init, scratch: Scratch | None = None
+) -> np.ndarray:
+    """Paths of the recursion on the per-path streams, shape (paths, length),
+    in scratch's "b" (a new Scratch's by default). Each stream gives one uniform [0, 1) spread, from
+    which init(spreads) sets the first `order` columns, then the uniform
+    [-1, 1) noise of every step. The walk runs time-major, on (steps, paths)
+    noise and (length, paths) states, so each step reads and writes
+    contiguous rows; the draws, the noise, the states and the paths take
+    the two path-sized buffers in turn, so no third array of their size is
+    held."""
     steps = length - rec.order
-    u = word_doubles(seed_words(_stream_keys(STREAM_PATH, seed, np.arange(paths))), 1 + steps)
+    if scratch is None:
+        scratch = Scratch(paths, length)
+    words = seed_words(_stream_keys(STREAM_PATH, seed, np.arange(paths)))
+    u = word_doubles(words, 1 + steps, out=scratch.take("a", paths, 1 + steps))
     spreads = u[:, 0].copy()
-    noise = _uniform(u[:, 1:].T.copy(), -1.0, 1.0)
-    del u  # before the states, so the walk's peak stays at two arrays
+    noise = scratch.take("b", steps, paths)
+    np.copyto(noise, u[:, 1:].T)
+    noise = _uniform(noise, -1.0, 1.0)
     noise *= rec.sigma[:steps, None]  # sigma_i w for every step in one pass
-    r = np.empty((length, paths))
+    r = scratch.take("a", length, paths)  # over the draws, now copied out
     r[: rec.order] = np.broadcast_to(init(spreads), (paths, rec.order)).T
     rows = list(r)
     for i in range(steps):
         q = i + rec.order
         np.add(rec.mean(i, rows[i], rows[q - 1]), noise[i], out=rows[q])
-    del noise, rows  # before the copy, likewise
-    return np.ascontiguousarray(r.T)
+    del rows
+    out = scratch.take("b", paths, length)  # over the noise, every step taken
+    np.copyto(out, r.T)
+    return out
 
 
-def _path_form(r: np.ndarray, h: float, z: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _path_form(
+    r: np.ndarray, h: float, z: np.ndarray, t: np.ndarray, c: np.ndarray, v: np.ndarray
+) -> np.ndarray:
     """V = _lyapunov_form on s = r + h z for every path, formed over blocks of
     whole paths of at most _BLOCK_ENTRIES entries (one path at least) and
-    written into V's rows, so no full-size s or temporary is held. With
-    h = 0, s is r itself: r + 0.0 is r for every state but -0.0, which no
-    path reaches."""
+    written into the rows of v, shape (paths, length - 1), so no full-size
+    s or temporary is held. With h = 0, s is r itself: r + 0.0 is r for
+    every state but -0.0, which no path reaches."""
     paths, length = r.shape
-    v = np.empty((paths, length - 1))
     block = max(1, _BLOCK_ENTRIES // length)
     for first in range(0, paths, block):
         s = r[first : first + block]
@@ -483,7 +554,9 @@ def _noise_scales(sigma: float, length: int) -> np.ndarray:
     return sigma * 0.99 ** np.arange(1, length + 1, dtype=float)
 
 
-def _build_delayed(lemma_id: str, cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
+def _build_delayed(
+    lemma_id: str, cfg: dict, seed: int, paths: int, length: int, scratch: Scratch
+) -> Ensemble:
     scn = _DELAYED[lemma_id]
     control = cfg["control"]
     theta_valid = control != "theta"
@@ -533,7 +606,7 @@ def _build_delayed(lemma_id: str, cfg: dict, seed: int, paths: int, length: int)
         couple=scn.h * _ZETA * z[1:],
         sigma=_noise_scales(cfg["sigma"], length),
     )
-    r = _walk(rec, seed, paths, length, init)
+    r = _walk(rec, seed, paths, length, init, scratch)
     if not theta_valid:
         failure = "momentum at or above 1 admits no finite tail sum"
         return Ensemble(lemma_id, seed, r, None, recursion=rec, failure_reason=failure)
@@ -543,7 +616,7 @@ def _build_delayed(lemma_id: str, cfg: dict, seed: int, paths: int, length: int)
     # Lyapunov series on s = r + h z with exact tail bookkeeping
     t = tail_coefficients(scn.momentum, length, tol=1e-12).values[: length - 1]
     c = 2.0 * (scn.beta.tails(length - 1) + scn.h * thetas[0] * z[: length - 1])
-    v = _path_form(r, scn.h, z, t, c)
+    v = _path_form(r, scn.h, z, t, c, scratch.take("a", paths, length - 1))
     # a scenario with slack asserts that the slack is summable
     asserted = scn.eta.family != "zero" and control is None
     return Ensemble(
@@ -551,7 +624,7 @@ def _build_delayed(lemma_id: str, cfg: dict, seed: int, paths: int, length: int)
     )
 
 
-def _build_first_order(cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
+def _build_first_order(cfg: dict, seed: int, paths: int, length: int, scratch: Scratch) -> Ensemble:
     a = 0.97 ** np.arange(1, length + 1, dtype=float)  # a_1..a_L, decreasing
     etaseq = 2.0 * (1.0 - 0.85 ** np.arange(1, length + 1))
     sigma = _noise_scales(cfg["sigma"], length)
@@ -562,32 +635,46 @@ def _build_first_order(cfg: dict, seed: int, paths: int, length: int) -> Ensembl
     rec = Recursion(
         order=1, thetas=zeros, beta=zeros, eta=drive, couple=np.full(length - 1, drift), sigma=sigma
     )
-    r = _walk(rec, seed, paths, length, lambda spreads: (r_start * (1.0 + 0.5 * spreads))[:, None])
+    r = _walk(
+        rec, seed, paths, length, lambda spreads: (r_start * (1.0 + 0.5 * spreads))[:, None], scratch
+    )
     if cfg["control"] is None and np.any(r < 0):
         raise ConfigurationError("path went negative despite the floor; widen it")
     # V_n = r_n + a_{n-1} eta_n for n = 2..L: the form with t = 0 and no z
     t, c = zeros[1:], a[: length - 1] * etaseq[1:]
-    v = _path_form(r, 0.0, zeros, t, c)
+    v = _path_form(r, 0.0, zeros, t, c, scratch.take("a", paths, length - 1))
     return Ensemble("first_order", seed, r, v, v_offset=1, recursion=rec, t=t, c=c, z=zeros)
 
 
-def _build_relay(cfg: dict, seed: int, paths: int, length: int) -> Ensemble:
+def _build_relay(cfg: dict, seed: int, paths: int, length: int, scratch: Scratch) -> Ensemble:
     # each path stream draws theta, v_inf, amp, decay and r0, in that order
     lo = np.array([0.1, 0.5, 0.1, 0.8, 0.0])
     hi = np.array([0.9, 2.0, 1.0, 0.95, 3.0])
     words = seed_words(_stream_keys(STREAM_PATH, seed, np.arange(paths)))
     thetas, v_inf, amp, decay, r0 = _uniform(word_doubles(words, 5), lo, hi).T
     ns = np.arange(1, length + 1, dtype=float)
+    # v_inf + amp decay^n (or v_inf + 0.002 n, which drifts and never
+    # converges) formed in place; + and * commute exactly, so the bits are
+    # those of the written-out expression
+    v_all = scratch.take("a", paths, length)
     if cfg["control"] == "drift":
-        v_all = v_inf[:, None] + 0.002 * ns  # drifts, never converges
+        np.add(v_inf[:, None], 0.002 * ns, out=v_all)
     else:
-        v_all = v_inf[:, None] + amp[:, None] * decay[:, None] ** ns
-    r = relay(np.broadcast_to(thetas[:, None], (paths, length - 1)), v_all, r0)
+        np.power(decay[:, None], ns, out=v_all)
+        v_all *= amp[:, None]
+        v_all += v_inf[:, None]
+    thetas = np.broadcast_to(thetas[:, None], (paths, length - 1))
+    r = relay(thetas, v_all, r0, out=scratch.take("b", paths, length))
     return Ensemble("relay", seed, r, v_all[:, : length - 1])
 
 
 def synth_paths(
-    lemma_id: str, params: dict | None, seed: int, paths: int, length: int
+    lemma_id: str,
+    params: dict | None,
+    seed: int,
+    paths: int,
+    length: int,
+    scratch: Scratch | None = None,
 ) -> Ensemble:
     """Build a synthetic ensemble satisfying the named drift hypothesis.
 
@@ -601,6 +688,9 @@ def synth_paths(
       first two values of every path, refused below the nonnegativity floor
       (default: drawn per path above the floor).
     Any other key is refused with ConfigurationError.
+
+    The ensemble's r and v are written into `scratch` (a new one for these
+    paths by default), so they hold until the next synth_paths on it.
     """
     if lemma_id not in LEMMA_IDS:
         raise ConfigurationError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
@@ -618,11 +708,13 @@ def synth_paths(
     cfg.update(params or {})
     if cfg["control"] not in (None, *negative_controls(lemma_id)):
         raise ConfigurationError(f"unknown negative control {cfg['control']!r}")
+    if scratch is None:
+        scratch = Scratch(paths, length)
     if lemma_id in _DELAYED:
-        return _build_delayed(lemma_id, cfg, seed, paths, length)
+        return _build_delayed(lemma_id, cfg, seed, paths, length, scratch)
     if lemma_id == "first_order":
-        return _build_first_order(cfg, seed, paths, length)
-    return _build_relay(cfg, seed, paths, length)
+        return _build_first_order(cfg, seed, paths, length, scratch)
+    return _build_relay(cfg, seed, paths, length, scratch)
 
 
 def negative_controls(lemma_id: str) -> tuple[str, ...]:
@@ -646,6 +738,7 @@ def supermartingale_check(
     branches: int = 200,
     tol_z: float = 3.0,
     steps_per_path: int = _PROBES,
+    scratch: Scratch | None = None,
 ) -> CheckReport:
     """Estimate E[V_{n+1} | F_n] by conditional branching and flag violations.
 
@@ -667,7 +760,8 @@ def supermartingale_check(
     its own (seed, path, step) key, so no probe's draws depend on the others,
     on the block size or on how many paths share the check, and details,
     checks, violations and worst_z equal those of one probe at a time bit
-    for bit.
+    for bit. Every block is formed in one array, scratch's "block" when a
+    Scratch is given.
     """
     if branches < 30:
         raise ValueError("need at least 30 branches for a meaningful standard error")
@@ -692,11 +786,16 @@ def supermartingale_check(
     row_steps = np.tile(probe_steps, n_paths)
     words = seed_words(_stream_keys(STREAM_BRANCH, ensemble.seed, row_paths, row_steps))
     block = max(1, _BLOCK_ENTRIES // (len(steps) * branches))
+    rows_max = min(block, n_paths) * len(steps)
+    if scratch is None:
+        block_values = np.empty((rows_max, branches))
+    else:
+        block_values = scratch.take("block", rows_max, branches)
     for first in range(0, n_paths, block):
         block_paths = range(first, min(first + block, n_paths))
         rows = slice(first * len(steps), block_paths.stop * len(steps))
         p, n = row_paths[rows], row_steps[rows]
-        samples = ensemble.branch_values(p, n, branches, words[rows])
+        samples = ensemble.branch_values(p, n, branches, words[rows], out=block_values[: len(n)])
         # numpy's mean and std(ddof=1) steps, each run once: the row sums over
         # the count give the estimate, the centred squares the variance
         estimate = samples.sum(axis=1) / branches
@@ -758,11 +857,15 @@ def run_lemma_check(
     branches: int = 200,
     seed: int = 1,
     params: dict | None = None,
+    scratch: Scratch | None = None,
 ) -> CheckReport:
     """Full pipeline for one scenario: build, branch-check, convergence,
-    summability, each check at its default tolerance."""
-    ensemble = synth_paths(lemma_id, params, seed, paths, length)
-    report = supermartingale_check(ensemble, paths=paths, branches=branches)
+    summability, each check at its default tolerance. The ensemble is built
+    and checked on `scratch` (see Scratch), a new one by default."""
+    if scratch is None:
+        scratch = Scratch(paths, length)
+    ensemble = synth_paths(lemma_id, params, seed, paths, length, scratch)
+    report = supermartingale_check(ensemble, paths=paths, branches=branches, scratch=scratch)
     converged = int(np.count_nonzero(convergence_check(ensemble.r)))
     report.converged_fraction = converged / ensemble.paths
     if ensemble.eta is not None:

@@ -24,7 +24,7 @@ from itertools import chain
 import numpy as np
 
 from ._rng import RNG_ID
-from .diagnostics import _PROBES, LEMMA_IDS, CheckReport, negative_controls, run_lemma_check
+from .diagnostics import _PROBES, LEMMA_IDS, CheckReport, Scratch, negative_controls, run_lemma_check
 from .errors import _QUOTE_CHARS, ConfigurationError, _quote
 from .problems import (
     _MAX_ENTRIES,
@@ -767,6 +767,8 @@ def run_lemma_suite(
     if out is not None:
         os.makedirs(out, exist_ok=True)  # refused before the first scenario
     reports = []
+    # every scenario is built and checked in the same arrays
+    scratch = Scratch(config.paths, config.length)
     for lemma_id in config.lemmas:
         params = {"control": config.control} if config.control else None
         reports.append(
@@ -777,6 +779,7 @@ def run_lemma_suite(
                 branches=config.branches,
                 seed=config.seed,
                 params=params,
+                scratch=scratch,
             )
         )
     if config.control is None:

@@ -17,6 +17,7 @@ from nagsa._rng import STREAM_BRANCH, STREAM_PATH, make_generator
 from nagsa.diagnostics import (
     LEMMA_IDS,
     CheckReport,
+    Scratch,
     _lyapunov_form,
     convergence_check,
     geometric_sequence,
@@ -355,6 +356,12 @@ def _form_arrays(shape):
     return hnp.arrays(np.float64, shape, elements=_FORM_VALUE)
 
 
+def _bits(a):
+    """The bit patterns of a, every NaN as numpy's nan: an in-place add may
+    take the NaN of either operand, so a NaN's sign is not kept."""
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64).tolist()
+
+
 @given(
     st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
         lambda shape: st.tuples(
@@ -373,23 +380,23 @@ def test_lyapunov_form_in_place_equals_the_allocating_form(arrays):
     """Written into `out`, even one aliasing s_next as a branch block does or
     s_n, V has the bits of (1 + t) s_next - t s_n + c, on branch-shaped
     ((rows, 1) t, s_n, c) and path-shaped ((L,) t, c) arrays, including
-    +-0, +-inf and nan."""
+    +-0, +-inf and nan (a NaN's sign aside)."""
     t, s_n, s_next, c, t_path, s_path, c_path, alias_s_n = arrays
     with np.errstate(all="ignore"):
-        want = ((1.0 + t) * s_next - t * s_n + c).view(np.uint64)
-        assert _lyapunov_form(t, s_n, s_next, c).view(np.uint64).tolist() == want.tolist()
+        want = _bits((1.0 + t) * s_next - t * s_n + c)
+        assert _bits(_lyapunov_form(t, s_n, s_next, c)) == want
         out = s_next.copy()
         got = _lyapunov_form(t, s_n, out, c, out=out)
-        assert got is out and out.view(np.uint64).tolist() == want.tolist()
+        assert got is out and _bits(out) == want
 
         # path shape: V over s[:, :-1] and s[:, 1:], into rows of a separate
         # array or into s_n's own buffer
         s = np.concatenate([s_path, s_path[:, :1]], axis=1)
-        want = ((1.0 + t_path) * s[:, 1:] - t_path * s[:, :-1] + c_path).view(np.uint64)
+        want = _bits((1.0 + t_path) * s[:, 1:] - t_path * s[:, :-1] + c_path)
         out = s[:, :-1].copy() if alias_s_n else np.empty_like(s_path)
         s_n = out if alias_s_n else s[:, :-1]
         _lyapunov_form(t_path, s_n, s[:, 1:], c_path, out=out)
-        assert out.view(np.uint64).tolist() == want.tolist()
+        assert _bits(out) == want
 
 
 def test_branch_values_are_probe_order_independent():
@@ -681,6 +688,64 @@ def test_recursion_mean_rows_equal_scalar_calls(lemma_id, control):
         assert float(one).hex() == float(rows[k]).hex(), k
         on_rows = rec.mean(int(i[k]), ens.r[:, i[k]], ens.r[:, i[k] + rec.order - 1])
         assert float(on_rows[p[k]]).hex() == float(rows[k]).hex(), k
+
+
+def _ensemble_bytes(ens):
+    return [a.tobytes() for a in (ens.r, ens.v) if a is not None]
+
+
+def test_scenarios_on_one_scratch_equal_fresh_ones():
+    """Built one after another on one Scratch, as run_lemma_suite builds
+    them, every scenario and control has the paths, V, branch values and
+    report of its own fresh build; a Scratch's path buffers refuse a larger
+    shape, and its block grows."""
+    scratch = Scratch(9, 160)
+    for lemma_id in LEMMA_IDS:
+        for control in (None, *negative_controls(lemma_id)):
+            params = {"control": control} if control else None
+            fresh = synth_paths(lemma_id, params, 5, 9, 160)
+            shared = synth_paths(lemma_id, params, 5, 9, 160, scratch)
+            assert _ensemble_bytes(shared) == _ensemble_bytes(fresh), (lemma_id, control)
+            if fresh.v is None:
+                continue
+            steps = np.array([3, 40, 150])
+            out = scratch.take("block", 3, 40)
+            got = shared.branch_values(np.array([0, 4, 8]), steps, 40, out=out)
+            assert got is out
+            assert got.tobytes() == fresh.branch_values(np.array([0, 4, 8]), steps, 40).tobytes()
+            a = supermartingale_check(fresh, branches=40)
+            b = supermartingale_check(shared, branches=40, scratch=scratch)
+            assert (a.details, a.worst_z, a.violations) == (b.details, b.worst_z, b.violations)
+    with pytest.raises(ValueError, match="holds 9 x 160"):
+        scratch.take("a", 9, 161)
+    assert scratch.take("block", 40, 300).shape == (40, 300)
+
+
+def test_relay_into_a_given_array():
+    thetas, v_paths = np.full((3, 19), 0.4), np.linspace(1.0, 2.0, 60).reshape(3, 20)
+    out = np.empty((3, 20))
+    assert relay(thetas, v_paths, 1.5, out=out) is out
+    assert out.tobytes() == relay(thetas, v_paths, 1.5).tobytes()
+    with pytest.raises(ValueError, match="driving path"):
+        relay(thetas, v_paths, 1.5, out=np.empty((3, 19)))
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_lemma_check_on_a_warm_scratch_allocates_no_path_array(lemma_id):
+    """At 200 paths x 2000 steps a path array is 3.05 MiB. On a Scratch that
+    a previous scenario sized, a whole scenario check traces under 2 MiB,
+    so run_lemma_suite allocates its path-sized arrays once, not once per
+    scenario (that churn left the suite's resident peak to the heap
+    layout)."""
+    scratch = Scratch(200, 2000)
+    run_lemma_check(lemma_id, scratch=scratch)
+    tracemalloc.start()
+    try:
+        run_lemma_check(lemma_id, scratch=scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("lemma_id", LEMMA_IDS)

@@ -160,6 +160,18 @@ def test_word_doubles_rows_equal_generator_random(count, reverse):
     assert word_doubles(words[:0], count).shape == (0, count)
 
 
+def test_word_doubles_fill_a_given_array():
+    """With out=, the rows are filled there, bit for bit the allocated ones;
+    an array of the wrong shape, type or layout is refused."""
+    words = seed_words(_key_array([(3, 1, 4), (1, 5, 9)], 3))
+    out = np.full((2, 7), np.nan)
+    assert word_doubles(words, 7, out=out) is out
+    assert out.tobytes() == word_doubles(words, 7).tobytes()
+    for bad in (np.empty((2, 6)), np.empty((2, 7), dtype=np.float32), np.empty((7, 2)).T):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            word_doubles(words, 7, out=bad)
+
+
 def test_word_uniforms_need_four_words_per_row():
     for bad in (np.zeros((2, 3), dtype=np.uint64), np.zeros(4, dtype=np.uint64)):
         with pytest.raises(ValueError, match="four per row"):
