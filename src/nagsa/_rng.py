@@ -68,8 +68,9 @@ def word_doubles(words: np.ndarray, count: int, out: np.ndarray | None = None) -
         raise ValueError("seed words come four per row")
     if out is None:
         out = np.empty((len(words), count))
-    elif out.shape != (len(words), count) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape ({len(words)}, {count})")
+    elif out.shape != (len(words), count) or out.dtype != float or not out.flags.c_contiguous:
+        shape = (len(words), count)
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     for row, dest in zip(words, out):
         np.random.Generator(np.random.PCG64(WordSeed(row))).random(out=dest)
     return out

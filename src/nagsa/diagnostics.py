@@ -301,8 +301,8 @@ class Scratch:
     allocates its path-sized arrays once. Allocated and freed per scenario,
     they came from the heap (glibc serves them there once the first one has
     been freed), and whether a small long-lived allocation had split the
-    freed space decided whether the heap grew by two of them: the suite's
-    resident peak was about 55 or 61 MB from one process to the next.
+    freed space decided whether the heap grew by two of them: a suite's
+    resident peak read about 56.7 or 62.3 MB from one run to the next.
     """
 
     def __init__(self, paths: int, length: int):
@@ -322,6 +322,7 @@ class Scratch:
                 )
             self._flat[name] = flat = np.empty(size)
         return flat[:size].reshape(shape)
+
 
 # the params keys synth_paths accepts, with their defaults; every other
 # constant of a scenario is fixed by _DELAYED or by its _build_* function
@@ -502,13 +503,13 @@ def _walk(
     rec: Recursion, seed: int, paths: int, length: int, init, scratch: Scratch | None = None
 ) -> np.ndarray:
     """Paths of the recursion on the per-path streams, shape (paths, length),
-    in scratch's "b" (a new Scratch's by default). Each stream gives one uniform [0, 1) spread, from
-    which init(spreads) sets the first `order` columns, then the uniform
-    [-1, 1) noise of every step. The walk runs time-major, on (steps, paths)
-    noise and (length, paths) states, so each step reads and writes
-    contiguous rows; the draws, the noise, the states and the paths take
-    the two path-sized buffers in turn, so no third array of their size is
-    held."""
+    in scratch's "b" (a new Scratch's by default). Each stream gives one
+    uniform [0, 1) spread, from which init(spreads) sets the first `order`
+    columns, then the uniform [-1, 1) noise of every step. The walk runs
+    time-major, on (steps, paths) noise and (length, paths) states, so each
+    step reads and writes contiguous rows; the draws, the noise, the states
+    and the paths take the two path-sized buffers in turn, so no third array
+    of their size is held."""
     steps = length - rec.order
     if scratch is None:
         scratch = Scratch(paths, length)
@@ -624,7 +625,9 @@ def _build_delayed(
     )
 
 
-def _build_first_order(cfg: dict, seed: int, paths: int, length: int, scratch: Scratch) -> Ensemble:
+def _build_first_order(
+    cfg: dict, seed: int, paths: int, length: int, scratch: Scratch
+) -> Ensemble:
     a = 0.97 ** np.arange(1, length + 1, dtype=float)  # a_1..a_L, decreasing
     etaseq = 2.0 * (1.0 - 0.85 ** np.arange(1, length + 1))
     sigma = _noise_scales(cfg["sigma"], length)
@@ -635,9 +638,10 @@ def _build_first_order(cfg: dict, seed: int, paths: int, length: int, scratch: S
     rec = Recursion(
         order=1, thetas=zeros, beta=zeros, eta=drive, couple=np.full(length - 1, drift), sigma=sigma
     )
-    r = _walk(
-        rec, seed, paths, length, lambda spreads: (r_start * (1.0 + 0.5 * spreads))[:, None], scratch
-    )
+    def init(spreads: np.ndarray) -> np.ndarray:
+        return (r_start * (1.0 + 0.5 * spreads))[:, None]
+
+    r = _walk(rec, seed, paths, length, init, scratch)
     if cfg["control"] is None and np.any(r < 0):
         raise ConfigurationError("path went negative despite the floor; widen it")
     # V_n = r_n + a_{n-1} eta_n for n = 2..L: the form with t = 0 and no z

@@ -24,7 +24,14 @@ from itertools import chain
 import numpy as np
 
 from ._rng import RNG_ID
-from .diagnostics import _PROBES, LEMMA_IDS, CheckReport, Scratch, negative_controls, run_lemma_check
+from .diagnostics import (
+    _PROBES,
+    LEMMA_IDS,
+    CheckReport,
+    Scratch,
+    negative_controls,
+    run_lemma_check,
+)
 from .errors import _QUOTE_CHARS, ConfigurationError, _quote
 from .problems import (
     _MAX_ENTRIES,
