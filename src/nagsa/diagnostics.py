@@ -13,7 +13,7 @@ construction, then checks the advertised conclusions empirically:
 
 * supermartingale_check estimates E[V_{n+1} | F_n] by spawning conditional
   branches from frozen states and flags estimates exceeding V_n by more than
-  tol_z standard errors;
+  three standard errors, keeping every probe's row in arrays;
 * convergence_check is the finite-sample plateau surrogate for almost-sure
   convergence (max - min over a trailing window), one pass over every path
   of an ensemble;
@@ -52,26 +52,24 @@ word_doubles draws every stream straight into its row of one array. V is
 formed over blocks of whole paths, written into V's rows, so no full-size
 s = r + h z is held; a branch block forms V in place on its own noise, and
 supermartingale_check runs numpy's mean and std(ddof=1) steps once per
-block. At 200 paths x 2000 steps a traced synth_paths peaks at 6.6-7.2 MiB
-(7.0-7.6 MiB while raw words were held beside the doubles, 9.4-12.5 MiB
-before V was blocked), of which r and V hold 6.1 MiB. Drawing its 200 path
-streams of 1999 takes 3.7 ms (9.2 ms with the raw words), and 4,800 branch
-rows of 200 in blocks of 144 rows 25.4 ms (27.7 ms): medians of 41
-alternating calls of both versions in one process on a loaded 2-core
-x86_64, Python 3.11.7, numpy 2.4.6.
+block. At 200 paths x 2000 steps a traced synth_paths peaks at 6.6-7.2 MiB,
+of which r and V hold 6.1 MiB. Drawing its 200 path streams of 1999 takes
+3.7 ms, and 4,800 branch rows of 200 in blocks of 144 rows 25.4 ms: medians
+of 41 calls on a loaded 2-core x86_64, Python 3.11.7, numpy 2.4.6.
 
 The path-sized arrays (draws, noise, time-major states, paths, V) and the
 branch blocks are written into a Scratch, and run_lemma_suite gives all its
 scenarios the same one, so a suite allocates them once: a whole scenario
-check on a warm Scratch traces 0.95-1.4 MiB at 200 x 2000 x 200, against
-7.3-7.8 MiB with a Scratch of its own.
+check on a warm Scratch traces 0.86-1.2 MiB at 200 x 2000 x 200, against
+7.3-7.8 MiB with a Scratch of its own. A report keeps each probe's path,
+step, V_n, estimate and z-score in five arrays, 40 B a probe, and
+lemma_detail.csv is formatted from them a block of rows at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import add, sub
 
 import numpy as np
@@ -172,7 +170,12 @@ class CheckReport:
     converged_fraction: float | None = None
     eta_plateaued: bool | None = None
     failure_reason: str | None = None
-    details: list[tuple[str, int, int, float, float, float]] = field(default_factory=list)
+    # one entry per probe, in path-then-step order
+    path: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    step: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    v_n: np.ndarray = field(default_factory=lambda: np.empty(0))
+    estimate: np.ndarray = field(default_factory=lambda: np.empty(0))
+    z: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     @property
     def violation_rate(self) -> float:
@@ -731,96 +734,85 @@ def negative_controls(lemma_id: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # checks
 
-# probed steps per path of supermartingale_check by default (fewer when the
-# rounded geometric steps repeat)
+# probed steps per path of supermartingale_check (fewer when the rounded
+# geometric steps repeat), and the z-score above which a probe is a violation
 _PROBES = 24
+_TOL_Z = 3.0
 
 
 def supermartingale_check(
-    ensemble: Ensemble,
-    paths: int | None = None,
-    branches: int = 200,
-    tol_z: float = 3.0,
-    steps_per_path: int = _PROBES,
-    scratch: Scratch | None = None,
+    ensemble: Ensemble, branches: int = 200, scratch: Scratch | None = None
 ) -> CheckReport:
     """Estimate E[V_{n+1} | F_n] by conditional branching and flag violations.
 
-    At each probed (path, step) the frozen state is branched `branches`
-    times; the estimate exceeding V_n by more than tol_z standard errors
-    counts as a violation. Branches whose spread is within rounding of zero
-    are treated as deterministic: they violate only when the next value
-    exceeds V_n beyond rounding (a degenerate standard error would otherwise
-    turn summation noise into huge z-scores). Fewer than 30 branches have no
-    statistical power and are refused.
+    At each probed (path, step) of every path the frozen state is branched
+    `branches` times; the estimate exceeding V_n by more than _TOL_Z
+    standard errors counts as a violation. Branches whose spread is within
+    rounding of zero are treated as deterministic: they violate only when
+    the next value exceeds V_n beyond rounding (a degenerate standard error
+    would otherwise turn summation noise into huge z-scores). Fewer than 30
+    branches have no statistical power and are refused.
 
-    The seed words of every (path, step) branch stream of the check come
-    from one seed_words pass over their keys. The paths are then checked in
-    blocks of as many whole paths as fit in _BLOCK_ENTRIES branch samples
-    (one path when a single path needs more): one branch_values call gives
-    the block's (path, step) rows in path-then-step order, and the
-    estimates, standard errors, z-scores and violations are row-wise array
-    operations. Every row is still drawn from its own stream, seeded from
-    its own (seed, path, step) key, so no probe's draws depend on the others,
-    on the block size or on how many paths share the check, and details,
-    checks, violations and worst_z equal those of one probe at a time bit
-    for bit. Every block is formed in one array, scratch's "block" when a
-    Scratch is given.
+    The report keeps one entry per probe in its path, step, v_n, estimate
+    and z arrays, in path-then-step order. The seed words of every (path,
+    step) branch stream come from one seed_words pass over their keys. The
+    probes are then checked in blocks of as many whole paths as fit in
+    _BLOCK_ENTRIES branch samples (one path when a single path needs more):
+    one branch_values call gives the block's rows, and the estimates,
+    standard errors and z-scores are row-wise array operations written into
+    the report's arrays. Every row is still drawn from its own stream,
+    seeded from its own (seed, path, step) key, so no probe's draws depend
+    on the others, on the block size or on how many paths the ensemble has,
+    and every entry equals that of one probe at a time bit for bit. Every
+    block is formed in one array, scratch's "block" when a Scratch is given.
     """
     if branches < 30:
         raise ValueError("need at least 30 branches for a meaningful standard error")
-    if tol_z <= 0:
-        raise ValueError("tol_z must be positive")
-    n_paths = ensemble.paths if paths is None else min(paths, ensemble.paths)
-    if n_paths < 1:
-        raise ValueError("need at least one path to probe")
-    report = CheckReport(lemma_id=ensemble.lemma_id, paths_tested=n_paths)
     if not ensemble.theta_valid:
-        report.failure_reason = ensemble.failure_reason
-        return report
+        return CheckReport(
+            ensemble.lemma_id, ensemble.paths, failure_reason=ensemble.failure_reason
+        )
 
     lo = 1 + ensemble.v_offset
     hi = ensemble.v_offset + ensemble.v.shape[1] - 1  # V_{n+1} must exist
-    probe_steps = np.unique(
-        np.round(np.geomspace(lo, hi, steps_per_path)).astype(int)
-    )
-    scale_eps = 1e-12
-    steps = probe_steps.tolist()
-    row_paths = np.repeat(np.arange(n_paths), len(steps))
-    row_steps = np.tile(probe_steps, n_paths)
-    words = seed_words(_stream_keys(STREAM_BRANCH, ensemble.seed, row_paths, row_steps))
-    block = max(1, _BLOCK_ENTRIES // (len(steps) * branches))
-    rows_max = min(block, n_paths) * len(steps)
+    probe_steps = np.unique(np.round(np.geomspace(lo, hi, _PROBES)).astype(int))
+    path = np.repeat(np.arange(ensemble.paths), len(probe_steps))
+    step = np.tile(probe_steps, ensemble.paths)
+    v_n = ensemble.v[path, step - 1 - ensemble.v_offset]
+    estimate, z = np.empty(len(v_n)), np.empty(len(v_n))
+    words = seed_words(_stream_keys(STREAM_BRANCH, ensemble.seed, path, step))
+    block = len(probe_steps) * max(1, _BLOCK_ENTRIES // (len(probe_steps) * branches))
     if scratch is None:
-        block_values = np.empty((rows_max, branches))
-    else:
-        block_values = scratch.take("block", rows_max, branches)
-    for first in range(0, n_paths, block):
-        block_paths = range(first, min(first + block, n_paths))
-        rows = slice(first * len(steps), block_paths.stop * len(steps))
-        p, n = row_paths[rows], row_steps[rows]
-        samples = ensemble.branch_values(p, n, branches, words[rows], out=block_values[: len(n)])
+        scratch = Scratch(0, 0)
+    block_values = scratch.take("block", min(block, len(v_n)), branches)
+    for first in range(0, len(v_n), block):
+        rows = slice(first, min(first + block, len(v_n)))
+        out = block_values[: rows.stop - first]
+        samples = ensemble.branch_values(path[rows], step[rows], branches, words[rows], out=out)
         # numpy's mean and std(ddof=1) steps, each run once: the row sums over
         # the count give the estimate, the centred squares the variance
-        estimate = samples.sum(axis=1) / branches
-        samples -= estimate[:, None]
+        est = np.divide(samples.sum(axis=1), branches, out=estimate[rows])
+        samples -= est[:, None]
         samples *= samples
         se = np.sqrt(samples.sum(axis=1) / (branches - 1)) / math.sqrt(branches)
-        v_n = ensemble.v[p, n - 1 - ensemble.v_offset]
-        diff = estimate - v_n
-        rounding = scale_eps * np.maximum(1.0, np.abs(v_n))
-        # deterministic branches read inf or 0; as tol_z > 0, z > tol_z is the violation
-        zscore = np.where(diff > rounding, math.inf, 0.0)
-        np.divide(diff, se, out=zscore, where=se > rounding)
-        report.checks += len(n)
-        report.violations += int(np.count_nonzero(zscore > tol_z))
-        zs = zscore.tolist()
-        report.worst_z = max([report.worst_z, *zs])
-        # the detail rows share one int per path and the step list's ints
-        path_column = (path for path in block_paths for _ in steps)
-        columns = (path_column, steps * len(block_paths), v_n.tolist(), estimate.tolist(), zs)
-        report.details.extend(zip(repeat(ensemble.lemma_id), *columns))
-    return report
+        diff = est - v_n[rows]
+        rounding = 1e-12 * np.maximum(1.0, np.abs(v_n[rows]))
+        # deterministic branches read inf or 0, a violation exactly when
+        # z > _TOL_Z (> 0)
+        z[rows] = np.where(diff > rounding, math.inf, 0.0)
+        np.divide(diff, se, out=z[rows], where=se > rounding)
+    return CheckReport(
+        ensemble.lemma_id,
+        ensemble.paths,
+        checks=len(z),
+        violations=int(np.count_nonzero(z > _TOL_Z)),
+        worst_z=float(z.max(initial=-math.inf)),
+        path=path,
+        step=step,
+        v_n=v_n,
+        estimate=estimate,
+        z=z,
+    )
 
 
 def convergence_check(
@@ -869,7 +861,7 @@ def run_lemma_check(
     if scratch is None:
         scratch = Scratch(paths, length)
     ensemble = synth_paths(lemma_id, params, seed, paths, length, scratch)
-    report = supermartingale_check(ensemble, paths=paths, branches=branches, scratch=scratch)
+    report = supermartingale_check(ensemble, branches, scratch)
     converged = int(np.count_nonzero(convergence_check(ensemble.r)))
     report.converged_fraction = converged / ensemble.paths
     if ensemble.eta is not None:

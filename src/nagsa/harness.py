@@ -18,8 +18,8 @@ import os
 import re
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -169,7 +169,7 @@ _LEMMA_KEYS = frozenset(
 )
 
 # most detail rows a lemma suite may hold (up to _PROBES per path and
-# scenario, about 224 B each, so about 470 MB)
+# scenario, 40 B each in a report's five arrays, so 80 MiB)
 _MAX_DETAIL_ROWS = 1 << 21
 
 
@@ -234,9 +234,6 @@ class _KeyedValues:
         if fault is not None:
             keys, why = fault
             raise self.error(keys[0], why, *keys[1:])
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.values.get(key, default)
 
     def number(self, key: str, default: float | None = None) -> float:
         raw = self.values.get(key)
@@ -624,9 +621,9 @@ def _resolve_instance(config: ExperimentConfig) -> ProblemInstance:
     return inst
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_lines(path: str, lines: Iterable[str]) -> None:
     """Each line, then LF, written one line (or detail block) at a time, so
-    the file is never held as one string; no lines is one LF."""
+    the file is never held as one string; an empty list is one LF."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.writelines(f"{line}\n" for line in lines or [""])
 
@@ -733,33 +730,34 @@ def _lemma_summary_lines(config: LemmaSuiteConfig, reports: list[CheckReport]) -
     for rep in reports:
         eta = "na" if rep.eta_plateaued is None else str(int(rep.eta_plateaued))
         conv = "na" if rep.converged_fraction is None else _fmt(rep.converged_fraction)
-        worst = _fmt(rep.worst_z) if math.isfinite(rep.worst_z) else (
-            "inf" if rep.worst_z > 0 else "-inf"
-        )
         lines.append(
             f"{rep.lemma_id},{rep.paths_tested},{rep.checks},{rep.violations},"
-            f"{_fmt(rep.violation_rate)},{worst},{conv},{eta},{int(rep.passed)}"
+            f"{_fmt(rep.violation_rate)},{_fmt(rep.worst_z)},{conv},{eta},{int(rep.passed)}"
         )
     return lines
 
 
-# detail rows per % format; details hold Python floats, which %.17g formats
-# as _fmt does ("inf", "nan" and "-0" too)
+# detail rows per % format; the columns' tolist() gives Python ints and
+# floats, which %.17g formats as _fmt does ("inf", "nan" and "-0" too)
 _DETAIL_BLOCK = 256
 _DETAIL_ROW = "%s,%d,%d,%.17g,%.17g,%.17g"
 
 
-def _lemma_detail_lines(reports: list[CheckReport]) -> list[str]:
+def _lemma_detail_lines(reports: list[CheckReport]) -> Iterator[str]:
     """The detail CSV's header, then its rows in blocks of _DETAIL_BLOCK
-    lines, each block one % format over the rows' fields."""
-    lines = ["lemma_id,path,step,V_n,estimate,z_score"]
+    lines, each block one % format over the fields of the reports' arrays,
+    formed as it is written."""
+    yield "lemma_id,path,step,V_n,estimate,z_score"
     full = "\n".join([_DETAIL_ROW] * _DETAIL_BLOCK)
     for rep in reports:
-        for first in range(0, len(rep.details), _DETAIL_BLOCK):
-            rows = rep.details[first : first + _DETAIL_BLOCK]
-            fmt = full if len(rows) == _DETAIL_BLOCK else "\n".join([_DETAIL_ROW] * len(rows))
-            lines.append(fmt % tuple(chain.from_iterable(rows)))
-    return lines
+        columns = (rep.path, rep.step, rep.v_n, rep.estimate, rep.z)
+        for first in range(0, rep.checks, _DETAIL_BLOCK):
+            count = min(_DETAIL_BLOCK, rep.checks - first)
+            fields = [rep.lemma_id] * (6 * count)
+            for k, column in enumerate(columns, 1):
+                fields[k::6] = column[first : first + count].tolist()
+            fmt = full if count == _DETAIL_BLOCK else "\n".join([_DETAIL_ROW] * count)
+            yield fmt % tuple(fields)
 
 
 def run_lemma_suite(

@@ -87,6 +87,7 @@ from .errors import ConfigurationError, _quote
 from .problems import (
     ConstraintSet,
     ProblemInstance,
+    _fmt,
     _norm,
     _objective_values,
     _pass_shape,
@@ -263,8 +264,8 @@ def _validity_metadata(cfg: SolverConfig) -> dict[str, str]:
     return {
         "valid.step_diverges_sum": str(report.diverges_sum).lower(),
         "valid.step_square_summable": str(report.square_summable).lower(),
-        "valid.mom_lo": format(lo, ".17g"),
-        "valid.mom_hi": format(hi, ".17g"),
+        "valid.mom_lo": _fmt(lo),
+        "valid.mom_hi": _fmt(hi),
         "valid.mom_nonincreasing": str(cfg.momentum.is_nonincreasing).lower(),
         "hypothesis_profile": profile,
     }
@@ -365,19 +366,19 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         "m": str(inst.m),
         "n": str(inst.n),
         "problem_seed": str(inst.seed),
-        "lambda": format(inst.lam, ".17g"),
+        "lambda": _fmt(inst.lam),
         "seed": str(config.seed),
         "N": str(config.iterations),
-        "stride": format(config.stride, ".17g"),
+        "stride": _fmt(config.stride),
         "init": config.init,
         "constraint": config.constraint.kind,
         "step.family": config.step.family,
-        "step.c": format(config.step.c, ".17g"),
-        "step.s": format(config.step.s, ".17g"),
-        "step.p": format(config.step.p, ".17g"),
+        "step.c": _fmt(config.step.c),
+        "step.s": _fmt(config.step.s),
+        "step.p": _fmt(config.step.p),
         "mom.family": config.momentum.family,
-        "mom.theta": format(config.momentum.theta, ".17g"),
-        "mom.s": format(config.momentum.s, ".17g"),
+        "mom.theta": _fmt(config.momentum.theta),
+        "mom.s": _fmt(config.momentum.s),
     }
     if config.method == "composite":
         metadata["composite.order"] = config.composite_order

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nagsa
-from nagsa import cli, harness, problems
+from nagsa import cli, diagnostics, harness, problems, solvers
 from nagsa.cli import main
 from nagsa.errors import ConfigurationError
 from nagsa.harness import (
@@ -618,6 +619,15 @@ def test_plotdata_sentinel_and_missing(tmp_path):
     assert row_k2[2] == "2"
 
 
+def test_plotdata_puts_named_groups_after_numeric_ones(tmp_path):
+    root = tmp_path / "named"
+    for name in ("theta_harmonic", "theta_1", "theta_0.5"):
+        (root / name).mkdir(parents=True)
+        _write_fake_trace(root / name / "trace_seed1.csv", [(1, 10.0)])
+    lines = plotdata(str(root)).splitlines()
+    assert lines[1] == "log10_k,theta_0.5,theta_1,theta_harmonic"
+
+
 def test_plotdata_median_over_seeds(tmp_path):
     root = tmp_path / "med"
     (root / "theta_0").mkdir(parents=True)
@@ -706,6 +716,60 @@ def test_lemma_suite_control_inverts_success(tmp_path):
     assert not reports[0].passed
     summary = (tmp_path / "lemma_summary.csv").read_text().splitlines()
     assert summary[-1].split(",")[-1] == "0"
+
+
+def test_lemma_suite_reports_hold_their_rows_in_arrays(tmp_path):
+    """At the defaults (7 scenarios x 200 paths x 24 probes, 200 branches)
+    a suite that writes its CSVs traces under 10 MiB, of which the two
+    path-sized Scratch buffers take 6.1 MiB, and the reports it returns hold
+    under 2 MiB: 40 B a probe, no Python object per row."""
+    run_lemma_suite(parse_lemma_config("lemmas = all\npaths = 3\nlength = 100\nbranches = 30\n"))
+    config = parse_lemma_config("lemmas = all\n")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports, all_good = run_lemma_suite(config, out_dir=str(tmp_path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all_good and sum(rep.checks for rep in reports) > 30_000
+    assert peak - before < 10 * 2**20, (peak - before) / 2**20
+    assert held - before < 2 * 2**20, (held - before) / 2**20
+
+
+def test_lemma_suite_checks_each_scenario_through_run_lemma_check(monkeypatch):
+    """run_lemma_suite looks up the module-global harness.run_lemma_check
+    once per scenario and reports what it returns; the benchmark replaces
+    that name to count and time the checks."""
+    calls = []
+
+    def counted(lemma_id, **kwargs):
+        report = diagnostics.run_lemma_check(lemma_id, **kwargs)
+        calls.append((lemma_id, report))
+        return report
+
+    monkeypatch.setattr(harness, "run_lemma_check", counted)
+    config = parse_lemma_config(
+        "lemmas = relay, first_order, drift\npaths = 4\nlength = 100\nbranches = 30\n"
+    )
+    reports, _ = run_lemma_suite(config)
+    assert [lemma_id for lemma_id, _ in calls] == ["relay", "first_order", "drift"]
+    assert [id(rep) for rep in reports] == [id(rep) for _, rep in calls]
+
+
+def test_run_experiment_runs_each_pair_through_run(tmp_path, monkeypatch):
+    """run_experiment looks up the module-global harness.run once per
+    (momentum, seed) pair; the benchmark replaces that name to count and
+    time the solver runs."""
+    calls = []
+
+    def counted(config, inst):
+        calls.append((config.momentum.theta, config.seed))
+        return solvers.run(config, inst)
+
+    monkeypatch.setattr(harness, "run", counted)
+    run_experiment(parse_config(TINY_RUN), out_dir=str(tmp_path))
+    assert calls == [(0.0, 1), (0.0, 2), (0.5, 1), (0.5, 2)]
 
 
 _LEMMA_SIZES = "paths = 20\nlength = 300\nbranches = 40\nseed = 3\n"
@@ -1195,3 +1259,34 @@ def test_cli_plotdata(tiny_bundle, capsys):
     assert rc == 0
     assert capsys.readouterr().out.startswith("# bundle =")
     assert main(["plotdata"]) == 2
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "lemma"])
+def test_cli_seed_flag_overrides_the_config(tmp_path, capsys, command):
+    lemma = "lemmas = relay\npaths = 3\nlength = 300\nbranches = 30\n"
+    config = _write(tmp_path / "c.txt", TINY_RUN if command != "lemma" else lemma)
+    out = tmp_path / "out"
+    rc = main([command, "--config", config, "--out", str(out), "--seed", "7"])
+    assert rc == 0
+    if command == "gen":
+        assert load_instance(str(out / "instance.txt")).seed == 7
+    elif command == "run":
+        assert sorted(os.listdir(out / "theta_0")) == ["summary.csv", "trace_seed7.csv"]
+    else:
+        detail = (out / "lemma_detail.csv").read_text()
+        run_lemma_suite(parse_lemma_config(lemma + "seed = 7\n"), out_dir=str(tmp_path / "seed7"))
+        assert detail == (tmp_path / "seed7" / "lemma_detail.csv").read_text()
+
+
+def test_cli_plotdata_finds_the_bundle_through_the_config(tiny_bundle, tmp_path, capsys):
+    _, out = tiny_bundle
+    config = _write(tmp_path / "c.txt", TINY_RUN + f"out = {out}\n")
+    assert main(["plotdata", "--config", config]) == 0
+    assert capsys.readouterr().out == plotdata(str(out))
+
+
+def test_cli_run_without_step_c_exits_two(tmp_path, capsys):
+    config = _write(tmp_path / "c.txt", TINY_RUN.replace("step.c = 1/16\n", ""))
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "missing required key 'step.c'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
