@@ -22,7 +22,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -36,12 +35,13 @@ from .harness import (
     run_lemma_suite,
 )
 from .momentum_algebra import head_blocks, tail_coefficients
-from .problems import dump_instance, gen, lasso_reference, with_reference
+from .problems import _fmt_rows, dump_instance, gen, lasso_reference, with_reference
 from .schedules import MomentumSchedule
 
 
-# rows of the algebra table per stdout write
+# rows of the algebra table per stdout write, and the format of one row
 _WRITE_ROWS = 1024
+_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
 
 
 def _read_config(path: str) -> str:
@@ -54,10 +54,14 @@ def _read_config(path: str) -> str:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from None
 
 
+def _seed_key(args, key: str) -> dict[str, str]:
+    """--seed N as the config line `key = N`, so the echo in the CSV headers
+    names the seed that ran."""
+    return {} if args.seed is None else {key: str(args.seed)}
+
+
 def _cmd_gen(args) -> int:
-    config = parse_config(_read_config(args.config))
-    if args.seed is not None:
-        config = dataclasses.replace(config, problem_seed=args.seed)
+    config = parse_config(_read_config(args.config), _seed_key(args, "problem.seed"))
     inst = gen(config.kind, config.m, config.n, config.problem_seed, lam=config.lam)
     if inst.reference_optimum is None:
         inst = with_reference(inst, lasso_reference(inst))
@@ -76,9 +80,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = parse_config(_read_config(args.config))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seeds=(args.seed,))
+    config = parse_config(_read_config(args.config), _seed_key(args, "seeds"))
     bundle = run_experiment(config, out_dir=args.out)
     print(bundle.root)
     single = bundle.single_run
@@ -92,9 +94,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    config = parse_lemma_config(_read_config(args.config))
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = parse_lemma_config(_read_config(args.config), _seed_key(args, "seed"))
     if args.out is None and config.out is None:
         raise ConfigurationError("no output directory (give out = PATH or --out)")
     reports, all_good = run_lemma_suite(config, out_dir=args.out)
@@ -127,19 +127,19 @@ def _cmd_algebra(args) -> int:
         # Python floats of a whole block are never held at once
         for lo in range(start, stop, _WRITE_ROWS):
             hi = min(lo + _WRITE_ROWS, stop)
-            rows = zip(
+            d_k = d[lo - start : hi - start]
+            c_k = c[lo - start : hi - start]
+            # squared by Python's float power, as the per-row fold did
+            residual = [x**2 for x in (d_k - c_k).tolist()]
+            columns = [
                 range(lo + 1, hi + 1),
                 thetas[lo:hi].tolist(),
-                d[lo - start : hi - start].tolist(),
-                c[lo - start : hi - start].tolist(),
+                d_k.tolist(),
+                c_k.tolist(),
+                residual,
                 tails[lo:hi].tolist(),
-            )
-            sys.stdout.write(
-                "".join(
-                    f"{k},{theta:.17g},{d_k:.17g},{c_k:.17g},{(d_k - c_k) ** 2:.17g},{t_k:.17g}\n"
-                    for k, theta, d_k, c_k, t_k in rows
-                )
-            )
+            ]
+            sys.stdout.write(_fmt_rows(_ROW, columns) + "\n")
         start = stop
     return 0
 

@@ -18,7 +18,7 @@ import os
 import re
 import sys
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +39,7 @@ from .problems import (
     ConstraintSet,
     ProblemInstance,
     _fmt,
+    _fmt_rows,
     ball,
     box,
     dump_instance,
@@ -356,9 +357,21 @@ def _parse_constraint(spec: str, kv: _KeyedValues) -> ConstraintSet:
     raise kv.error("constraint", f"unknown constraint {_quote(spec)} (none, ball:R, box:LO:HI)")
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate an experiment config, expanding any preset."""
+def _override(
+    values: dict[str, str], lines: dict[str, int], overrides: Mapping[str, str] | None
+) -> None:
+    """Give each key of overrides its value, as if the file's line for it
+    said so (the CLI's --seed)."""
+    for key, value in (overrides or {}).items():
+        values[key] = value
+        lines.pop(key, None)
+
+
+def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> ExperimentConfig:
+    """Parse and validate an experiment config, expanding any preset; a key
+    of overrides counts as a line of the file that sets it, echo included."""
     explicit, lines = _read_key_values(text, _RUN_KEYS)
+    _override(explicit, lines, overrides)
 
     preset_name = explicit.pop("preset", None)
     if preset_name is not None:
@@ -489,9 +502,11 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def parse_lemma_config(text: str) -> LemmaSuiteConfig:
-    """Parse a lemma-suite config: which scenarios, ensemble sizes, control."""
+def parse_lemma_config(text: str, overrides: Mapping[str, str] | None = None) -> LemmaSuiteConfig:
+    """Parse a lemma-suite config: which scenarios, ensemble sizes, control;
+    overrides as in parse_config."""
     values, lines = _read_key_values(text, _LEMMA_KEYS)
+    _override(values, lines, overrides)
     if "lemmas" not in values:
         raise ConfigurationError("missing required key 'lemmas' (use `lemmas = all`)")
     kv = _KeyedValues(values, lines, None)
@@ -737,27 +752,24 @@ def _lemma_summary_lines(config: LemmaSuiteConfig, reports: list[CheckReport]) -
     return lines
 
 
-# detail rows per % format; the columns' tolist() gives Python ints and
-# floats, which %.17g formats as _fmt does ("inf", "nan" and "-0" too)
+# detail rows per % format
 _DETAIL_BLOCK = 256
 _DETAIL_ROW = "%s,%d,%d,%.17g,%.17g,%.17g"
 
 
 def _lemma_detail_lines(reports: list[CheckReport]) -> Iterator[str]:
     """The detail CSV's header, then its rows in blocks of _DETAIL_BLOCK
-    lines, each block one % format over the fields of the reports' arrays,
-    formed as it is written."""
+    lines, each block formed from the reports' arrays by _fmt_rows as it is
+    written."""
     yield "lemma_id,path,step,V_n,estimate,z_score"
-    full = "\n".join([_DETAIL_ROW] * _DETAIL_BLOCK)
     for rep in reports:
         columns = (rep.path, rep.step, rep.v_n, rep.estimate, rep.z)
         for first in range(0, rep.checks, _DETAIL_BLOCK):
             count = min(_DETAIL_BLOCK, rep.checks - first)
-            fields = [rep.lemma_id] * (6 * count)
-            for k, column in enumerate(columns, 1):
-                fields[k::6] = column[first : first + count].tolist()
-            fmt = full if count == _DETAIL_BLOCK else "\n".join([_DETAIL_ROW] * count)
-            yield fmt % tuple(fields)
+            yield _fmt_rows(
+                _DETAIL_ROW,
+                [[rep.lemma_id] * count, *(c[first : first + count].tolist() for c in columns)],
+            )
 
 
 def run_lemma_suite(

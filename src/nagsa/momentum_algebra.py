@@ -22,13 +22,15 @@ that fixed-point family is (d_n - c_n)^2.
 
 head_blocks is the one path to head products. It folds them in blocks of at
 most 2^14 rows: one array pass builds a block's step matrices and checks its
-momentum range once, each product is one 2x2 np.matmul of the previous
-product and the next step matrix (the matmul ``p @ M(theta)`` makes, so
-every bit equals the one-factor-at-a-time fold), and one pass takes d_n, c_n
-and the column-sum check of the whole block. head_product and the
-``nagsa algebra`` table read their products from it. The table holds theta
-and t_n (16 bytes per row) plus one block; README's algebra section gives
-its timings.
+momentum range once, each product is one np.dot of the previous product and
+the next step matrix, and one pass takes d_n, c_n and the column-sum check
+of the whole block. For C-contiguous 2x2 float64 arrays np.dot and the
+matmul ``p @ M(theta)`` call the same BLAS dgemm with the same arguments, so
+every bit equals the one-factor-at-a-time fold; np.dot spends about half the
+time of np.matmul per product, having no ufunc dispatch to go through.
+head_product and the ``nagsa algebra`` table read their products from it.
+The table holds theta and t_n (16 bytes per row) plus one block; README's
+algebra section gives its timings.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ def head_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Head products P_1, P_2, ... in blocks of at most ``_BLOCK`` rows, each
     as (p, d, c): p the read-only (rows, 2, 2) products, folded by
-    P_k = P_{k-1} M(theta_k) with the same 2x2 matmul as ``p @ step``, and d
-    and c their coefficients, with no negative zero. A theta outside [0, 1)
+    P_k = P_{k-1} M(theta_k) with np.dot, which calls the same dgemm as
+    ``p @ step`` and so gives its bits, and d and c their coefficients, with
+    no negative zero. A theta outside [0, 1)
     raises ValueError, and a product whose column sums stray from (1, 1)
     beyond 1e-9 raises StructuralError, the signature of a matrix outside
     the product family; either way the rows before it come out first."""
@@ -109,10 +112,10 @@ def head_blocks(
             if prev is None:
                 p[0] = steps[0]
             else:
-                np.matmul(prev, steps[0], out=p[0])
+                np.dot(prev, steps[0], out=p[0])
             rows = list(p)
             for left, step, out in zip(rows, steps[1:], rows[1:]):
-                np.matmul(left, step, out=out)
+                np.dot(left, step, out=out)
             p.setflags(write=False)
             sums = p[:, 0, :] + p[:, 1, :]
             off = np.flatnonzero(~(np.abs(sums - 1.0) <= _COLUMN_SUM_TOL).all(axis=1))

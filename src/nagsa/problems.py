@@ -27,6 +27,7 @@ import contextlib
 import dataclasses
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -389,6 +390,19 @@ def _fmt(value: float) -> str:
     """17 significant digits, an exact float64 round trip: the one number
     format of instance dumps and of the harness's CSV files."""
     return format(float(value), ".17g")
+
+
+def _fmt_rows(row: str, columns: Sequence[Sequence]) -> str:
+    """The lines ``row % (one field of each column)``, joined by LF, formed
+    with one % format over the flat list of fields: the package's one way to
+    turn columns into CSV text. %.17g formats a Python float as _fmt does
+    ("inf", "nan" and "-0" too), so array columns come in through tolist()."""
+    width = len(columns)
+    count = len(columns[0])
+    fields = [None] * (width * count)
+    for k, column in enumerate(columns):
+        fields[k::width] = column
+    return "\n".join([row] * count) % tuple(fields)
 
 
 # the first two fields of an instance cache's header line: the format and its

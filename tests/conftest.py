@@ -35,13 +35,17 @@ def pytest_runtest_logreport(report):
 
 def pytest_terminal_summary(terminalreporter):
     """One line per criterion with its verdict and, when its test body ran,
-    the body's wall time, to read against the budget the test asserts."""
+    the body's wall time against the budget the test asserts."""
     if not _acceptance:
         return
+    from test_acceptance import BUDGET_S
+
     terminalreporter.section("acceptance criteria")
     for num in sorted(_acceptance):
         name, verdict = _acceptance[num]
-        took = f" ({_call_seconds[num]:.2f} s)" if num in _call_seconds else ""
+        took = ""
+        if num in _call_seconds:
+            took = f" ({_call_seconds[num]:.2f} s of {BUDGET_S[num]:.1f} s)"
         terminalreporter.write_line(f"[criterion {num}] {name}: {verdict}{took}")
 
 

@@ -1,7 +1,8 @@
 """End-to-end acceptance gate.
 
-Eight criteria, each with its own wall-clock budget asserted in-test. The
-conftest terminal summary prints one PASS/FAIL line per criterion. Trend
+Eight criteria, each with its own wall-clock budget in BUDGET_S, which the
+test asserts. The conftest terminal summary prints one PASS/FAIL line per
+criterion with its time against that budget. Trend
 criteria (4-6) assert decay of the squared distance to the reference optimum:
 the drift arguments behind the solvers control squared distances, and the
 configured schedules provably cannot move the plain norm past the stated
@@ -46,6 +47,9 @@ FOUR_SCHEDULES = (
 )
 
 GROUP_LABELS = ("theta_0", "theta_0.5", "theta_0.9")
+
+# wall-clock budget of each criterion's test body, in seconds
+BUDGET_S = {1: 1.0, 2: 5.0, 3: 60.0, 4: 30.0, 5: 60.0, 6: 60.0, 7: 60.0, 8: 5.0}
 
 
 def _median_ratios(bundle):
@@ -95,7 +99,7 @@ def test_criterion_1_momentum_product_algebra():
         limit = theta / (1.0 - theta)
         assert max(abs(tc.t(n) - limit) for n in range(1, 201)) <= 1e-12
 
-    assert time.monotonic() - t0 < 1.0
+    assert time.monotonic() - t0 < BUDGET_S[1]
 
 
 def _ternary_minimize(phi, lo, hi, iters=300):
@@ -165,7 +169,7 @@ def test_criterion_2_prox_and_subgradient_oracles():
             lower = at_x.value + at_x.subgradient @ (ys[i] - xs[i])
             assert at_y.value >= lower - 1e-9
 
-    assert time.monotonic() - t0 < 5.0
+    assert time.monotonic() - t0 < BUDGET_S[2]
 
 
 def test_criterion_3_drift_lemma_suite():
@@ -192,7 +196,7 @@ def test_criterion_3_drift_lemma_suite():
             )
             assert not broken.passed
 
-    assert time.monotonic() - t0 < 60.0
+    assert time.monotonic() - t0 < BUDGET_S[3]
 
 
 def test_criterion_4_least_squares_trend(tmp_path):
@@ -214,7 +218,7 @@ def test_criterion_4_least_squares_trend(tmp_path):
             for group in bundle.groups:
                 assert not any(r.diverged for r in group.runs)
 
-    assert time.monotonic() - t0 < 30.0
+    assert time.monotonic() - t0 < BUDGET_S[4]
 
 
 def test_criterion_5_least_absolute_trend(tmp_path):
@@ -236,7 +240,7 @@ def test_criterion_5_least_absolute_trend(tmp_path):
         for group in bundle.groups:
             assert not any(r.diverged for r in group.runs)
 
-    assert time.monotonic() - t0 < 60.0
+    assert time.monotonic() - t0 < BUDGET_S[5]
 
 
 def test_criterion_6_lasso_trend(tmp_path):
@@ -258,7 +262,7 @@ def test_criterion_6_lasso_trend(tmp_path):
     for label, ratio in _median_ratios(bundle).items():
         assert ratio**2 <= 0.5, f"lasso {label}: {ratio**2:.4f}"
 
-    assert time.monotonic() - t0 < 60.0
+    assert time.monotonic() - t0 < BUDGET_S[6]
 
 
 def _tree_bytes(root):
@@ -283,7 +287,7 @@ def test_criterion_7_bundle_determinism(tmp_path):
         assert any(name.endswith("summary.csv") for name in a)
         assert a == b
 
-    assert time.monotonic() - t0 < 60.0
+    assert time.monotonic() - t0 < BUDGET_S[7]
 
 
 def test_criterion_8_extrapolation_identity():
@@ -314,4 +318,4 @@ def test_criterion_8_extrapolation_identity():
         for k, lhs, rhs in trace.instrumentation:
             assert lhs == rhs or abs(lhs - rhs) <= 1e-10 * rhs
 
-    assert time.monotonic() - t0 < 5.0
+    assert time.monotonic() - t0 < BUDGET_S[8]

@@ -1263,19 +1263,29 @@ def test_cli_plotdata(tiny_bundle, capsys):
 
 @pytest.mark.parametrize("command", ["gen", "run", "lemma"])
 def test_cli_seed_flag_overrides_the_config(tmp_path, capsys, command):
+    """--seed 7 writes every file byte for byte as a config whose seed line
+    (problem.seed, seeds or seed) says 7, so the echoed headers name the seed
+    that ran."""
     lemma = "lemmas = relay\npaths = 3\nlength = 300\nbranches = 30\n"
-    config = _write(tmp_path / "c.txt", TINY_RUN if command != "lemma" else lemma)
+    text, with_key = {
+        "gen": (TINY_RUN, TINY_RUN + "problem.seed = 7\n"),
+        "run": (TINY_RUN, TINY_RUN.replace("seeds = 1,2\n", "seeds = 7\n")),
+        "lemma": (lemma, lemma + "seed = 7\n"),
+    }[command]
+    config = _write(tmp_path / "c.txt", text)
     out = tmp_path / "out"
     rc = main([command, "--config", config, "--out", str(out), "--seed", "7"])
     assert rc == 0
+    keyed = tmp_path / "keyed"
+    assert main([command, "--config", _write(tmp_path / "k.txt", with_key), "--out", str(keyed)]) == 0
+    assert _tree_bytes(out) == _tree_bytes(keyed)
     if command == "gen":
         assert load_instance(str(out / "instance.txt")).seed == 7
     elif command == "run":
         assert sorted(os.listdir(out / "theta_0")) == ["summary.csv", "trace_seed7.csv"]
+        assert "# seeds = 7\n" in (out / "theta_0" / "summary.csv").read_text()
     else:
-        detail = (out / "lemma_detail.csv").read_text()
-        run_lemma_suite(parse_lemma_config(lemma + "seed = 7\n"), out_dir=str(tmp_path / "seed7"))
-        assert detail == (tmp_path / "seed7" / "lemma_detail.csv").read_text()
+        assert "# seed = 7\n" in (out / "lemma_summary.csv").read_text()
 
 
 def test_cli_plotdata_finds_the_bundle_through_the_config(tiny_bundle, tmp_path, capsys):

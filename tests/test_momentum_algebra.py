@@ -7,11 +7,14 @@ fractions.Fraction), and closed forms for constant momentum.
 
 import contextlib
 import hashlib
+import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -103,7 +106,15 @@ def test_head_products_fold_equals_each_head_product():
     assert np.signbit(entries[0, 1]) and not np.signbit(d) and not np.signbit(c)
 
 
-_THETA = st.one_of(st.just(0.0), st.floats(0.0, 0.999))
+# extremes beside the plain range: the smallest subnormal, the largest
+# momentum below 1, and powers of two down to the smallest normal
+_THETA = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 0.999),
+    st.sampled_from(
+        [5e-324, math.nextafter(1.0, 0.0), 0.5, 2.0**-10, 2.0**-53, 2.0**-1022]
+    ),
+)
 
 
 def _direct_fold(thetas):
@@ -240,6 +251,41 @@ def test_cli_algebra_table_bytes_are_pinned(argv, digest, capsys):
     assert main(["algebra", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_TABLE_DIGESTS = """
+import contextlib, hashlib, io, json, sys
+from nagsa.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["algebra", *argv]) == 0
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_cli_algebra_table_does_not_depend_on_blas_threads():
+    """The pinned tables come out the same at one and at two BLAS threads:
+    the fold's np.dot and the reference's matmul reach the same dgemm either
+    way. OpenBLAS fixes its thread count when it loads, so each count gets a
+    fresh interpreter."""
+    src = str(Path(momentum_algebra.__file__).resolve().parents[1])
+    argvs = json.dumps([argv for argv, _ in _TABLE_SHA256])
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", _TABLE_DIGESTS, argvs],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [digest for _, digest in _TABLE_SHA256]
 
 
 def test_cli_algebra_structural_failure_writes_header_only(monkeypatch, capsys):
