@@ -2,11 +2,11 @@
 
 Eight criteria, each with its own wall-clock budget in BUDGET_S, which the
 test asserts. The conftest terminal summary prints one PASS/FAIL line per
-criterion with its time against that budget. Trend
-criteria (4-6) assert decay of the squared distance to the reference optimum:
-the drift arguments behind the solvers control squared distances, and the
-configured schedules provably cannot move the plain norm past the stated
-factors in the baseline groups (details in each test).
+criterion with its time against that budget. Trend criteria (4-6) assert
+decay of the squared distance to the reference optimum: the drift arguments
+behind the solvers control squared distances, and the configured schedules
+provably cannot move the plain norm past the stated factors in the baseline
+groups (details in each test).
 """
 
 import time
