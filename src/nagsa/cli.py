@@ -17,11 +17,16 @@ Exit codes:
     3  divergence in a non-sweep run (single momentum value, single seed)
     4  internal error: any other exception, reported on one stderr line
        without a traceback
+
+The parser is built on the first `main` call and kept for the rest of the
+process (`build_parser` is cached), so a script or test that calls `main`
+many times only parses; `import nagsa.cli` builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -187,7 +192,16 @@ def _add_common(parser: argparse.ArgumentParser, config_required: bool) -> None:
     parser.add_argument("--seed", type=_seed, default=None, help="seed override (>= 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first call.
+
+    Every call returns the same object, so callers must not mutate it (add
+    arguments, change defaults). Reuse is safe: each `parse_args` builds a
+    fresh namespace and copies the subcommand's defaults into it, the type
+    callables `_seed` and `_rows` are pure, and neither parsing nor a refused
+    argument changes the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="nagsa",
         description="Momentum stochastic-approximation solvers and diagnostics.",

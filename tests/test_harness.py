@@ -1288,6 +1288,20 @@ def test_cli_seed_flag_overrides_the_config(tmp_path, capsys, command):
         assert "# seed = 7\n" in (out / "lemma_summary.csv").read_text()
 
 
+def test_cli_seed_flag_does_not_leak_into_the_next_call(tmp_path, capsys):
+    """main reuses one parser: after `run --seed 7`, a run without --seed
+    runs and echoes the config's own seed list."""
+    config = _write(tmp_path / "c.txt", TINY_RUN)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "seeded"), "--seed", "7"]) == 0
+    assert main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(os.listdir(tmp_path / "out" / "theta_0")) == [
+        "summary.csv",
+        "trace_seed1.csv",
+        "trace_seed2.csv",
+    ]
+    assert "# seeds = 1,2\n" in (tmp_path / "out" / "theta_0" / "summary.csv").read_text()
+
+
 def test_cli_plotdata_finds_the_bundle_through_the_config(tiny_bundle, tmp_path, capsys):
     _, out = tiny_bundle
     config = _write(tmp_path / "c.txt", TINY_RUN + f"out = {out}\n")

@@ -311,6 +311,24 @@ def test_cli_algebra_refuses_bad_row_counts(value, capsys):
     assert f"argument --n: expected an integer from 0 to {1 << 25}, got {value!r}" in captured.err
 
 
+def test_cli_algebra_calls_share_one_parser_and_nothing_leaks(capsys):
+    """main reuses the process's one parser: a --theta given to one call is
+    not the default of the next, and a refused --n leaves the parser as it
+    was, so a pinned table that follows keeps its bytes."""
+    assert build_parser() is build_parser()
+    assert main(["algebra", "--family", "constant", "--theta", "0.5", "--n", "3"]) == 0
+    assert [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]] == ["0.5"] * 3
+    assert main(["algebra", "--family", "constant", "--n", "3"]) == 0
+    assert [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]] == ["0"] * 3
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", "--n", "-3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv, digest = _TABLE_SHA256[0]
+    assert main(["algebra", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_cli_algebra_row_limit_is_inclusive():
     args = build_parser().parse_args(["algebra", "--n", str(1 << 25)])
     assert args.n == 1 << 25

@@ -55,6 +55,23 @@ def test_cli_lemma_suite_and_run_import_no_scipy(tmp_path):
     assert (tmp_path / "lemma" / "lemma_summary.csv").exists()
 
 
+def test_cli_import_builds_no_parser():
+    """In a fresh interpreter, importing nagsa.cli leaves the parser cache
+    empty: the parser is built on the first main call, not at import."""
+    src = str(Path(nagsa.__file__).resolve().parents[1])
+    code = (
+        "import nagsa.cli\n"
+        "assert nagsa.cli.build_parser.cache_info().currsize == 0\n"
+        "assert nagsa.cli.main(['algebra', '--n', '1']) == 0\n"
+        "assert nagsa.cli.build_parser.cache_info().currsize == 1\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_cli_imports_only_public_algebra_names():
     """Every name cli.py imports from momentum_algebra is in its __all__."""
     from nagsa import momentum_algebra
