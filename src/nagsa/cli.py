@@ -134,15 +134,15 @@ def _cmd_algebra(args) -> int:
             hi = min(lo + _WRITE_ROWS, stop)
             d_k = d[lo - start : hi - start]
             c_k = c[lo - start : hi - start]
-            # Python's float power (libm pow), kept for the table's bytes: it
-            # rounds about 1 square in 1200 otherwise than numpy's x * x
-            residual = [x**2 for x in (d_k - c_k).tolist()]
+            # x * x is correctly rounded; libm pow, behind Python's x ** 2,
+            # broke some exact ties away from even
+            d_c = d_k - c_k
             columns = [
                 range(lo + 1, hi + 1),
                 thetas[lo:hi].tolist(),
                 d_k.tolist(),
                 c_k.tolist(),
-                residual,
+                (d_c * d_c).tolist(),
                 tails[lo:hi].tolist(),
             ]
             sys.stdout.write(_fmt_rows(_ROW, columns) + "\n")

@@ -216,14 +216,17 @@ def test_cli_algebra_table_equals_per_row_head_products(argv, schedule, capsys):
     expected = ["k,theta,d,c,residual,t"]
     for k, p in enumerate(_direct_fold(thetas), 1):
         d, c = -p[0, 0] + 0.0, -p[0, 1] + 0.0
+        d_c = d - c
         expected.append(
-            f"{k},{thetas[k - 1]:.17g},{d:.17g},{c:.17g},{(d - c) ** 2:.17g},{tails.t(k):.17g}"
+            f"{k},{thetas[k - 1]:.17g},{d:.17g},{c:.17g},{d_c * d_c:.17g},{tails.t(k):.17g}"
         )
     assert table == expected
 
 
 # sha256 of the table's stdout as the per-row fold (one companion_matrix and
-# one print per row) wrote it; the block fold must keep every byte
+# one print per row) wrote it; the block fold must keep every byte. The
+# constant table was re-pinned when the residual became the correctly rounded
+# square: rows 139 and 145 each lost one unit in the last place
 _TABLE_SHA256 = [
     (
         ["--family", "harmonic", "--s", "2", "--n", "500"],
@@ -235,7 +238,7 @@ _TABLE_SHA256 = [
     ),
     (
         ["--family", "constant", "--theta", "0.9", "--n", "20000"],
-        "c60a7f83f3b54c575a75413ab0f9581f13e32753f70a6055a66f124d775b1246",
+        "97447c6c8bfc719340319d038c92622859eb4328ea5b6aa5d99d22c99bcb773d",
     ),
     (
         ["--family", "power", "--c", "0.9", "--s", "1", "--p", "0.7", "--n", "300"],
@@ -251,6 +254,22 @@ def test_cli_algebra_table_bytes_are_pinned(argv, digest, capsys):
     assert main(["algebra", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in _TABLE_SHA256], ids=["harmonic-s2", "harmonic-s3", "constant-20000", "power"]
+)
+def test_cli_algebra_residual_is_the_correctly_rounded_square(argv, capsys):
+    """Every residual of the pinned tables is (d - c)^2 rounded once from the
+    exact square of the float d - c, ties to even (float(Fraction) rounds
+    that way); d and c read back exactly from their 17 digits."""
+    assert main(["algebra", *argv]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows
+    for row in rows:
+        _, _, d, c, residual, _ = row.split(",")
+        d_c = float(d) - float(c)
+        assert float(residual) == float(Fraction(d_c) ** 2), row
 
 
 _TABLE_DIGESTS = """
