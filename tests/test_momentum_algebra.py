@@ -247,18 +247,17 @@ _TABLE_SHA256 = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, digest", _TABLE_SHA256, ids=["harmonic-s2", "harmonic-s3", "constant-20000", "power"]
-)
+_TABLE_IDS = ["harmonic-s2", "harmonic-s3", "constant-20000", "power"]
+
+
+@pytest.mark.parametrize("argv, digest", _TABLE_SHA256, ids=_TABLE_IDS)
 def test_cli_algebra_table_bytes_are_pinned(argv, digest, capsys):
     assert main(["algebra", *argv]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize(
-    "argv", [argv for argv, _ in _TABLE_SHA256], ids=["harmonic-s2", "harmonic-s3", "constant-20000", "power"]
-)
+@pytest.mark.parametrize("argv", [argv for argv, _ in _TABLE_SHA256], ids=_TABLE_IDS)
 def test_cli_algebra_residual_is_the_correctly_rounded_square(argv, capsys):
     """Every residual of the pinned tables is (d - c)^2 rounded once from the
     exact square of the float d - c, ties to even (float(Fraction) rounds
