@@ -8,6 +8,12 @@ Subcommands:
     algebra   print head products, coefficients, and tail values
     plotdata  print log-log plot columns for an existing bundle
 
+gen, run and lemma read a required `--config PATH` and take `--out DIR` and
+`--seed N`, a seed override (`problem.seed`, `seeds` or `seed`) that the CSV
+headers echo. plotdata takes the bundle as `--out DIR` or as the `out` of a
+`--config`, and has no `--seed`. algebra takes its momentum schedule and the
+row count `--n` as flags.
+
 Exit codes:
     0  success
     1  check failure (a lemma suite whose reports do not come out as required)
@@ -33,6 +39,7 @@ import sys
 from .errors import ConfigurationError, DivergenceError, StructuralError
 from .harness import (
     _MAX_ENTRIES,
+    _referenced,
     parse_config,
     parse_lemma_config,
     plotdata,
@@ -40,12 +47,11 @@ from .harness import (
     run_lemma_suite,
 )
 from .momentum_algebra import head_blocks, tail_coefficients
-from .problems import _fmt_rows, dump_instance, gen, lasso_reference, with_reference
+from .problems import _fmt_rows, dump_instance, gen
 from .schedules import MomentumSchedule
 
 
-# rows of the algebra table per stdout write, and the format of one row
-_WRITE_ROWS = 1024
+# the format of one row of the algebra table
 _ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
 
 
@@ -67,9 +73,6 @@ def _seed_key(args, key: str) -> dict[str, str]:
 
 def _cmd_gen(args) -> int:
     config = parse_config(_read_config(args.config), _seed_key(args, "problem.seed"))
-    inst = gen(config.kind, config.m, config.n, config.problem_seed, lam=config.lam)
-    if inst.reference_optimum is None:
-        inst = with_reference(inst, lasso_reference(inst))
     out_dir = args.out or config.out
     path = config.instance_path or (
         os.path.join(out_dir, "instance.txt") if out_dir else None
@@ -79,6 +82,7 @@ def _cmd_gen(args) -> int:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
+    inst = _referenced(gen(config.kind, config.m, config.n, config.problem_seed, lam=config.lam))
     dump_instance(inst, path)
     print(path)
     return 0
@@ -124,29 +128,25 @@ def _cmd_algebra(args) -> int:
     thetas = schedule.values(args.n)
     tails = tail_coefficients(schedule, args.n + 1).values
     sys.stdout.write("k,theta,d,c,residual,t\n")
-    start = 0
-    # a bad theta or column sum raises after the rows before it are written
+    lo = 0
+    # one write per head_blocks block, so the text and the Python floats of
+    # at most 2^10 rows are held at once; a bad theta or column sum raises
+    # after the rows before it are written
     for p, d, c in head_blocks(thetas):
-        stop = start + len(p)
-        # one write per chunk of at most _WRITE_ROWS rows, so the text and the
-        # Python floats of a whole block are never held at once
-        for lo in range(start, stop, _WRITE_ROWS):
-            hi = min(lo + _WRITE_ROWS, stop)
-            d_k = d[lo - start : hi - start]
-            c_k = c[lo - start : hi - start]
-            # x * x is correctly rounded; libm pow, behind Python's x ** 2,
-            # broke some exact ties away from even
-            d_c = d_k - c_k
-            columns = [
-                range(lo + 1, hi + 1),
-                thetas[lo:hi].tolist(),
-                d_k.tolist(),
-                c_k.tolist(),
-                (d_c * d_c).tolist(),
-                tails[lo:hi].tolist(),
-            ]
-            sys.stdout.write(_fmt_rows(_ROW, columns) + "\n")
-        start = stop
+        hi = lo + len(p)
+        # x * x is correctly rounded; libm pow, behind Python's x ** 2, broke
+        # some exact ties away from even
+        d_c = d - c
+        columns = [
+            range(lo + 1, hi + 1),
+            thetas[lo:hi].tolist(),
+            d.tolist(),
+            c.tolist(),
+            (d_c * d_c).tolist(),
+            tails[lo:hi].tolist(),
+        ]
+        sys.stdout.write(_fmt_rows(_ROW, columns) + "\n")
+        lo = hi
     return 0
 
 
@@ -184,10 +184,8 @@ def _rows(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool) -> None:
-    parser.add_argument(
-        "--config", required=config_required, help="path to a key = value config file"
-    )
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="path to a key = value config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=_seed, default=None, help="seed override (>= 0)")
 
@@ -209,15 +207,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a problem instance dump")
-    _add_common(p_gen, config_required=True)
+    _add_common(p_gen)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_run = sub.add_parser("run", help="run an experiment bundle")
-    _add_common(p_run, config_required=True)
+    _add_common(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_lemma = sub.add_parser("lemma", help="run scenario checks")
-    _add_common(p_lemma, config_required=True)
+    _add_common(p_lemma)
     p_lemma.set_defaults(func=_cmd_lemma)
 
     p_alg = sub.add_parser("algebra", help="inspect products and tail coefficients")
@@ -230,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_alg.set_defaults(func=_cmd_algebra)
 
     p_plot = sub.add_parser("plotdata", help="emit log-log columns for a bundle")
-    _add_common(p_plot, config_required=False)
+    p_plot.add_argument("--config", help="config whose out = PATH names the bundle")
+    p_plot.add_argument("--out", default=None, help="bundle directory")
     p_plot.set_defaults(func=_cmd_plotdata)
 
     return parser

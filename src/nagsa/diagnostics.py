@@ -618,7 +618,7 @@ def _build_delayed(
         raise ConfigurationError("path went negative despite the floor; widen it")
 
     # Lyapunov series on s = r + h z with exact tail bookkeeping
-    t = tail_coefficients(scn.momentum, length, tol=1e-12).values[: length - 1]
+    t = tail_coefficients(scn.momentum, length).values[: length - 1]
     c = 2.0 * (scn.beta.tails(length - 1) + scn.h * thetas[0] * z[: length - 1])
     v = _path_form(r, scn.h, z, t, c, scratch.take("a", paths, length - 1))
     # a scenario with slack asserts that the slack is summable
@@ -834,16 +834,20 @@ def convergence_check(
     return bool(converged) if converged.ndim == 0 else converged
 
 
-def summability_check(eta: np.ndarray, plateau_tol: float = 1e-3) -> bool:
-    """True when the partial sums grow less than plateau_tol over the final
-    decade of indices (S_L - S_{L/10} < plateau_tol)."""
+# growth of the partial sums over the final decade that still counts as a plateau
+_PLATEAU_TOL = 1e-3
+
+
+def summability_check(eta: np.ndarray) -> bool:
+    """True when the partial sums grow less than _PLATEAU_TOL = 1e-3 over the
+    final decade of indices (S_L - S_{L/10} < 1e-3)."""
     eta = np.asarray(eta, dtype=float)
     if len(eta) < 10:
         raise ValueError("need at least 10 terms to form a decade")
     if np.any(eta < 0):
         raise ValueError("summability check expects non-negative terms")
     sums = np.cumsum(eta)
-    return bool(sums[-1] - sums[len(eta) // 10 - 1] < plateau_tol)
+    return bool(sums[-1] - sums[len(eta) // 10 - 1] < _PLATEAU_TOL)
 
 
 def run_lemma_check(
@@ -856,7 +860,7 @@ def run_lemma_check(
     scratch: Scratch | None = None,
 ) -> CheckReport:
     """Full pipeline for one scenario: build, branch-check, convergence,
-    summability, each check at its default tolerance. The ensemble is built
+    summability, each check at its fixed tolerance. The ensemble is built
     and checked on `scratch` (see Scratch), a new one by default."""
     if scratch is None:
         scratch = Scratch(paths, length)
@@ -865,5 +869,5 @@ def run_lemma_check(
     converged = int(np.count_nonzero(convergence_check(ensemble.r)))
     report.converged_fraction = converged / ensemble.paths
     if ensemble.eta is not None:
-        report.eta_plateaued = summability_check(ensemble.eta[:length])
+        report.eta_plateaued = summability_check(ensemble.eta)
     return report

@@ -583,9 +583,18 @@ def parse_lemma_config(text: str, overrides: Mapping[str, str] | None = None) ->
 class RunResult:
     seed: int
     trace: SolverTrace
-    final_dist: float
-    min_dist: float
-    diverged: bool
+
+    @property
+    def final_dist(self) -> float:
+        return self.trace.final.dist
+
+    @property
+    def min_dist(self) -> float:
+        return min(cp.dist for cp in self.trace.checkpoints)
+
+    @property
+    def diverged(self) -> bool:
+        return self.trace.diverged
 
 
 @dataclass(frozen=True)
@@ -608,6 +617,17 @@ class ResultBundle:
         return None
 
 
+def _referenced(inst: ProblemInstance, path: str | None = None) -> ProblemInstance:
+    """The instance with a reference optimum: its own if it has one, else for
+    lasso the ISTA reference (lasso_reference). Any other kind without one,
+    which only a dump at `path` can give, is refused."""
+    if inst.reference_optimum is not None:
+        return inst
+    if inst.kind != "lasso":
+        raise ConfigurationError(f"instance file {path!r} has no reference optimum")
+    return with_reference(inst, lasso_reference(inst))
+
+
 def _resolve_instance(config: ExperimentConfig) -> ProblemInstance:
     path = config.instance_path
     if path is not None and os.path.exists(path):
@@ -621,16 +641,8 @@ def _resolve_instance(config: ExperimentConfig) -> ProblemInstance:
             raise ConfigurationError(
                 f"instance file {path!r} has lambda {inst.lam}, config wants {config.lam}"
             )
-        if inst.reference_optimum is None:
-            if inst.kind != "lasso":
-                raise ConfigurationError(
-                    f"instance file {path!r} has no reference optimum"
-                )
-            inst = with_reference(inst, lasso_reference(inst))
-        return inst
-    inst = gen(config.kind, config.m, config.n, config.problem_seed, lam=config.lam)
-    if inst.reference_optimum is None:
-        inst = with_reference(inst, lasso_reference(inst))
+        return _referenced(inst, path)
+    inst = _referenced(gen(config.kind, config.m, config.n, config.problem_seed, lam=config.lam))
     if path is not None:
         dump_instance(inst, path)
     return inst
@@ -703,17 +715,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Resu
                 composite_order=config.composite_order,
                 init=config.init,
             )
-            trace = run(solver_config, inst)
-            dists = [cp.dist for cp in trace.checkpoints]
-            runs.append(
-                RunResult(
-                    seed=seed,
-                    trace=trace,
-                    final_dist=dists[-1],
-                    min_dist=min(dists),
-                    diverged=trace.diverged,
-                )
-            )
+            runs.append(RunResult(seed=seed, trace=run(solver_config, inst)))
         groups.append(ThetaGroup(label=label, momentum=momentum, runs=tuple(runs)))
 
     # single writer after all runs, ordered by group then seed

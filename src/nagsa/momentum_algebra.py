@@ -20,24 +20,25 @@ Matrices of the rank-one form are exactly the fixed points of right
 multiplication by any M(theta); the squared distance of a head product to
 that fixed-point family is (d_n - c_n)^2.
 
-head_blocks is the one path to head products. It folds them in blocks of at
-most 2^14 rows: one array pass builds a block's step matrices and checks its
-momentum range once, each product is one np.dot of the previous product and
-the next step matrix, and one pass takes d_n, c_n and the column-sum check
-of the whole block. For C-contiguous 2x2 float64 arrays np.dot and the
-matmul ``p @ M(theta)`` call the same BLAS dgemm with the same arguments, so
-every bit equals the one-factor-at-a-time fold; np.dot costs about 0.6 us a
+head_blocks is the one path to head products. It takes the momentum values
+as one array and folds their products in blocks of at most 2^10 rows: one
+array pass builds a block's step matrices and checks its momentum range
+once, each product is one np.dot of the previous product and the next step
+matrix, and one pass takes d_n, c_n and the column-sum check of the whole
+block. For C-contiguous 2x2 float64 arrays np.dot and the matmul
+``p @ M(theta)`` call the same BLAS dgemm with the same arguments, so every
+bit equals the one-factor-at-a-time fold; np.dot costs about 0.6 us a
 product against 1.0 us for np.matmul, which goes through the ufunc dispatch.
-head_product and the ``nagsa algebra`` table read their products from it.
-The table holds theta and t_n (16 bytes per row) plus one block; README's
-algebra section gives its timings.
+head_product and the ``nagsa algebra`` table read their products from it;
+the table writes each block as it comes. It holds theta and t_n (16 bytes
+per row) plus one block and its text; README's algebra section gives its
+timings.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,12 @@ __all__ = [
 
 _COLUMN_SUM_TOL = 1e-9
 
-# rows per head-product block: 16384 x 32 bytes = 512 KiB of products
-_BLOCK = 1 << 14
+# bound on the geometric remainder a tail coefficient leaves out
+_TAIL_TOL = 1e-12
+
+# rows per head-product block: 1024 x 32 bytes = 32 KiB of products, and
+# one write of the algebra table
+_BLOCK = 1 << 10
 
 
 def companion_matrix(theta: float) -> np.ndarray:
@@ -83,22 +88,21 @@ class ProductState:
 
 
 def head_blocks(
-    thetas: Iterable[float],
+    thetas: Sequence[float] | np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Head products P_1, P_2, ... in blocks of at most ``_BLOCK`` rows, each
-    as (p, d, c): p the read-only (rows, 2, 2) products, folded by
+    """Head products P_1, P_2, ... of a 1-D array or list of momentum
+    values, sliced into blocks of at most ``_BLOCK`` rows, each as (p, d, c):
+    p the read-only (rows, 2, 2) products, folded by
     P_k = P_{k-1} M(theta_k) with np.dot, which calls the same dgemm as
     ``p @ step`` and so gives its bits, and d and c their coefficients, with
     no negative zero. A theta outside [0, 1) raises ValueError, and a product
     whose column sums stray from (1, 1) beyond 1e-9 raises StructuralError,
     the signature of a matrix outside the product family; either way the
     rows before it come out first."""
-    values = iter(thetas)
+    values = np.asarray(thetas, dtype=float)
     prev = None
-    while True:
-        block = np.fromiter(itertools.islice(values, _BLOCK), dtype=float)
-        if not block.size:
-            return
+    for lo in range(0, len(values), _BLOCK):
+        block = values[lo : lo + _BLOCK]
         bad = np.flatnonzero(~((block >= 0.0) & (block < 1.0)))
         stop = int(bad[0]) if bad.size else len(block)
         if stop:
@@ -155,7 +159,7 @@ class TailCoefficients:
 
     values[i-1] holds t_i. horizon is the extra recursion depth K beyond
     n_max at which the backward recursion was seeded, chosen so the dropped
-    geometric remainder d^(K+1) / (1-d) stays below the tolerance asked for.
+    geometric remainder d^(K+1) / (1-d) stays below 1e-12.
     """
 
     values: np.ndarray
@@ -167,21 +171,17 @@ class TailCoefficients:
         return float(self.values[n - 1])
 
 
-def tail_coefficients(
-    schedule: MomentumSchedule, n_max: int, tol: float = 1e-12
-) -> TailCoefficients:
+def tail_coefficients(schedule: MomentumSchedule, n_max: int) -> TailCoefficients:
     """Compute t_n = (1 + t_{n+1}) theta_n for n = 1..n_max by backward recursion.
 
     The recursion starts K indices past n_max, where K makes the geometric
-    remainder d^(K+1)/(1-d) smaller than tol for d = sup theta. Constant
+    remainder d^(K+1)/(1-d) smaller than _TAIL_TOL = 1e-12 for d = sup theta. Constant
     schedules seed the horizon with the exact limit theta/(1-theta); the sum
     then stays exact along the recursion. Momentum with sup >= 1 has no
     finite tail sum and raises DivergenceError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     lo, d = schedule.bounds
     if d >= 1.0:
         raise DivergenceError(f"tail coefficients diverge for momentum sup {d} >= 1")
@@ -191,8 +191,8 @@ def tail_coefficients(
         horizon = 0
         seed = d / (1.0 - d)
     else:
-        horizon = max(0, math.ceil(math.log(tol * (1.0 - d)) / math.log(d)) - 1)
-        while d ** (horizon + 1) / (1.0 - d) >= tol:
+        horizon = max(0, math.ceil(math.log(_TAIL_TOL * (1.0 - d)) / math.log(d)) - 1)
+        while d ** (horizon + 1) / (1.0 - d) >= _TAIL_TOL:
             horizon += 1
         seed = 0.0
     top = n_max + horizon

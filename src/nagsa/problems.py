@@ -361,14 +361,19 @@ def _objective_values(
     return (np.vecdot(residual, residual) / inst.m + penalty).tolist()
 
 
-def lasso_reference(inst: ProblemInstance, steps: int = 100_000) -> np.ndarray:
+# ISTA steps of the lasso reference at most
+_ISTA_STEPS = 100_000
+
+
+def lasso_reference(inst: ProblemInstance) -> np.ndarray:
     """Deterministic full-batch proximal-gradient reference for a lasso instance.
 
     Runs ISTA from the origin on the sampling-consistent objective
     (1/m) ||Ax - b||^2 + lambda ||x||_1, whose stationarity condition matches
     the fixed point of the stochastic two-stage step as the step size decays.
-    Step size 1/L with L = 2 lambda_max(A^T A) / m. Stops early only when an
-    iterate repeats exactly, which makes the remaining steps no-ops.
+    Step size 1/L with L = 2 lambda_max(A^T A) / m, at most _ISTA_STEPS =
+    100 000 steps. Stops early only when an iterate repeats exactly, which
+    makes the remaining steps no-ops.
     """
     if inst.kind != "lasso":
         raise ValueError("reference run is defined for lasso instances")
@@ -378,7 +383,7 @@ def lasso_reference(inst: ProblemInstance, steps: int = 100_000) -> np.ndarray:
     step = 1.0 / lipschitz
     scale = 2.0 / inst.m
     x = np.zeros(inst.n)
-    for _ in range(steps):
+    for _ in range(_ISTA_STEPS):
         nxt = prox_l1(x - step * scale * (ata @ x - atb), step * inst.lam)
         if np.array_equal(nxt, x):
             break

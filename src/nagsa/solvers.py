@@ -156,9 +156,12 @@ class Checkpoint:
 class SolverTrace:
     checkpoints: list[Checkpoint]
     metadata: dict[str, str]
-    diverged: bool = False
     diverged_at: int | None = None
     instrumentation: list[tuple[int, float, float]] | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_at is not None
 
     @property
     def final(self) -> Checkpoint:
@@ -278,8 +281,8 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     dist to the reference optimum, objective gap, iterate increment, and the
     schedule values at that index; more than _MAX_CHECKPOINTS of them are
     refused before the first step. The first non-finite iterate v_j ends the
-    run early: the trace keeps the checkpoints so far, with diverged set and
-    diverged_at = j.
+    run early: the trace keeps the checkpoints so far, with diverged_at = j
+    (so diverged is true).
     """
     if inst.reference_optimum is None:
         raise ConfigurationError(
@@ -403,7 +406,6 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
 
     def diverged(k: int) -> SolverTrace:
         flush()
-        trace.diverged = True
         trace.diverged_at = k
         return trace
 

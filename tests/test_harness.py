@@ -583,6 +583,23 @@ def test_lasso_instance_gets_reference_attached(tmp_path):
         run_experiment(parse_config(mismatched), out_dir=str(tmp_path / "out2"))
 
 
+def test_run_results_read_their_trace(tmp_path):
+    """final_dist, min_dist and diverged of a finished and of a diverging
+    run agree with the trace's checkpoints and diverged_at."""
+    diverging = (
+        "method = ssgd\nkind = least_squares\nm = 40\nn = 5\nN = 200\nseeds = 1\n"
+        "step.family = constant\nstep.c = 10\nmom.family = constant\nmom.theta = 0.9\n"
+    )
+    for text, diverges in ((TINY_RUN, False), (diverging, True)):
+        bundle = run_experiment(parse_config(text), out_dir=str(tmp_path / str(diverges)))
+        result = bundle.groups[0].runs[0]
+        dists = [cp.dist for cp in result.trace.checkpoints]
+        assert result.diverged == result.trace.diverged == diverges
+        assert (result.trace.diverged_at is not None) == diverges
+        assert result.final_dist == dists[-1]
+        assert result.min_dist == min(dists)
+
+
 # ---------------------------------------------------------------------------
 # plot data
 
@@ -1258,6 +1275,22 @@ def test_cli_plotdata(tiny_bundle, capsys):
     rc = main(["plotdata", "--out", str(out)])
     assert rc == 0
     assert capsys.readouterr().out.startswith("# bundle =")
+
+
+def test_cli_plotdata_prints_the_columns_and_takes_no_seed(tiny_bundle, tmp_path, capsys):
+    """plotdata --out B prints plotdata(B); so does a --config whose out is
+    B. --seed, which plotdata would ignore, exits 2 from the parser."""
+    _, out = tiny_bundle
+    want = plotdata(str(out))
+    assert main(["plotdata", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == want
+    config = _write(tmp_path / "c.txt", TINY_RUN + f"out = {out}\n")
+    assert main(["plotdata", "--config", config]) == 0
+    assert capsys.readouterr().out == want
+    with pytest.raises(SystemExit) as exc:
+        main(["plotdata", "--out", str(out), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
     assert main(["plotdata"]) == 2
 
 
