@@ -13,6 +13,7 @@ with LF, and wall time goes to stderr rather than into any file.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -641,7 +642,13 @@ def _resolve_instance(config: ExperimentConfig) -> ProblemInstance:
             raise ConfigurationError(
                 f"instance file {path!r} has lambda {inst.lam}, config wants {config.lam}"
             )
-        return _referenced(inst, path)
+        if inst.reference_optimum is None:
+            inst = _referenced(inst, path)
+            # saved back, so later runs on this dump skip the solve; a failed
+            # save leaves the dump as it was and costs only that
+            with contextlib.suppress(OSError):
+                dump_instance(inst, path)
+        return inst
     inst = _referenced(gen(config.kind, config.m, config.n, config.problem_seed, lam=config.lam))
     if path is not None:
         dump_instance(inst, path)

@@ -421,6 +421,22 @@ def _cache_path(path) -> str:
     return os.fspath(path) + ".cache"
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary handle on a temporary file beside path, moved onto path when
+    the block ends and removed if it raises, so a reader never sees a
+    partial file and a failed write leaves the old one as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def dump_instance(inst: ProblemInstance, path) -> None:
     """Text dump: header `kind m n seed lambda`, m rows of n+1 floats
     (row entries then target), then the reference line (n floats or `unset`).
@@ -434,15 +450,16 @@ def dump_instance(inst: ProblemInstance, path) -> None:
     text's own header fields; the payload after it is the rows, the targets
     and the reference as raw little-endian float64. The text is hashed as it
     is written and the payload straight from the arrays, so no copy of
-    either is held. The cache is written to a temporary file and moved into
-    place, so a reader never sees a partial one.
+    either is held. Text and cache are each written to a temporary file and
+    moved into place, so a reader never sees a partial one, and a write that
+    fails leaves the file it would have replaced unchanged.
     """
     import hashlib
 
     head = f"{inst.kind} {inst.m} {inst.n} {inst.seed} {_fmt(inst.lam)}"
     ref = inst.reference_optimum
     text_hash = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
 
         def put(line: str) -> None:
             data = (line + "\n").encode("utf-8")
@@ -461,21 +478,13 @@ def dump_instance(inst: ProblemInstance, path) -> None:
     payload_hash = hashlib.sha256()
     for a in payload:
         payload_hash.update(a)
-    cache = _cache_path(path)
-    tmp = f"{cache}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(
-                f"{_CACHE_MAGIC} {int(ref is not None)} {text_size} {text_hash.hexdigest()} "
-                f"{payload_hash.hexdigest()} {head}\n".encode("utf-8")
-            )
-            for a in payload:
-                a.tofile(fh)
-        os.replace(tmp, cache)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    with _replacing(_cache_path(path)) as fh:
+        fh.write(
+            f"{_CACHE_MAGIC} {int(ref is not None)} {text_size} {text_hash.hexdigest()} "
+            f"{payload_hash.hexdigest()} {head}\n".encode("utf-8")
+        )
+        for a in payload:
+            a.tofile(fh)
 
 
 def _parse_header(head: list[str]) -> tuple[str, int, int, int, float]:

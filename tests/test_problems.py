@@ -1029,6 +1029,27 @@ def test_dump_replaces_the_cache_in_place(tmp_path):
     _assert_same_outcome(load_instance(path), second)
 
 
+def test_a_failed_dump_leaves_the_old_one(tmp_path, monkeypatch):
+    """A dump that fails part way through its text (here the fifth number)
+    leaves the text and cache it would have replaced byte for byte, and no
+    temporary file: a truncated dump is never seen."""
+    path = tmp_path / "instance.txt"
+    dump_instance(gen("least_squares", m=6, n=2, seed=1), path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    formatted = []
+
+    def fail_on_the_fifth(value):
+        formatted.append(value)
+        if len(formatted) == 5:
+            raise OSError(28, "No space left on device")
+        return format(float(value), ".17g")
+
+    monkeypatch.setattr(problems, "_fmt", fail_on_the_fifth)
+    with pytest.raises(OSError, match="No space left"):
+        dump_instance(gen("least_squares", m=6, n=2, seed=2), path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("case", sorted(TWO_FAULT_DUMPS))
 def test_two_fault_dumps_ignore_a_stale_cache(tmp_path, case):
     edit, line, message = TWO_FAULT_DUMPS[case]
