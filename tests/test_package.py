@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,3 +98,23 @@ def test_readme_python_blocks_run():
     assert len(blocks) >= 2
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    """[project] dependencies name exactly the top-level modules outside the
+    standard library that src/nagsa imports: nothing unused is installed, and
+    nothing imported is left out."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(nagsa.__file__).resolve().parent
+    with open(root.parents[1] / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower().replace("-", "_") for spec in declared}
+    imported = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"nagsa"}
+    assert names == third_party
