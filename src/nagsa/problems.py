@@ -431,9 +431,11 @@ def _replacing(path):
         with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename = os.fspath(path)  # errors name the file asked for
         raise
 
 

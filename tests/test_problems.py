@@ -1050,6 +1050,13 @@ def test_a_failed_dump_leaves_the_old_one(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_a_dump_into_a_missing_directory_names_its_path(tmp_path):
+    path = tmp_path / "absent" / "instance.txt"
+    with pytest.raises(FileNotFoundError) as exc:
+        dump_instance(gen("least_squares", m=6, n=2, seed=1), path)
+    assert exc.value.filename == str(path)
+
+
 @pytest.mark.parametrize("case", sorted(TWO_FAULT_DUMPS))
 def test_two_fault_dumps_ignore_a_stale_cache(tmp_path, case):
     edit, line, message = TWO_FAULT_DUMPS[case]
