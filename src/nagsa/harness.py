@@ -13,7 +13,6 @@ with LF, and wall time goes to stderr rather than into any file.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import re
@@ -618,15 +617,12 @@ class ResultBundle:
         return None
 
 
-def _referenced(inst: ProblemInstance, path: str | None = None) -> ProblemInstance:
-    """The instance with a reference optimum: its own if it has one, else for
-    lasso the ISTA reference (lasso_reference). Any other kind without one,
-    which only a dump at `path` can give, is refused."""
-    if inst.reference_optimum is not None:
-        return inst
-    if inst.kind != "lasso":
-        raise ConfigurationError(f"instance file {path!r} has no reference optimum")
-    return with_reference(inst, lasso_reference(inst))
+def _referenced(inst: ProblemInstance) -> ProblemInstance:
+    """The instance with its reference optimum: its own, or for a lasso
+    without one the ISTA reference (lasso_reference)."""
+    if inst.reference_optimum is None and inst.kind == "lasso":
+        return with_reference(inst, lasso_reference(inst))
+    return inst
 
 
 def _resolve_instance(config: ExperimentConfig) -> ProblemInstance:
@@ -642,13 +638,9 @@ def _resolve_instance(config: ExperimentConfig) -> ProblemInstance:
             raise ConfigurationError(
                 f"instance file {path!r} has lambda {inst.lam}, config wants {config.lam}"
             )
-        if inst.reference_optimum is None:
-            inst = _referenced(inst, path)
-            # saved back, so later runs on this dump skip the solve; a failed
-            # save leaves the dump as it was and costs only that
-            with contextlib.suppress(OSError):
-                dump_instance(inst, path)
-        return inst
+        if inst.reference_optimum is None and inst.kind != "lasso":
+            raise ConfigurationError(f"instance file {path!r} has no reference optimum")
+        return _referenced(inst)
     inst = _referenced(gen(config.kind, config.m, config.n, config.problem_seed, lam=config.lam))
     if path is not None:
         dump_instance(inst, path)

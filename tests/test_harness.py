@@ -583,49 +583,27 @@ def test_lasso_instance_gets_reference_attached(tmp_path):
         run_experiment(parse_config(mismatched), out_dir=str(tmp_path / "out2"))
 
 
-_LASSO_RUN = (
-    "method = composite\nkind = lasso\nm = 30\nn = 4\nlambda = 0.5\n"
-    "N = 100\nseeds = 1\nstep.family = power\nstep.c = 1/16\n"
-    "step.s = 3\nstep.p = 8/9\nmom.family = constant\nmom.theta = 0.5\n"
-)
-
-
-def test_lasso_reference_is_saved_into_its_dump(tmp_path, monkeypatch):
-    """A lasso dump without a reference has it solved once and saved back, so
-    a second run reads it from the dump without solving, bundle bytes
-    unchanged."""
-    inst_path = tmp_path / "lasso.txt"
-    dump_instance(gen("lasso", 30, 4, 3, lam=0.5), str(inst_path))
-    text = _LASSO_RUN + f"instance = {inst_path}\n"
-    first = run_experiment(parse_config(text), out_dir=str(tmp_path / "a"))
-    saved = load_instance(str(inst_path))
-    assert np.array_equal(saved.reference_optimum, first.instance.reference_optimum)
-    monkeypatch.setattr(harness, "lasso_reference", lambda inst: pytest.fail("solved again"))
-    run_experiment(parse_config(text), out_dir=str(tmp_path / "b"))
-    assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
-
-
-def test_a_failed_reference_save_leaves_the_dump_and_the_run_goes_on(tmp_path, monkeypatch):
-    """When saving the solved reference fails (the move into place raises
-    OSError), the dump and its cache keep their bytes, no temporary file is
-    left, and the run finishes with the bundle a saving run writes."""
-    inst_path = tmp_path / "dump" / "lasso.txt"
-    inst_path.parent.mkdir()
-    dump_instance(gen("lasso", 30, 4, 3, lam=0.5), str(inst_path))
-    before = {p.name: p.read_bytes() for p in inst_path.parent.iterdir()}
-    text = _LASSO_RUN + f"instance = {inst_path}\n"
-
-    def full_disk(src, dst):
-        raise OSError(28, "No space left on device")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(problems.os, "replace", full_disk)
-        bundle = run_experiment(parse_config(text), out_dir=str(tmp_path / "a"))
+def test_a_run_never_writes_its_dump(tmp_path):
+    """A run on a lasso dump without a reference solves it for the run only:
+    a read-only dump reached through a symbolic link keeps its link, its
+    mode and its text and cache bytes."""
+    shared = tmp_path / "shared" / "lasso.txt"
+    shared.parent.mkdir()
+    dump_instance(gen("lasso", 30, 4, 3, lam=0.5), str(shared))
+    shared.chmod(0o444)
+    before = {p.name: p.read_bytes() for p in shared.parent.iterdir()}
+    link = tmp_path / "lasso.txt"
+    link.symlink_to(shared)
+    text = (
+        "method = composite\nkind = lasso\nm = 30\nn = 4\nlambda = 0.5\n"
+        "N = 100\nseeds = 1\nstep.family = power\nstep.c = 1/16\n"
+        "step.s = 3\nstep.p = 8/9\nmom.family = constant\nmom.theta = 0.5\n"
+        f"instance = {link}\n"
+    )
+    bundle = run_experiment(parse_config(text), out_dir=str(tmp_path / "out"))
     assert bundle.instance.reference_optimum is not None
-    assert {p.name: p.read_bytes() for p in inst_path.parent.iterdir()} == before
-    run_experiment(parse_config(text), out_dir=str(tmp_path / "b"))
-    assert load_instance(str(inst_path)).reference_optimum is not None
-    assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
+    assert link.is_symlink() and shared.stat().st_mode & 0o7777 == 0o444
+    assert {p.name: p.read_bytes() for p in shared.parent.iterdir()} == before
 
 
 def test_run_results_read_their_trace(tmp_path):
