@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import math
 import os
+import stat
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -423,19 +425,29 @@ def _cache_path(path) -> str:
 
 @contextlib.contextmanager
 def _replacing(path):
-    """A binary handle on a temporary file beside path, moved onto path when
-    the block ends and removed if it raises, so a reader never sees a
-    partial file and a failed write leaves the old one as it was."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    """A binary handle on a temporary file, moved onto path when the block
+    ends and removed if it raises, so a reader never sees a partial file and
+    a failed write leaves the old one as it was. Otherwise it acts as writing
+    path in place would: a symbolic link stays a link and the file it names
+    is replaced, a file this process may not write is refused, and the new
+    file keeps the old one's permission bits."""
+    path = os.fspath(path)
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    mode = stat.S_IMODE(os.stat(target).st_mode) if os.path.exists(target) else None
+    if mode is not None and not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
     try:
         with open(tmp, "wb") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         if isinstance(exc, OSError) and exc.filename == tmp:
-            exc.filename = os.fspath(path)  # errors name the file asked for
+            exc.filename = path  # errors name the file asked for
         raise
 
 

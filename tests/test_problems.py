@@ -1057,6 +1057,48 @@ def test_a_dump_into_a_missing_directory_names_its_path(tmp_path):
     assert exc.value.filename == str(path)
 
 
+def test_a_dump_over_a_file_keeps_its_mode(tmp_path):
+    """A dump written over an existing one keeps that file's permission bits,
+    as writing it in place would, rather than taking the umask default."""
+    path = tmp_path / "instance.txt"
+    dump_instance(gen("least_squares", m=6, n=2, seed=1), path)
+    path.chmod(0o600)
+    dump_instance(gen("least_squares", m=6, n=2, seed=2), path)
+    assert path.stat().st_mode & 0o7777 == 0o600
+    dump_instance(gen("least_squares", m=6, n=2, seed=2), tmp_path / "fresh.txt")
+    assert path.read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+
+
+def test_a_dump_over_a_file_it_may_not_write_is_refused(tmp_path, monkeypatch):
+    """Over a read-only dump the process may not write (a superuser may write
+    any file, so os.access is made to say no), the dump is refused with an
+    error naming the path, and the old text and cache keep their bytes."""
+    path = tmp_path / "instance.txt"
+    dump_instance(gen("least_squares", m=6, n=2, seed=1), path)
+    path.chmod(0o444)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(problems.os, "access", lambda target, how: False)
+    with pytest.raises(PermissionError) as exc:
+        dump_instance(gen("least_squares", m=6, n=2, seed=2), path)
+    assert exc.value.filename == str(path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_dump_through_a_symlink_writes_the_linked_file(tmp_path):
+    """Dumping to a symbolic link replaces the file it names and leaves the
+    link a link, so a dump shared through links stays shared."""
+    shared = tmp_path / "shared.txt"
+    dump_instance(gen("least_squares", m=6, n=2, seed=1), shared)
+    link = tmp_path / "link.txt"
+    link.symlink_to(shared)
+    second = gen("least_squares", m=6, n=2, seed=2)
+    dump_instance(second, link)
+    assert link.is_symlink() and os.readlink(link) == str(shared)
+    dump_instance(second, tmp_path / "fresh.txt")
+    assert shared.read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+    _assert_same_outcome(load_instance(link), second)
+
+
 @pytest.mark.parametrize("case", sorted(TWO_FAULT_DUMPS))
 def test_two_fault_dumps_ignore_a_stale_cache(tmp_path, case):
     edit, line, message = TWO_FAULT_DUMPS[case]
