@@ -13,8 +13,9 @@ and differ in how the sampled oracle turns x_{k+1} into v_{k+1}:
 A run starts from v_1 = v_2 (standard normal by default) and advances to the
 iterate with index N; the update producing v_{k+1} consumes schedule values
 alpha_k, theta_k, so the first executable step index is k = 2. ``run`` is one
-loop over the pair (v_{k-1}, v_k): each step extrapolates once, takes its row
-index, forms the sampled residual r_k = a_i.x_{k+1} - b_i and updates in
+loop over the pair (v_{k-1}, v_k): each step extrapolates once (not at all
+when theta_k = 0 at every k, see below), takes its row index, forms the
+sampled residual r_k = a_i.x_{k+1} - b_i and updates in
 stages, each written once and picked by flags set before the loop: the
 proximal stage (prox_rm, composite implicit_first) or the gradient stage,
 both taking the scalar of the row step (2 r_k, sign(r_k) or the proximal
@@ -27,25 +28,31 @@ v_j ends the run with ``diverged_at = j`` and the checkpoints recorded so far.
 
 Everything fixed for a whole run is settled before the loop, buffers
 included. The momentum range is checked once, so the loop computes v_k +
-theta_k (v_k - v_{k-1}) unchecked; rows and targets are bound as Python
-lists and the proximal stage binds the squared row norms. The iterates live
-in a ring of three buffers, v_{k-1}, v_k and a spare: each step forms
-x_{k+1} and the scaled row in two scratch vectors with ``out=`` ufuncs, each
-scalar factor held in a 0-d float64 array, in the operation order of the
-plain expressions, so every value is bitwise the same; it writes v_{k+1}
-into the spare and rotates the three, so an uninstrumented ssgd or prox_rm
-step without a constraint allocates no array. A stage that returns a new array (soft
-threshold, box clip, ball projection from outside) or the zero row's copy
-of x is copied into the spare; neither x nor a returned array joins the
-ring. Checkpoints are an ordered walk of ``_checkpoint_indices``: the loop
-compares k + 1 with the next mark only, and no set of marks is built. A
-checkpoint takes k, dist, increment, alpha_k and theta_k at once and copies
-v_k into a pending batch of up to ``problems._pass_shape`` points; the
-batch gets its objectives from one blocked pass over A when it is full, when
-the run ends and before a diverged run returns, so A is read once per batch
-instead of once per checkpoint, in one matmul call per row block for the
-whole batch. Each value is bitwise the one ``objective`` gives at that point
-(see ``problems._objective_values``).
+theta_k (v_k - v_{k-1}) unchecked. When its upper bound is 0 (constant
+momentum 0, or power momentum with c = 0), theta_k = 0 at every k and the
+step takes x_{k+1} = v_k itself, with no call. The extrapolated vector
+would equal v_k but for a -0.0 entry turned +0.0, which no dot, norm or
+objective tells apart, and for finite iterates whose difference overflows,
+where 0 inf would make it nan (composite implicit_first with alpha lambda
+near the float maximum). Rows and targets are bound as Python lists and
+the proximal stage binds the squared row norms.
+The iterates live in a ring of three buffers, v_{k-1}, v_k and a spare: each
+step forms x_{k+1} and the scaled row in two scratch vectors with ``out=``
+ufuncs, each scalar factor held in a 0-d float64 array, in the operation
+order of the plain expressions, so every value is bitwise the same; it
+writes v_{k+1} into the spare and rotates the three, so an uninstrumented
+ssgd or prox_rm step without a constraint allocates no array. A stage that
+returns a new array (soft threshold, box clip, ball projection from outside)
+or the zero row's copy of x is copied into the spare; neither x nor a
+returned array joins the ring. Checkpoints are an ordered walk of
+``_checkpoint_indices``: the loop compares k + 1 with the next mark only,
+and no set of marks is built. A checkpoint takes k, dist, increment, alpha_k
+and theta_k at once and copies v_k into a pending batch of up to
+``problems._pass_shape`` points; the batch gets its objectives from one
+blocked pass over A when it is full, when the run ends and before a diverged
+run returns, so A is read once per batch instead of once per checkpoint, in
+one matmul call per row block for the whole batch. Each value is bitwise the
+one ``objective`` gives at that point (see ``problems._objective_values``).
 Row indices and the schedule values alpha_k, theta_k come in blocks of at
 most ``_DRAW_BLOCK`` steps, so memory stays bounded for any N; the
 schedules' ``block`` applies their scalar formula per index, so the values
@@ -56,13 +63,14 @@ resumes no generator.
 Finiteness is decided by the residual the step forms anyway. v_{k-1} is
 known to be finite, so a non-finite v_k makes x_{k+1} = v_k + theta_k (v_k -
 v_{k-1}) non-finite (+-inf stays +-inf for theta > 0, inf + 0 inf is nan for
-theta = 0, nan stays nan), and the dot a_i.x_{k+1} then takes in a nan or
-+-inf product (0 inf is nan for a zero row entry): a finite r_k certifies
-v_k. Only a non-finite r_k runs ``np.isfinite(v_k).all()``, which keeps a
-finite iterate whose residual overflows; if it fails, the run ends with
-diverged_at = k. Every checkpoint, N included, runs that entry-wise check
-before it records, so no non-finite iterate is recorded and the last iterate
-is always checked. Instrumentation records step k only after v_k passed.
+theta = 0, nan stays nan; a momentum-free run takes v_k itself), and the dot
+a_i.x_{k+1} then takes in a nan or +-inf product (0 inf is nan for a zero
+row entry): a finite r_k certifies v_k. Only a non-finite r_k runs
+``np.isfinite(v_k).all()``, which keeps a finite iterate whose residual
+overflows; if it fails, the run ends with diverged_at = k. Every checkpoint,
+N included, runs that entry-wise check before it records, so no non-finite
+iterate is recorded and the last iterate is always checked. Instrumentation
+records step k only after v_k passed.
 
 Run RNG stream layout (fixed, documented for bitwise reproducibility): the
 init vector consumes Box-Muller normals first when init is gaussian, then the
@@ -298,6 +306,9 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     lo, hi = config.momentum.bounds
     if not (0.0 <= lo and hi < 1.0):
         raise ValueError(f"momentum must lie in [0, 1), got values in [{lo}, {hi}]")
+    # theta_k = 0 at every k: the step takes x_{k+1} = v_k and skips the
+    # extrapolation (see the module docstring)
+    momentum_free = hi == 0.0
     ref = inst.reference_optimum
     f_ref = objective(inst, ref)
     g = make_generator(STREAM_RUN, config.seed)
@@ -421,10 +432,13 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
                 # construction), and the step identity ||x - v_k|| = theta
                 # ||v_k - v_{k-1}|| stays tight at rounding scale; the expanded
                 # form loses both to cancellation
-                subtract(v_curr, v_prev, x)
-                coef[()] = theta
-                multiply(x, coef, x)
-                add(v_curr, x, x)
+                if momentum_free:
+                    x = v_curr
+                else:
+                    subtract(v_curr, v_prev, x)
+                    coef[()] = theta
+                    multiply(x, coef, x)
+                    add(v_curr, x, x)
                 a = rows[i]
                 r = float(a.dot(x)) - targets[i]
                 # v_{k-1} is finite, so a non-finite v_k makes x and then r

@@ -799,17 +799,21 @@ def test_lemma_suite_checks_each_scenario_through_run_lemma_check(monkeypatch):
 
 def test_run_experiment_runs_each_pair_through_run(tmp_path, monkeypatch):
     """run_experiment looks up the module-global harness.run once per
-    (momentum, seed) pair; the benchmark replaces that name to count and
-    time the solver runs."""
+    (momentum, seed) pair and bundles the traces it returns; the benchmark
+    replaces that name to count and time the solver runs, so a sweep that
+    bypassed it would leave the benchmark no timed unit."""
     calls = []
 
     def counted(config, inst):
-        calls.append((config.momentum.theta, config.seed))
-        return solvers.run(config, inst)
+        trace = solvers.run(config, inst)
+        calls.append((config.momentum.theta, config.seed, trace))
+        return trace
 
     monkeypatch.setattr(harness, "run", counted)
-    run_experiment(parse_config(TINY_RUN), out_dir=str(tmp_path))
-    assert calls == [(0.0, 1), (0.0, 2), (0.5, 1), (0.5, 2)]
+    bundle = run_experiment(parse_config(TINY_RUN), out_dir=str(tmp_path))
+    assert [call[:2] for call in calls] == [(0.0, 1), (0.0, 2), (0.5, 1), (0.5, 2)]
+    bundled = [result.trace for group in bundle.groups for result in group.runs]
+    assert [id(trace) for trace in bundled] == [id(call[2]) for call in calls]
 
 
 _LEMMA_SIZES = "paths = 20\nlength = 300\nbranches = 40\nseed = 3\n"

@@ -561,9 +561,9 @@ def test_objective_pass_equals_per_point_formulas(
         lam=0.7 if kind == "lasso" else 0.0,
         seed=0,
     )
-    points = rng.standard_normal((count, n)) * scale
     residual = np.full((batch, m), np.nan)  # scratch: what it held must not matter
     with np.errstate(all="ignore"):
+        points = rng.standard_normal((count, n)) * scale
         values = problems._objective_values(inst, points, residual)
         singles = [objective(inst, x) for x in points]
         expected = []

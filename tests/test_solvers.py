@@ -179,7 +179,8 @@ class _Case:
     seed 4). ``variant`` is an ssgd constraint ("ball" of radius ``bound``,
     "box" of half-width ``bound``) or a composite order; ``step`` is a
     constant step size (None: the power step of ``_small_config``) and
-    ``theta`` a constant momentum (None: harmonic momentum, 1 / (k + 2))."""
+    ``theta`` a constant momentum (None: harmonic momentum, 1 / (k + 2)),
+    which ``power`` = (c, s, p) replaces by power momentum c / (k + s)^p."""
 
     method: str
     kind: str
@@ -189,6 +190,7 @@ class _Case:
     theta: float | None = 0.5
     iterations: int = 300
     diverges: bool = False
+    power: tuple[float, float, float] | None = None
 
 
 @functools.cache
@@ -209,6 +211,8 @@ def _case_config(case, **kw):
     config = _small_config(method=case.method, iterations=case.iterations, seed=4, **kw)
     if case.step is not None:
         config = dataclasses.replace(config, step=constant_step(case.step))
+    if case.power is not None:
+        return dataclasses.replace(config, momentum=power_momentum(*case.power))
     if case.theta is None:
         return dataclasses.replace(config, momentum=harmonic_momentum(2.0))
     return dataclasses.replace(config, momentum=constant_momentum(case.theta))
@@ -274,7 +278,11 @@ def _reference_run(case, inst, iterates=None):
                 alpha = (1.0 / 16.0) / (k + 3.0) ** (8.0 / 9.0)
             else:
                 alpha = case.step
-            theta = 1.0 / (k + 2.0) if case.theta is None else case.theta
+            if case.power is not None:
+                c, s, p = case.power
+                theta = c / (k + s) ** p
+            else:
+                theta = 1.0 / (k + 2.0) if case.theta is None else case.theta
             x = v + theta * (v - v_prev)
             i = int(g.integers(1, inst.m + 1))
             v_next = _reference_update(case, inst, x, i, alpha)
@@ -318,6 +326,32 @@ _CASES = {
     "prox_rm-least_absolute": _Case("prox_rm", "least_absolute"),
     "composite-lasso-explicit_first": _Case("composite", "lasso", "explicit_first"),
     "composite-lasso-implicit_first": _Case("composite", "lasso", "implicit_first"),
+    # every update rule of _RULES below at theta = 0, where the step takes
+    # x_{k+1} = v_k without extrapolating, and a theta = 0 schedule outside
+    # the constant family
+    "ssgd-least_squares-theta0": _Case("ssgd", "least_squares", theta=0.0),
+    "ssgd-least_squares-ball-theta0": _Case("ssgd", "least_squares", "ball", 0.5, theta=0.0),
+    "ssgd-least_squares-box-theta0": _Case("ssgd", "least_squares", "box", 0.25, theta=0.0),
+    "ssgd-least_squares-wide-box-theta0": _Case(
+        "ssgd", "least_squares", "box", 1e307, theta=0.0
+    ),
+    "ssgd-least_absolute-theta0": _Case("ssgd", "least_absolute", theta=0.0),
+    "ssgd-least_absolute-ball-theta0": _Case("ssgd", "least_absolute", "ball", 0.5, theta=0.0),
+    "ssgd-least_absolute-box-theta0": _Case("ssgd", "least_absolute", "box", 0.25, theta=0.0),
+    "ssgd-least_absolute-wide-box-theta0": _Case(
+        "ssgd", "least_absolute", "box", 1e307, theta=0.0
+    ),
+    "prox_rm-least_squares-theta0": _Case("prox_rm", "least_squares", theta=0.0),
+    "prox_rm-least_absolute-theta0": _Case("prox_rm", "least_absolute", theta=0.0),
+    "composite-lasso-explicit_first-theta0": _Case(
+        "composite", "lasso", "explicit_first", theta=0.0
+    ),
+    "composite-lasso-implicit_first-theta0": _Case(
+        "composite", "lasso", "implicit_first", theta=0.0
+    ),
+    "prox_rm-least_absolute-power-c0": _Case(
+        "prox_rm", "least_absolute", power=(0.0, 1.0, 0.5)
+    ),
     # runs that end in divergence, and one whose residuals overflow on finite
     # iterates: the box keeps every iterate finite near +-1e307
     "ssgd-least_squares-theta0-diverging": _Case(
@@ -765,6 +799,35 @@ def test_extrapolate_zero_momentum():
     instrumentation = run(config, inst).instrumentation
     assert len(instrumentation) == 100
     assert all(lhs == 0.0 for _, lhs, _ in instrumentation)
+
+
+@pytest.mark.parametrize(
+    "momentum", [constant_momentum(0.0), power_momentum(0.0, 1.0, 0.5)], ids=["constant", "power"]
+)
+def test_momentum_free_step_takes_the_iterate_itself(momentum):
+    """With theta_k = 0 at every k the step takes x_{k+1} = v_k. Here
+    implicit_first's l1 step (alpha lambda near the float maximum) moves v_3
+    and v_4 so far apart that v_4 - v_3 overflows, though both are finite;
+    v_4 + 0 (v_4 - v_3) would be nan and end the run at k = 5. The run goes
+    on, as the exact update does, step for step."""
+    case = _Case("composite", "lasso", "implicit_first")
+    inst = _origin_referenced(
+        _hand_instance("lasso", [[1.0]], [0.0], lam=np.finfo(float).max)
+    )
+    config = SolverConfig(
+        method="composite", step=constant_step(0.7), momentum=momentum, iterations=30,
+        seed=2, stride=1.0 + 1e-9, composite_order="implicit_first",
+    )
+    trace = run(config, inst)
+    assert not trace.diverged
+    assert trace.checkpoints[3].increment == np.inf
+    v = normals(make_generator(STREAM_RUN, 2), 1)
+    dists = [_reference_norm(v)] * 2
+    with np.errstate(over="ignore"):
+        for _ in range(2, 30):
+            v = _reference_update(case, inst, v, 1, 0.7)
+            dists.append(_reference_norm(v))
+    assert [cp.dist for cp in trace.checkpoints] == dists
 
 
 def test_extrapolate_equal_pair_is_identity():
