@@ -64,7 +64,7 @@ KINDS = ("least_squares", "least_absolute", "lasso")
 # the m x n instance matrix, a paths x length lemma ensemble, a branch sample
 _MAX_ENTRIES = 1 << 25
 # float64 entries of one row block of A in an objective pass, and of the
-# residual buffer of a batch of points (1 MB each)
+# residual and point buffers of a batch of points (1 MB each)
 _PASS_ENTRIES = 1 << 17
 
 
@@ -304,10 +304,11 @@ def objective(inst: ProblemInstance, x: np.ndarray) -> float:
 def _pass_shape(m: int, n: int) -> tuple[int, int]:
     """(points per batch, rows per block) of the objective pass over an m x n
     row matrix, whose row blocks every ``_row_products`` call uses: as many
-    points, 1 to 64, as keep a (points, m) residual within _PASS_ENTRIES,
-    and the largest multiple of 64 rows, at least 64, that keeps a row block
-    within it."""
-    return min(64, max(1, _PASS_ENTRIES // m)), max(64, _PASS_ENTRIES // n // 64 * 64)
+    points, 1 to 64, as keep both a (points, m) residual and the (points, n)
+    points themselves within _PASS_ENTRIES, and the largest multiple of 64
+    rows, at least 64, that keeps a row block within it."""
+    batch = min(64, _PASS_ENTRIES // m, _PASS_ENTRIES // n)
+    return max(1, batch), max(64, _PASS_ENTRIES // n // 64 * 64)
 
 
 def _row_products(rows: np.ndarray, points: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -48,11 +48,23 @@ returned array joins the ring. Checkpoints are an ordered walk of
 ``_checkpoint_indices``: the loop compares k + 1 with the next mark only,
 and no set of marks is built. A checkpoint takes k, dist, increment, alpha_k
 and theta_k at once and copies v_k into a pending batch of up to
-``problems._pass_shape`` points; the batch gets its objectives from one
-blocked pass over A when it is full, when the run ends and before a diverged
-run returns, so A is read once per batch instead of once per checkpoint, in
-one matmul call per row block for the whole batch. Each value is bitwise the
-one ``objective`` gives at that point (see ``problems._objective_values``).
+``problems._pass_shape`` points (about 1 MB of points and of residuals,
+bounded by both m and n); each batch gets its objectives from one blocked
+pass over A, so A is read once per batch instead of once per checkpoint, in
+one matmul call per row block for the whole batch. A full batch goes to the
+run's one helper thread (``_PassHelper``), which takes the passes in order
+while the loop steps on: the pass's GEMV blocks, subtraction and
+least-absolute reductions release the GIL, so a second core runs them beside
+the steps (they are about a fifth of a ``lad-proxrm`` run on one core). At
+most ``_PASSES_IN_FLIGHT`` batches wait in its queue, and the loop waits
+while it is full, so memory stays bounded for any N and stride. The rest of the points go when the run ends
+and before a diverged run returns; the main thread then joins the helper and
+builds the checkpoints in order. Each value is bitwise the one ``objective``
+gives at that point (see ``problems._objective_values``), on whichever
+thread. The helper sets the loop's numpy error state, which numpy keeps per
+thread, and calls only private functions; ``run`` raises a pass's
+exception, and an exception in the loop ends the helper as well, so no
+thread outlives a run.
 Row indices and the schedule values alpha_k, theta_k come in blocks of at
 most ``_DRAW_BLOCK`` steps, so memory stays bounded for any N; the
 schedules' ``block`` applies their scalar formula per index, so the values
@@ -84,6 +96,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import queue
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -127,6 +141,9 @@ _MAX_ITERATIONS = 1 << 53
 # steps per block of row indices and schedule values: 128 KB of int64 and
 # two 16384-entry float lists at most
 _DRAW_BLOCK = 1 << 14
+# batches of checkpoint points queued for a run's objective helper; the loop
+# waits while this many are queued
+_PASSES_IN_FLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -260,6 +277,52 @@ def _checkpoint_indices(n_final: int, stride: float) -> Iterator[int]:
     yield n_final
 
 
+class _PassHelper:
+    """The one helper thread of a run: it takes the objective passes of the
+    batches handed over, in order, while the loop steps on.
+
+    The helper calls only private functions. After a pass fails it drains its
+    queue without computing, and ``error`` holds the exception."""
+
+    def __init__(self, inst: ProblemInstance, batch: int):
+        self.values: list[float] = []
+        self.error: BaseException | None = None
+        self._queue: queue.Queue[np.ndarray | None] = queue.Queue(_PASSES_IN_FLIGHT)
+        self._thread = threading.Thread(
+            target=self._take, args=(inst, np.empty((batch, inst.m))), daemon=True
+        )
+        self._thread.start()
+
+    def _take(self, inst: ProblemInstance, residual: np.ndarray) -> None:
+        # numpy's error state is per thread: the loop's is set again here
+        with np.errstate(over="ignore", invalid="ignore"):
+            while (points := self._queue.get()) is not None:
+                if self.error is None:
+                    try:
+                        self.values += _objective_values(inst, points, residual)
+                    # any exception: a helper that died would leave the loop
+                    # waiting on a full queue; run raises it again
+                    except BaseException as error:
+                        self.error = error
+
+    def hand_over(self, points: np.ndarray) -> None:
+        """Queue a batch, waiting while _PASSES_IN_FLIGHT are queued; the
+        caller leaves ``points`` alone from here on."""
+        self._queue.put(points)
+
+    def close(self) -> None:
+        """Take the passes handed over and end the thread."""
+        if self._thread.is_alive():
+            self._queue.put(None)
+            self._thread.join()
+
+    def __enter__(self) -> _PassHelper:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
 def _validity_metadata(cfg: SolverConfig) -> dict[str, str]:
     report = classify(cfg.step)
     lo, hi = cfg.momentum.bounds
@@ -334,18 +397,39 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         [] if config.instrument else None
     )
     # checkpoint objectives are taken in batches: a recorded iterate waits in
-    # ``pending`` until the batch is full, the run ends or diverges, and one
-    # blocked pass over A then gives the whole batch its values
+    # ``pending`` until the batch is full, which then goes to the run's
+    # helper thread for one blocked pass over A, and a fresh buffer takes the
+    # next points; the rest go when the run ends or diverges, and the
+    # checkpoints are built once the helper is done
     batch = _pass_shape(inst.m, inst.n)[0]
     pending = np.empty((batch, inst.n))
-    residual = np.empty((batch, inst.m))
     held: list[tuple[int, float, float, float, float]] = []
 
-    def flush() -> None:
-        if not held:
-            return
-        values = _objective_values(inst, pending[: len(held)], residual)
-        for (k, dist, increment, alpha, theta), value in zip(held, values):
+    def record(k: int, v_curr: np.ndarray, v_prev: np.ndarray) -> None:
+        nonlocal pending
+        filled = len(held) % batch
+        pending[filled] = v_curr
+        held.append(
+            (
+                k,
+                _norm(v_curr - ref),
+                _norm(v_curr - v_prev),
+                config.step.at(k),
+                config.momentum.at(k),
+            )
+        )
+        if filled + 1 == batch:
+            helper.hand_over(pending)
+            pending = np.empty((batch, inst.n))
+
+    def finish() -> None:
+        rest = len(held) % batch
+        if rest:
+            helper.hand_over(pending[:rest])
+        helper.close()
+        if helper.error is not None:
+            raise helper.error
+        for (k, dist, increment, alpha, theta), value in zip(held, helper.values):
             checkpoints.append(
                 Checkpoint(
                     k=k,
@@ -356,21 +440,6 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
                     theta=theta,
                 )
             )
-        held.clear()
-
-    def record(k: int, v_curr: np.ndarray, v_prev: np.ndarray) -> None:
-        pending[len(held)] = v_curr
-        held.append(
-            (
-                k,
-                _norm(v_curr - ref),
-                _norm(v_curr - v_prev),
-                config.step.at(k),
-                config.momentum.at(k),
-            )
-        )
-        if len(held) == batch:
-            flush()
 
     metadata = {
         "package": f"nagsa {__version__}",
@@ -416,13 +485,17 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     subtract, multiply, add = np.subtract, np.multiply, np.add
 
     def diverged(k: int) -> SolverTrace:
-        flush()
+        finish()
         trace.diverged_at = k
         return trace
 
     # exploding iterates are caught by the finiteness checks, so the
-    # intermediate overflow warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
+    # intermediate overflow warnings are noise; leaving the block ends the
+    # helper, after an exception in the loop too, so no thread outlives the run
+    with (
+        np.errstate(over="ignore", invalid="ignore"),
+        _PassHelper(inst, batch) as helper,
+    ):
         record(1, v_curr, v_prev)
         record(2, v_curr, v_prev)
         for block in _steps(config, inst, g):
@@ -489,5 +562,5 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
                         return diverged(k + 1)
                     record(k + 1, v_curr, v_prev)
                     mark = next(marks, 0)
-        flush()
+        finish()
     return trace

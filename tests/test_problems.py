@@ -587,12 +587,18 @@ def test_objective_pass_equals_per_point_formulas(
         (10000, 100, 13, 1280),
         (1 << 17, 1, 1, 1 << 17),
         (1 << 18, 3000, 1, 64),
+        # few rows of many entries: the points, not the residual, bound the batch
+        (8, 1 << 16, 2, 64),
+        (4096, 1 << 13, 16, 64),
+        (16, 1 << 21, 1, 64),
+        (1, 1 << 25, 1, 64),
     ],
 )
 def test_pass_shape_keeps_buffers_near_one_megabyte(m, n, batch, block):
-    """Batches hold 1 to 64 points and at most 2^17 residual entries unless
-    one point's residual is larger; blocks are multiples of 64 rows of at
-    most 2^17 entries unless 64 rows are larger."""
+    """Batches hold 1 to 64 points, and at most 2^17 residual entries and
+    2^17 point entries unless one point or its residual is larger; blocks
+    are multiples of 64 rows of at most 2^17 entries unless 64 rows are
+    larger."""
     assert problems._pass_shape(m, n) == (batch, block)
 
 

@@ -7,13 +7,17 @@ extrapolation identity."""
 import dataclasses
 import functools
 import itertools
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nagsa import problems
+from nagsa import problems, solvers
 from nagsa._rng import STREAM_RUN, make_generator, normals
 from nagsa.errors import ConfigurationError
 from nagsa.problems import (
@@ -541,6 +545,168 @@ def test_runs_share_no_state():
     again = once("ssgd-ball")
     assert first.checkpoints == again.checkpoints
     assert first.instrumentation == again.instrumentation
+
+
+def _checkpoint_bits(trace):
+    """(diverged_at, every checkpoint field as exact bits)."""
+    fields = [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(cp))
+        for cp in trace.checkpoints
+    ]
+    return trace.diverged_at, fields
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+@pytest.mark.parametrize(
+    "case",
+    _RULES + [case for case in _CASES.values() if case.diverges],
+    ids=lambda case: f"{case.method}-{case.kind}-{case.variant}-{case.bound}-{case.step}-{case.theta}",
+)
+def test_queued_passes_keep_the_checkpoint_bits(case, batch, monkeypatch):
+    """Checkpointed at every k in batches of 1 to 3 points, a run hands its
+    helper up to hundreds of passes, which queue up to the in-flight bound;
+    every trace, diverged ones included, equals the run in full-size
+    batches bit for bit."""
+    config = _case_config(case, stride=1.0 + 1e-9)
+    inst = _case_instance(case.kind)
+    expected = _checkpoint_bits(run(config, inst))
+    shape = problems._pass_shape(inst.m, inst.n)
+    monkeypatch.setattr(solvers, "_pass_shape", lambda m, n: (batch, shape[1]))
+    assert _checkpoint_bits(run(config, inst)) == expected
+    assert (expected[0] is not None) == case.diverges
+
+
+def test_loop_waits_while_the_queue_is_full(monkeypatch):
+    """With passes slower than the steps, the queue of batches handed over
+    fills to _PASSES_IN_FLIGHT and the loop waits for the helper, so the
+    batches handed over and not yet taken never pass _PASSES_IN_FLIGHT + 1
+    (the queue and the pass under way) for any N and stride."""
+    queued = []
+    taken = []
+    hand_over = solvers._PassHelper.hand_over
+    values = solvers._objective_values
+
+    def counted(self, points):
+        hand_over(self, points)
+        queued.append(self._queue.qsize())
+
+    def slow(inst, points, residual):
+        taken.append(len(queued) - len(taken))
+        time.sleep(0.001)
+        return values(inst, points, residual)
+
+    monkeypatch.setattr(solvers._PassHelper, "hand_over", counted)
+    monkeypatch.setattr(solvers, "_objective_values", slow)
+    monkeypatch.setattr(solvers, "_pass_shape", lambda m, n: (1, 64))
+    trace = run(_small_config(iterations=100, stride=1.0 + 1e-9), _case_instance("least_squares"))
+    assert len(trace.checkpoints) == len(queued) == len(taken) == 100
+    assert max(queued) == solvers._PASSES_IN_FLIGHT
+    assert max(taken) <= solvers._PASSES_IN_FLIGHT + 1
+
+
+def test_finished_and_diverged_runs_leave_no_thread():
+    before = threading.active_count()
+    assert not run(_small_config(), _case_instance("least_squares")).diverged
+    assert threading.active_count() == before
+    case = _CASES["ssgd-least_squares-diverging"]
+    assert run(_case_config(case), _case_instance(case.kind)).diverged
+    assert threading.active_count() == before
+
+
+def test_failed_pass_is_raised_by_run(monkeypatch):
+    """A pass that raises ends its helper's work: the passes queued after it
+    are drained without computing, the thread ends, and run raises the same
+    exception."""
+    failure = ArithmeticError("pass failed")
+    calls = []
+    values = solvers._objective_values
+
+    def failing(inst, points, residual):
+        calls.append(len(points))
+        if len(calls) == 2:
+            raise failure
+        return values(inst, points, residual)
+
+    monkeypatch.setattr(solvers, "_objective_values", failing)
+    monkeypatch.setattr(solvers, "_pass_shape", lambda m, n: (1, 64))
+    before = threading.active_count()
+    config = _small_config(iterations=100, stride=1.0 + 1e-9)
+    with pytest.raises(ArithmeticError) as raised:
+        run(config, _case_instance("least_squares"))
+    assert raised.value is failure
+    assert calls == [1, 1]
+    assert threading.active_count() == before
+
+
+def test_failed_step_stops_the_helper(monkeypatch):
+    """An exception in the loop propagates from run after the helper has
+    ended."""
+    projections = []
+
+    def failing(v, constraint):
+        projections.append(v)
+        if len(projections) == 150:
+            raise FloatingPointError("projection failed")
+        return v
+
+    monkeypatch.setattr(solvers, "project", failing)
+    monkeypatch.setattr(solvers, "_pass_shape", lambda m, n: (2, 64))
+    before = threading.active_count()
+    config = _small_config(stride=1.0 + 1e-9, constraint=ball(0.5))
+    with pytest.raises(FloatingPointError, match="projection failed"):
+        run(config, _case_instance("least_squares"))
+    assert len(projections) == 150
+    assert threading.active_count() == before
+
+
+def test_concurrent_runs_keep_their_bits(monkeypatch):
+    """Four runs at once on their own threads, each with its helper and
+    batches of one point, under a 10 us switch interval: every trace equals
+    the run alone bit for bit, so no run reads another's queue, values or
+    error, and a run started off the main thread sets its own error state."""
+    cases = [_RULES[0], _RULES[5], _RULES[9], _CASES["ssgd-least_squares-diverging"]]
+    monkeypatch.setattr(solvers, "_pass_shape", lambda m, n: (1, 64))
+
+    def once(case):
+        return _checkpoint_bits(run(_case_config(case, stride=1.0 + 1e-9), _case_instance(case.kind)))
+
+    expected = [once(case) for case in cases]
+    got = [None] * len(cases)
+
+    def work(j):
+        got[j] = once(cases[j])
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
+
+
+def test_pass_buffers_are_bounded_by_n():
+    """On 8 rows of 65536 entries (A is 4 MiB, made before tracing), a
+    200-step run traces less than A's size plus 8 MiB: a batch holds at
+    most about 1 MiB of points whatever the shape of A, and at most
+    _PASSES_IN_FLIGHT + 2 batches exist at once. Sized by m alone, the batch
+    held 64 points (32 MiB), and the run traced 35.5 MiB."""
+    inst = gen("least_squares", m=8, n=1 << 16, seed=3)
+    config = _small_config(iterations=200)
+    run(_small_config(iterations=3), inst)  # the first call's imports
+    tracemalloc.start()
+    try:
+        trace = run(config, inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.checkpoints) > 2 * (solvers._PASSES_IN_FLIGHT + 2)
+    assert peak < inst.rows.nbytes + 8 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize(
