@@ -35,11 +35,13 @@ from .diagnostics import (
 from .errors import _QUOTE_CHARS, ConfigurationError, _quote
 from .problems import (
     _MAX_ENTRIES,
+    _MAX_ROWS,
     KINDS,
     ConstraintSet,
     ProblemInstance,
     _fmt,
     _fmt_rows,
+    _rows_fault,
     ball,
     box,
     dump_instance,
@@ -409,6 +411,8 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> Exper
         if size < 1:
             raise kv.error(key, f"{key} must be positive, got {size}")
     _check_entries(kv, ("m", "n"), (m, n))
+    if m > _MAX_ROWS:
+        raise kv.error("m", _rows_fault(m))
     lam = kv.number("lambda", 0.0)
     if lam < 0:
         raise kv.error("lambda", f"lambda must be non-negative, got {lam:g}")

@@ -60,6 +60,9 @@ _COLUMN_SUM_TOL = 1e-9
 
 # bound on the geometric remainder a tail coefficient leaves out
 _TAIL_TOL = 1e-12
+# longest horizon a tail recursion may walk past n_max, one Python step per
+# index: the bound the algebra table's row count has too
+_MAX_HORIZON = 1 << 25
 
 # rows per head-product block: 1024 x 32 bytes = 32 KiB of products, and
 # one write of the algebra table
@@ -178,7 +181,8 @@ def tail_coefficients(schedule: MomentumSchedule, n_max: int) -> TailCoefficient
     remainder d^(K+1)/(1-d) smaller than _TAIL_TOL = 1e-12 for d = sup theta. Constant
     schedules seed the horizon with the exact limit theta/(1-theta); the sum
     then stays exact along the recursion. Momentum with sup >= 1 has no
-    finite tail sum and raises DivergenceError.
+    finite tail sum and raises DivergenceError, and so does a sup so close
+    to 1 that K passes _MAX_HORIZON = 2^25, before any step is taken.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -192,6 +196,11 @@ def tail_coefficients(schedule: MomentumSchedule, n_max: int) -> TailCoefficient
         seed = d / (1.0 - d)
     else:
         horizon = max(0, math.ceil(math.log(_TAIL_TOL * (1.0 - d)) / math.log(d)) - 1)
+        if horizon > _MAX_HORIZON:
+            raise DivergenceError(
+                f"tail coefficients for momentum sup {d!r} need a horizon of {horizon} "
+                f"indices, more than the limit of {_MAX_HORIZON}"
+            )
         while d ** (horizon + 1) / (1.0 - d) >= _TAIL_TOL:
             horizon += 1
         seed = 0.0

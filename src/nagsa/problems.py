@@ -19,6 +19,15 @@ proximal-gradient run supplies it.
 
 Rows are numbered 1..m at every oracle surface; per-sample oracles work on a
 single row and are one-dimensional reductions along it.
+
+An instance's arrays never change: ``ProblemInstance`` keeps each one
+read-only and copies a writable one first. On its first solver run it
+builds a run table (the rows as a list of views, the targets and squared
+row norms as Python floats, the objective at the reference), which every
+later run reads and which lives as long as the instance. It holds about
+192 B per row, so m is at most _MAX_ROWS = 2^20: ``gen`` and both dump
+loaders refuse a larger m before anything is allocated, as does the
+harness's config parser.
 """
 
 from __future__ import annotations
@@ -26,11 +35,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import errno
+import functools
 import math
 import os
 import stat
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,19 +74,53 @@ KINDS = ("least_squares", "least_absolute", "lasso")
 # largest float64 array a config or an instance cache may ask for (256 MB):
 # the m x n instance matrix, a paths x length lemma ensemble, a branch sample
 _MAX_ENTRIES = 1 << 25
+# rows an instance may have: its run table holds a row view and two Python
+# floats per row, about 192 B, so at most 192 MiB
+_MAX_ROWS = 1 << 20
 # float64 entries of one row block of A in an objective pass, and of the
 # residual and point buffers of a batch of points (1 MB each)
 _PASS_ENTRIES = 1 << 17
 
 
+class _RunTable(NamedTuple):
+    """What every solver run on an instance reads: the rows as a list of
+    views, the targets and the squared row norms as lists of Python floats,
+    and the objective at the reference optimum (None without one)."""
+
+    rows: list[np.ndarray]
+    targets: list[float]
+    norms: list[float]
+    f_ref: float | None
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
+    """Each array given is kept read-only, a writable one as a copy, so no
+    one who holds the original can change the instance or make its run
+    table (built on first use, kept as long as the instance) go stale."""
+
     kind: str
     rows: np.ndarray
     targets: np.ndarray
     lam: float
     seed: int
     reference_optimum: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("rows", "targets", "reference_optimum"):
+            a = getattr(self, name)
+            if a is not None and a.flags.writeable:
+                object.__setattr__(self, name, _freeze(a.copy()))
+
+    @functools.cached_property
+    def _run_table(self) -> _RunTable:
+        ref = self.reference_optimum
+        return _RunTable(
+            rows=list(self.rows),
+            targets=self.targets.tolist(),
+            norms=np.vecdot(self.rows, self.rows).tolist(),
+            f_ref=None if ref is None else objective(self, ref),
+        )
 
     @property
     def m(self) -> int:
@@ -158,6 +203,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _rows_fault(m: int) -> str:
+    return f"m = {m} rows exceeds the limit of {_MAX_ROWS}"
+
+
 def gen(kind: str, m: int, n: int, seed: int, lam: float = 0.0) -> ProblemInstance:
     """Generate an instance. Draw order: v, then G, then x0 (or b for lasso).
     G v and A x0 go through ``_row_products``, so the instance has the same
@@ -166,6 +215,8 @@ def gen(kind: str, m: int, n: int, seed: int, lam: float = 0.0) -> ProblemInstan
         raise ValueError(f"unknown problem kind {kind!r}")
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got m={m} n={n}")
+    if m > _MAX_ROWS:
+        raise ValueError(_rows_fault(m))
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
     g = make_generator(STREAM_INSTANCE, seed)
@@ -316,27 +367,34 @@ def _row_products(rows: np.ndarray, points: np.ndarray, out: np.ndarray) -> np.n
     the (count, m) array ``out``, which is returned. The objective pass and
     ``gen`` take their matrix-vector products here.
 
-    The rows are taken in blocks of about 1 MB (``_pass_shape``), one matmul
-    call per block for the whole stack, which numpy runs as one GEMV per
-    point. The block bounds are multiples of 64 rows, and a one-row tail
-    joins the block before it, as numpy takes a lone row through a dot
-    product instead of GEMV. GEMV forms rows in groups of four, and a bound
-    at a multiple of 64 keeps every row in the group it has in the
-    whole-matrix product, so every entry equals the single-thread
-    whole-matrix product bit for bit. A block stays below OpenBLAS's GEMV
-    threading threshold (for n up to about 7000), so the entries are also
-    the same at any BLAS thread count, which a threaded whole-matrix product
-    is not: at two threads, a 33333 x 20 product differs in the last bits of
-    some entries.
+    The rows are taken in blocks of about 1 MB (``_pass_shape``), which
+    numpy runs as one GEMV per point and block. The block bounds are
+    multiples of 64 rows, and a one-row tail joins the last block, as numpy
+    takes a lone row through a dot product instead of GEMV. GEMV forms rows
+    in groups of four, and a bound at a multiple of 64 keeps every row in
+    the group it has in the whole-matrix product, so every entry equals the
+    single-thread whole-matrix product bit for bit. A block stays below
+    OpenBLAS's GEMV threading threshold (for n up to about 7000), so the
+    entries are also the same at any BLAS thread count, which a threaded
+    whole-matrix product is not: at two threads, a 33333 x 20 product
+    differs in the last bits of some entries.
+
+    All blocks but the last go in one matmul call over a (blocks, rows, n)
+    view of A, and the last block in a second one. Each call releases the
+    GIL once, so a pass on a helper thread waits to take it back twice,
+    not once per block (8 blocks at 10000 x 100).
     """
     m, n = rows.shape
     block = _pass_shape(m, n)[1]
     stack = points[:, :, None]
-    lo = 0
-    while lo < m:
-        hi = lo + block if m - lo - block > 1 else m
-        np.matmul(rows[lo:hi], stack, out=out[:, lo:hi, None])
-        lo = hi
+    full = max(0, (m - 2) // block) * block
+    if full:
+        np.matmul(
+            rows[:full].reshape(-1, block, n),
+            stack[:, None],
+            out=out[:, :full].reshape(len(points), -1, block, 1),
+        )
+    np.matmul(rows[full:], stack, out=out[:, full:, None])
     return out
 
 
@@ -514,6 +572,8 @@ def _parse_header(head: list[str]) -> tuple[str, int, int, int, float]:
         raise ValueError(f"unknown problem kind {kind!r}")
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got m={m} n={n}")
+    if m > _MAX_ROWS:
+        raise ValueError(_rows_fault(m))
     if not np.isfinite(lam):
         raise ValueError("non-finite lambda")
     return kind, m, n, seed, lam

@@ -10,7 +10,8 @@ Momentum families:
     power       theta_k = c / (k + s)^p
 
 Indices are 1-based. Momentum values must stay inside [0, 1); constructors
-refuse anything else. Each family's formula is written once, in ``block``,
+refuse anything else. A power value whose (k + s)^p passes the float range
+is c / inf = 0.0. Each family's formula is written once, in ``block``,
 which evaluates it per index on Python floats; ``at`` and ``values`` take
 their values from it, so a block of values equals the scalar values bit for
 bit. (A vectorised ``c / (k + s) ** p`` over an index array does not: numpy's
@@ -24,6 +25,7 @@ iff p > 1/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +57,22 @@ def _require_index(k: int) -> None:
 
 def _power_block(c: float, s: float, p: float, start: int, count: int) -> list[float]:
     """c / (k + s)^p for k = start .. start + count - 1, the power family of
-    both schedule kinds."""
-    return [c / (k + s) ** p for k in range(start, start + count)]
+    both schedule kinds. Where (k + s)^p passes the float range, for which
+    Python raises OverflowError, the value is c / inf = 0.0; only a block
+    that raised is taken again one value at a time, so every other value
+    keeps its bits."""
+    indices = range(start, start + count)
+    try:
+        return [c / (k + s) ** p for k in indices]
+    except OverflowError:
+        return [_power_value(c, k + s, p) for k in indices]
+
+
+def _power_value(c: float, base: float, p: float) -> float:
+    try:
+        return c / base**p
+    except OverflowError:
+        return c / math.inf
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,10 @@ step takes x_{k+1} = v_k itself, with no call. The extrapolated vector
 would equal v_k but for a -0.0 entry turned +0.0, which no dot, norm or
 objective tells apart, and for finite iterates whose difference overflows,
 where 0 inf would make it nan (composite implicit_first with alpha lambda
-near the float maximum). Rows and targets are bound as Python lists and
-the proximal stage binds the squared row norms.
+near the float maximum). The rows, the targets and the squared row norms
+come as Python lists from the instance's run table, with the objective at
+the reference: the instance builds it on its first run and keeps it, so
+the runs of a sweep share one (see ``problems.ProblemInstance``).
 The iterates live in a ring of three buffers, v_{k-1}, v_k and a spare: each
 step forms x_{k+1} and the scaled row in two scratch vectors with ``out=``
 ufuncs, each scalar factor held in a 0-d float64 array, in the operation
@@ -51,14 +53,15 @@ and theta_k at once and copies v_k into a pending batch of up to
 ``problems._pass_shape`` points (about 1 MB of points and of residuals,
 bounded by both m and n); each batch gets its objectives from one blocked
 pass over A, so A is read once per batch instead of once per checkpoint, in
-one matmul call per row block for the whole batch. A full batch goes to the
-run's one helper thread (``_PassHelper``), which takes the passes in order
-while the loop steps on: the pass's GEMV blocks, subtraction and
-least-absolute reductions release the GIL, so a second core runs them beside
-the steps (they are about a fifth of a ``lad-proxrm`` run on one core). At
-most ``_PASSES_IN_FLIGHT`` batches wait in its queue, and the loop waits
-while it is full, so memory stays bounded for any N and stride. The rest of the points go when the run ends
-and before a diverged run returns; the main thread then joins the helper and
+at most two matmul calls for the whole batch (``problems._row_products``).
+A full batch goes to the run's one helper thread (``_PassHelper``), which
+takes the passes in order while the loop steps on: the pass's matmul calls,
+subtraction and least-absolute reductions release the GIL, so a second core
+runs them beside the steps (they are about a fifth of a ``lad-proxrm`` run
+on one core). At most ``_PASSES_IN_FLIGHT`` batches wait in its queue, and
+the loop waits while it is full, so memory stays bounded for any N and
+stride. The rest of the points go when the run ends and before a diverged
+run returns; the main thread then joins the helper and
 builds the checkpoints in order. Each value is bitwise the one ``objective``
 gives at that point (see ``problems._objective_values``), on whichever
 thread. The helper sets the loop's numpy error state, which numpy keeps per
@@ -115,7 +118,6 @@ from .problems import (
     _pass_shape,
     _prox_gamma,
     _subgrad_scale,
-    objective,
     project,
     prox_l1,
     sample_index,
@@ -373,7 +375,9 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     # extrapolation (see the module docstring)
     momentum_free = hi == 0.0
     ref = inst.reference_optimum
-    f_ref = objective(inst, ref)
+    # the rows, targets, squared row norms and objective at the reference,
+    # built once per instance and shared by all its runs
+    rows, targets, norms, f_ref = inst._run_table
     g = make_generator(STREAM_RUN, config.seed)
     # the iterate ring: v_{k-1}, v_k and the spare that v_{k+1} is written
     # into; every step overwrites the spare and rotates the three, so the
@@ -470,14 +474,11 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     trace = SolverTrace(
         checkpoints=checkpoints, metadata=metadata, instrumentation=instrumentation
     )
-    rows = list(inst.rows)
-    targets = inst.targets.tolist()
     absolute = inst.kind == "least_absolute"
     composite = config.method == "composite"
     proximal = config.method == "prox_rm" or (
         composite and config.composite_order == "implicit_first"
     )
-    norms = np.vecdot(inst.rows, inst.rows).tolist() if proximal else None
     lam = inst.lam
     constraint = None if config.constraint.kind == "whole_space" else config.constraint
     # the step's ufuncs, looked up once: on vectors of n = 20 to 100 entries a

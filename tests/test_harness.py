@@ -367,6 +367,21 @@ def test_config_sizes_bounded_before_allocation():
     assert config.paths * config.length == limit
 
 
+def test_config_rows_bounded_before_allocation(tmp_path, capsys):
+    """m x n = 2^20 + 1 entries would fit the entry limit, but a run table
+    holds about 192 B per row, so m stops at 2^20; only the parser runs."""
+    one_column = TINY_RUN.replace("n = 6", "n = 1")
+    with pytest.raises(
+        ConfigurationError, match=r"^line 3: m = 1048577 rows exceeds the limit of 1048576$"
+    ):
+        parse_config(one_column.replace("m = 60", "m = 1048577"))
+    assert parse_config(one_column.replace("m = 60", "m = 1048576")).m == 1 << 20
+    config = _write(tmp_path / "c.txt", one_column.replace("m = 60", "m = 1048577"))
+    assert main(["gen", "--config", config, "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error: line 3: m = 1048577 rows exceeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, text",
     [
@@ -969,6 +984,22 @@ def test_cli_run_success(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().out.strip() == str(tmp_path / "out")
     assert (tmp_path / "out" / "theta_0" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # (k + 3)^100 passes the float range at k = 1207, in the first draw block
+        ("step.p = 8/9\nmom.sweep = 0,0.5\n", "step.p = 100\nmom.sweep = 0,0.5\n"),
+        # 0.5 / 2^2000: the power momentum overflows when the config is parsed
+        ("mom.sweep = 0,0.5\n", "mom.family = power\nmom.c = 0.5\nmom.s = 1\nmom.p = 2000\n"),
+    ],
+)
+def test_cli_run_with_power_schedules_past_the_float_range(tmp_path, capsys, old, new):
+    config = _write(tmp_path / "c.txt", TINY_RUN.replace("N = 300", "N = 3000").replace(old, new))
+    rc = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    capsys.readouterr()
 
 
 def test_cli_run_divergence_exit_code(tmp_path, capsys):

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -345,6 +346,28 @@ def test_cli_algebra_calls_share_one_parser_and_nothing_leaks(capsys):
     argv, digest = _TABLE_SHA256[0]
     assert main(["algebra", *argv]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cli_algebra_power_family_past_the_float_range(capsys):
+    # 0.5 / 2^2000 passes the float range: every theta and tail is 0
+    assert main(["algebra", "--family", "power", "--c", "0.5", "--s", "1", "--p", "2000", "--n", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == ["1,0,0,0,0,0", "2,0,0,0,0,0", "3,0,0,0,0,0"]
+
+
+def test_tail_horizon_past_the_limit_is_refused_at_once(capsys):
+    """Harmonic momentum with s = 1e-7 would walk a horizon of about 4.4e8
+    indices; it is refused before the first step, by tail_coefficients and
+    by the CLI (exit 2)."""
+    started = time.perf_counter()
+    with pytest.raises(DivergenceError, match="more than the limit of 33554432"):
+        tail_coefficients(harmonic_momentum(1e-7), 3)
+    assert main(["algebra", "--family", "harmonic", "--s", "1e-7", "--n", "3"]) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tail coefficients for momentum sup")
+    assert momentum_algebra._MAX_HORIZON == 1 << 25
 
 
 def test_cli_algebra_row_limit_is_inclusive():

@@ -120,6 +120,41 @@ def test_gen_does_not_depend_on_blas_threads(kind):
     assert digests[0] == digests[1]
 
 
+_PASS_DIGEST = """
+import hashlib, sys
+import numpy as np
+from nagsa import problems
+inst = problems.gen("least_absolute", 10000, 100, 10)
+points = np.random.default_rng(3).standard_normal((13, 100))
+values = problems._objective_values(inst, points, np.empty((13, 10000)))
+print(hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest())
+"""
+
+
+def test_objective_pass_does_not_depend_on_blas_threads():
+    """The pass over the 10000 x 100 instance of the lad presets, seven full
+    row blocks in one stacked matmul call and the last block in a second,
+    gives the same values at one and at two BLAS threads."""
+    src = str(Path(problems.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", _PASS_DIGEST],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
+
+
 def test_gen_validation():
     with pytest.raises(ValueError):
         gen("ridge", m=10, n=2, seed=1)
@@ -135,6 +170,46 @@ def test_gen_rows_read_only():
     inst = gen("least_squares", m=10, n=3, seed=1)
     with pytest.raises(ValueError):
         inst.rows[0, 0] = 99.0
+
+
+def test_gen_refuses_rows_past_the_limit_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"m = {(1 << 20) + 1} rows exceeds the limit"):
+            gen("least_squares", m=problems._MAX_ROWS + 1, n=1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problems._MAX_ROWS == 1 << 20
+    assert peak < 1 << 20
+
+
+def test_instance_copies_the_writable_arrays_it_is_given():
+    rows = np.arange(6.0).reshape(3, 2)
+    targets = np.ones(3)
+    ref = np.zeros(2)
+    inst = ProblemInstance("least_squares", rows, targets, 0.0, 0, ref)
+    rows[0, 0] = targets[0] = ref[0] = 99.0
+    assert inst.rows[0, 0] == 0.0 and inst.targets[0] == 1.0 and inst.reference_optimum[0] == 0.0
+    for a in (inst.rows, inst.targets, inst.reference_optimum):
+        assert not a.flags.writeable
+    # a read-only array is kept as it is, so gen's arrays are not copied again
+    again = ProblemInstance("least_squares", inst.rows, inst.targets, 0.0, 0)
+    assert again.rows is inst.rows and again.targets is inst.targets
+
+
+def test_run_table_is_built_once_and_with_reference_starts_a_fresh_one():
+    inst = gen("least_absolute", m=50, n=4, seed=3)
+    table = inst._run_table
+    assert inst._run_table is table
+    assert [a.tolist() for a in table.rows] == inst.rows.tolist()
+    assert table.targets == inst.targets.tolist()
+    assert table.norms == np.vecdot(inst.rows, inst.rows).tolist()
+    assert table.f_ref == objective(inst, inst.reference_optimum) == 0.0
+    moved = with_reference(inst, np.ones(4))
+    assert moved._run_table is not table
+    assert moved._run_table.f_ref == objective(inst, np.ones(4)) > 0.0
+    assert gen("lasso", m=5, n=2, seed=1)._run_table.f_ref is None
 
 
 def test_sample_index_single_row():
@@ -538,6 +613,16 @@ def test_lasso_objective_displayed_form():
 @example(
     kind="least_squares", n=100, whole_blocks=1, tail=1, batch_share=1.0, scale=1.0, seed=12
 )
+# two whole blocks and a tail of 0, 1 and 2 rows: one full block in the
+# stacked call and the last (with the one-row tail joined) in the second, or
+# two full blocks and a two-row last block
+@example(
+    kind="least_absolute", n=100, whole_blocks=2, tail=0, batch_share=1.0, scale=1.0, seed=5
+)
+@example(
+    kind="least_squares", n=100, whole_blocks=2, tail=1, batch_share=1.0, scale=1.0, seed=6
+)
+@example(kind="lasso", n=100, whole_blocks=2, tail=2, batch_share=0.5, scale=1.0, seed=7)
 def test_objective_pass_equals_per_point_formulas(
     kind, n, whole_blocks, tail, batch_share, scale, seed
 ):
@@ -1197,6 +1282,43 @@ def test_another_dumps_cache_is_ignored(tmp_path):
     _, _, other = _dump_with_cache(tmp_path, name="other.txt", seed=24)
     _cache(path).write_bytes(other)
     _assert_cache_ignored(path, inst)
+
+
+def test_cache_header_beyond_the_row_limit_is_ignored_before_allocating(tmp_path):
+    """A cache of 2^20 + 1 rows of one entry, within the entry limit and
+    (as a sparse file) of the size its header implies, is refused by its
+    row count before its 16 MiB of arrays are allocated."""
+    inst, path, data = _dump_with_cache(tmp_path)
+    fields = data.split(b"\n", 1)[0].split()
+    m = problems._MAX_ROWS + 1
+    fields[7:9] = [str(m).encode(), b"1"]
+    line = b" ".join(fields) + b"\n"
+    with open(_cache(path), "wb") as fh:
+        fh.write(line)
+        fh.truncate(len(line) + 8 * (2 * m + 1))
+    tracemalloc.start()
+    try:
+        assert problems._load_cache(path) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    _assert_cache_ignored(path, inst)
+
+
+def test_text_header_beyond_the_row_limit_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "instance.txt"
+    path.write_text(f"least_squares {(1 << 20) + 1} 1 0 0\n1 2\nunset\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ConfigurationError, match=f"line 1: m = {(1 << 20) + 1} rows exceeds the limit"
+        ):
+            load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_cache_header_beyond_the_entry_limit_is_ignored_before_allocating(tmp_path):

@@ -172,6 +172,24 @@ def test_block_equals_scalar_formula(sched, formula):
         sched.block(0, 3)
 
 
+def test_power_values_past_the_float_range_are_zero():
+    """(k + 3)^100 passes the float range from k = 1207 on, where Python's
+    power raises OverflowError: those values are c / inf = 0.0, the values
+    before keep their bits, and a block equals ``at`` across the point, as
+    does a block that stops short of it."""
+    sched = power_step(1.0, 3.0, 100.0)
+    block = sched.block(1190, 40)
+    assert [v.hex() for v in block] == [sched.at(k).hex() for k in range(1190, 1230)]
+    assert block.index(0.0) == 1207 - 1190 and block[16] > 0.0
+    assert set(block[17:]) == {0.0}
+    assert sched.block(1190, 17) == block[:17]
+    assert block[:17] == [1.0 / (k + 3.0) ** 100.0 for k in range(1190, 1207)]
+    # a momentum whose first value already overflows is zero at every k
+    mom = power_momentum(0.5, 1.0, 2000.0)
+    assert mom.at(1) == 0.0 and mom.bounds == (0.0, 0.0)
+    assert mom.values(3).tolist() == [0.0, 0.0, 0.0]
+
+
 def test_bounds_contain_log_spaced_prefix():
     schedules = [
         constant_momentum(0.9),

@@ -613,6 +613,67 @@ def test_finished_and_diverged_runs_leave_no_thread():
     assert threading.active_count() == before
 
 
+def test_runs_on_one_instance_share_its_run_table(monkeypatch):
+    """The objective at the reference is taken once per instance, by its
+    run table, however many runs follow, and the runs keep the bits of runs
+    on fresh instances."""
+    calls = []
+    objective = problems.objective
+
+    def counted(inst, x):
+        calls.append(inst)
+        return objective(inst, x)
+
+    monkeypatch.setattr(problems, "objective", counted)
+    inst = gen("least_absolute", m=200, n=5, seed=4)
+    configs = [_small_config(method, seed=seed) for method in ("ssgd", "prox_rm") for seed in (1, 2)]
+    shared = [_checkpoint_bits(run(config, inst)) for config in configs]
+    assert calls == [inst]
+    fresh = [_checkpoint_bits(run(config, gen("least_absolute", 200, 5, 4))) for config in configs]
+    assert shared == fresh
+    assert len(calls) == 1 + len(configs)
+
+
+def test_concurrent_first_runs_share_one_run_table():
+    """Four runs start at once on one instance whose run table is not built
+    yet, under a 10 us switch interval: each trace equals its run on a
+    fresh instance bit for bit."""
+    configs = [_small_config(method, seed=seed) for method in ("ssgd", "prox_rm") for seed in (1, 2)]
+    expected = [_checkpoint_bits(run(config, gen("least_absolute", 200, 5, 4))) for config in configs]
+    inst = gen("least_absolute", 200, 5, 4)
+    got = [None] * len(configs)
+
+    def work(j):
+        got[j] = _checkpoint_bits(run(configs[j], inst))
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(len(configs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
+
+
+def test_changing_an_array_handed_to_an_instance_leaves_its_runs_unchanged():
+    """The instance keeps a copy of a writable array, so its run table and
+    its objective passes both see the values it was made with."""
+    base = gen("least_squares", m=50, n=6, seed=8)
+    rows, targets = base.rows.copy(), base.targets.copy()
+    inst = ProblemInstance("least_squares", rows, targets, 0.0, 8, base.reference_optimum)
+    config = _small_config("prox_rm")
+    first = _checkpoint_bits(run(config, inst))
+    rows *= 2.0
+    targets += 1.0
+    assert _checkpoint_bits(run(config, inst)) == first
+    assert first == _checkpoint_bits(run(config, base))
+
+
 def test_failed_pass_is_raised_by_run(monkeypatch):
     """A pass that raises ends its helper's work: the passes queued after it
     are drained without computing, the thread ends, and run raises the same
