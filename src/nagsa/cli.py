@@ -36,7 +36,7 @@ import functools
 import os
 import sys
 
-from .errors import ConfigurationError, DivergenceError, StructuralError
+from .errors import ConfigurationError, DivergenceError
 from .harness import (
     _MAX_ENTRIES,
     _referenced,
@@ -130,8 +130,8 @@ def _cmd_algebra(args) -> int:
     sys.stdout.write("k,theta,d,c,residual,t\n")
     lo = 0
     # one write per head_blocks block, so the text and the Python floats of
-    # at most 2^10 rows are held at once; a bad theta or column sum raises
-    # after the rows before it are written
+    # at most 2^10 rows are held at once; a bad theta raises after the rows
+    # before it are written
     for p, d, c in head_blocks(thetas):
         hi = lo + len(p)
         # x * x is correctly rounded; libm pow, behind Python's x ** 2, broke
@@ -243,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (StructuralError, DivergenceError, ValueError) as exc:
+    except (DivergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

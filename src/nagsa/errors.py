@@ -1,7 +1,10 @@
 """Shared exception types.
 
-Argument and domain violations raise plain ValueError; the types below mark
-conditions callers are expected to branch on (CLI exit codes, partial traces).
+Argument and domain violations raise plain ValueError. The two types below
+mark conditions callers are expected to branch on: an invalid configuration,
+and a series with no finite limit. Properties that hold by construction,
+such as the unit column sums of momentum step-matrix products, are not
+checked, so no error type stands for them.
 """
 
 # characters of a config literal an error message quotes
@@ -19,10 +22,6 @@ def _quote(text: str) -> str:
 
 class ConfigurationError(Exception):
     """Invalid configuration: bad config file, preset, or constructed object."""
-
-
-class StructuralError(ValueError):
-    """A matrix or series does not have the structural form the operation requires."""
 
 
 class DivergenceError(RuntimeError):

@@ -460,9 +460,11 @@ def _fmt(value: float) -> str:
 
 def _fmt_rows(row: str, columns: Sequence[Sequence]) -> str:
     """The lines ``row % (one field of each column)``, joined by LF, formed
-    with one % format over the flat list of fields: the package's one way to
-    turn columns into CSV text. %.17g formats a Python float as _fmt does
-    ("inf", "nan" and "-0" too), so array columns come in through tolist()."""
+    with one % format over the flat list of fields: how the algebra table and
+    the lemma detail CSV turn columns into text (the trace, summary and
+    lemma-summary CSVs format each field with _fmt). %.17g formats a Python
+    float as _fmt does ("inf", "nan" and "-0" too), so array columns come in
+    through tolist()."""
     width = len(columns)
     count = len(columns[0])
     fields = [None] * (width * count)

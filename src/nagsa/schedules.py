@@ -119,8 +119,12 @@ class MomentumSchedule:
             if not 0.0 <= self.theta < 1.0:
                 raise ValueError(f"constant momentum must lie in [0, 1), got {self.theta}")
         elif self.family == "harmonic":
-            if not self.s > 0:
-                raise ValueError("harmonic momentum needs offset s > 0 so theta_1 < 1")
+            # 1/(1 + s) rounds to 1 for s <= 2^-53
+            if not (self.s > 0 and self.at(1) < 1.0):
+                raise ValueError(
+                    "harmonic momentum needs offset s > 0 so theta_1 = 1/(1 + s) < 1, "
+                    f"got s = {self.s!r}"
+                )
         else:
             if self.c < 0 or self.s < 0 or self.p < 0:
                 raise ValueError("power momentum parameters must be non-negative")

@@ -27,17 +27,18 @@ lasso, a constraint with prox_rm or composite. The first non-finite iterate
 v_j ends the run with ``diverged_at = j`` and the checkpoints recorded so far.
 
 Everything fixed for a whole run is settled before the loop, buffers
-included. The momentum range is checked once, so the loop computes v_k +
-theta_k (v_k - v_{k-1}) unchecked. When its upper bound is 0 (constant
-momentum 0, or power momentum with c = 0), theta_k = 0 at every k and the
-step takes x_{k+1} = v_k itself, with no call. The extrapolated vector
-would equal v_k but for a -0.0 entry turned +0.0, which no dot, norm or
-objective tells apart, and for finite iterates whose difference overflows,
-where 0 inf would make it nan (composite implicit_first with alpha lambda
-near the float maximum). The rows, the targets and the squared row norms
-come as Python lists from the instance's run table, with the objective at
-the reference: the instance builds it on its first run and keeps it, so
-the runs of a sweep share one (see ``problems.ProblemInstance``).
+included. Every momentum schedule keeps its values in [0, 1) by
+construction, so the loop computes v_k + theta_k (v_k - v_{k-1}) unchecked.
+When its upper bound is 0 (constant momentum 0, or power momentum with
+c = 0), theta_k = 0 at every k and the step takes x_{k+1} = v_k itself,
+with no call. The extrapolated vector would equal v_k but for a -0.0 entry
+turned +0.0, which no dot, norm or objective tells apart, and for finite
+iterates whose difference overflows, where 0 inf would make it nan
+(composite implicit_first with alpha lambda near the float maximum). The
+rows, the targets and the squared row norms come as Python lists from the
+instance's run table, with the objective at the reference: the instance
+builds it on its first run and keeps it, so the runs of a sweep share one
+(see ``problems.ProblemInstance``).
 The iterates live in a ring of three buffers, v_{k-1}, v_k and a spare: each
 step forms x_{k+1} and the scaled row in two scratch vectors with ``out=``
 ufuncs, each scalar factor held in a 0-d float64 array, in the operation
@@ -54,20 +55,24 @@ and theta_k at once and copies v_k into a pending batch of up to
 bounded by both m and n); each batch gets its objectives from one blocked
 pass over A, so A is read once per batch instead of once per checkpoint, in
 at most two matmul calls for the whole batch (``problems._row_products``).
-A full batch goes to the run's one helper thread (``_PassHelper``), which
-takes the passes in order while the loop steps on: the pass's matmul calls,
+A full batch goes to the run's executor, a
+``concurrent.futures.ThreadPoolExecutor`` with one worker, which takes the
+passes in order while the loop steps on: the pass's matmul calls,
 subtraction and least-absolute reductions release the GIL, so a second core
 runs them beside the steps (they are about a fifth of a ``lad-proxrm`` run
-on one core). At most ``_PASSES_IN_FLIGHT`` batches wait in its queue, and
-the loop waits while it is full, so memory stays bounded for any N and
-stride. The rest of the points go when the run ends and before a diverged
-run returns; the main thread then joins the helper and
-builds the checkpoints in order. Each value is bitwise the one ``objective``
-gives at that point (see ``problems._objective_values``), on whichever
-thread. The helper sets the loop's numpy error state, which numpy keeps per
-thread, and calls only private functions; ``run`` raises a pass's
-exception, and an exception in the loop ends the helper as well, so no
-thread outlives a run.
+on one core). Before it hands over a batch, the loop waits for the pass
+``_PASSES_IN_FLIGHT + 1`` batches back, so at most ``_PASSES_IN_FLIGHT + 1``
+batches are handed over and unfinished and memory stays bounded for any N
+and stride. The rest of the points go when the run ends and before a
+diverged run returns; the main thread then reads the values of the passes
+in order and builds the checkpoints. Each value is bitwise the one
+``objective`` gives at that point (see ``problems._objective_values``), on
+whichever thread. A pass sets the loop's numpy error state, which numpy
+keeps per thread, and calls only private functions. ``run`` raises a failed
+pass's exception when the loop next waits for that pass, or at the end of
+the run, after the passes already handed over have run: leaving the
+executor waits for its worker, after an exception in the loop as well, so
+no thread outlives a run.
 Row indices and the schedule values alpha_k, theta_k come in blocks of at
 most ``_DRAW_BLOCK`` steps, so memory stays bounded for any N; the
 schedules' ``block`` applies their scalar formula per index, so the values
@@ -99,8 +104,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import queue
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -143,8 +146,8 @@ _MAX_ITERATIONS = 1 << 53
 # steps per block of row indices and schedule values: 128 KB of int64 and
 # two 16384-entry float lists at most
 _DRAW_BLOCK = 1 << 14
-# batches of checkpoint points queued for a run's objective helper; the loop
-# waits while this many are queued
+# batches of checkpoint points that may wait for a run's pass worker beside
+# the one it is taking; the loop waits for the oldest before one more
 _PASSES_IN_FLIGHT = 4
 
 
@@ -279,50 +282,11 @@ def _checkpoint_indices(n_final: int, stride: float) -> Iterator[int]:
     yield n_final
 
 
-class _PassHelper:
-    """The one helper thread of a run: it takes the objective passes of the
-    batches handed over, in order, while the loop steps on.
-
-    The helper calls only private functions. After a pass fails it drains its
-    queue without computing, and ``error`` holds the exception."""
-
-    def __init__(self, inst: ProblemInstance, batch: int):
-        self.values: list[float] = []
-        self.error: BaseException | None = None
-        self._queue: queue.Queue[np.ndarray | None] = queue.Queue(_PASSES_IN_FLIGHT)
-        self._thread = threading.Thread(
-            target=self._take, args=(inst, np.empty((batch, inst.m))), daemon=True
-        )
-        self._thread.start()
-
-    def _take(self, inst: ProblemInstance, residual: np.ndarray) -> None:
-        # numpy's error state is per thread: the loop's is set again here
-        with np.errstate(over="ignore", invalid="ignore"):
-            while (points := self._queue.get()) is not None:
-                if self.error is None:
-                    try:
-                        self.values += _objective_values(inst, points, residual)
-                    # any exception: a helper that died would leave the loop
-                    # waiting on a full queue; run raises it again
-                    except BaseException as error:
-                        self.error = error
-
-    def hand_over(self, points: np.ndarray) -> None:
-        """Queue a batch, waiting while _PASSES_IN_FLIGHT are queued; the
-        caller leaves ``points`` alone from here on."""
-        self._queue.put(points)
-
-    def close(self) -> None:
-        """Take the passes handed over and end the thread."""
-        if self._thread.is_alive():
-            self._queue.put(None)
-            self._thread.join()
-
-    def __enter__(self) -> _PassHelper:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+def _pass(inst: ProblemInstance, points: np.ndarray, residual: np.ndarray) -> list[float]:
+    """One objective pass on the run's worker thread."""
+    # numpy's error state is per thread: the loop's is set again here
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _objective_values(inst, points, residual)
 
 
 def _validity_metadata(cfg: SolverConfig) -> dict[str, str]:
@@ -357,6 +321,10 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     run early: the trace keeps the checkpoints so far, with diverged_at = j
     (so diverged is true).
     """
+    # imported here, not at the top: it pulls in logging, which ``import
+    # nagsa.cli``, the algebra table and the lemma suite would load for nothing
+    import concurrent.futures
+
     if inst.reference_optimum is None:
         raise ConfigurationError(
             "instance has no reference optimum; compute one before running"
@@ -367,13 +335,9 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     ):
         if fault is not None:
             raise ConfigurationError(fault[1])
-    # the one momentum-range check of the run; the loop extrapolates unchecked
-    lo, hi = config.momentum.bounds
-    if not (0.0 <= lo and hi < 1.0):
-        raise ValueError(f"momentum must lie in [0, 1), got values in [{lo}, {hi}]")
     # theta_k = 0 at every k: the step takes x_{k+1} = v_k and skips the
     # extrapolation (see the module docstring)
-    momentum_free = hi == 0.0
+    momentum_free = config.momentum.bounds[1] == 0.0
     ref = inst.reference_optimum
     # the rows, targets, squared row norms and objective at the reference,
     # built once per instance and shared by all its runs
@@ -402,12 +366,24 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     )
     # checkpoint objectives are taken in batches: a recorded iterate waits in
     # ``pending`` until the batch is full, which then goes to the run's
-    # helper thread for one blocked pass over A, and a fresh buffer takes the
+    # worker thread for one blocked pass over A, and a fresh buffer takes the
     # next points; the rest go when the run ends or diverges, and the
-    # checkpoints are built once the helper is done
+    # checkpoints are built from the passes' values in order. The worker
+    # takes one pass at a time, so they all share one residual buffer
     batch = _pass_shape(inst.m, inst.n)[0]
     pending = np.empty((batch, inst.n))
+    residual = np.empty((batch, inst.m))
     held: list[tuple[int, float, float, float, float]] = []
+    values: list[float] = []
+    passes: list[concurrent.futures.Future] = []
+
+    def hand_over(points: np.ndarray) -> None:
+        # the worker takes the passes in order, so waiting for the oldest
+        # keeps at most _PASSES_IN_FLIGHT + 1 unfinished; its result() raises
+        # the pass's exception, if any. The caller leaves ``points`` alone
+        if len(passes) > _PASSES_IN_FLIGHT:
+            values.extend(passes.pop(0).result())
+        passes.append(pool.submit(_pass, inst, points, residual))
 
     def record(k: int, v_curr: np.ndarray, v_prev: np.ndarray) -> None:
         nonlocal pending
@@ -423,17 +399,16 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
             )
         )
         if filled + 1 == batch:
-            helper.hand_over(pending)
+            hand_over(pending)
             pending = np.empty((batch, inst.n))
 
     def finish() -> None:
         rest = len(held) % batch
         if rest:
-            helper.hand_over(pending[:rest])
-        helper.close()
-        if helper.error is not None:
-            raise helper.error
-        for (k, dist, increment, alpha, theta), value in zip(held, helper.values):
+            hand_over(pending[:rest])
+        for future in passes:
+            values.extend(future.result())
+        for (k, dist, increment, alpha, theta), value in zip(held, values):
             checkpoints.append(
                 Checkpoint(
                     k=k,
@@ -491,11 +466,12 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         return trace
 
     # exploding iterates are caught by the finiteness checks, so the
-    # intermediate overflow warnings are noise; leaving the block ends the
-    # helper, after an exception in the loop too, so no thread outlives the run
+    # intermediate overflow warnings are noise; leaving the block waits for
+    # the worker, after an exception in the loop too, so no thread outlives
+    # the run
     with (
         np.errstate(over="ignore", invalid="ignore"),
-        _PassHelper(inst, batch) as helper,
+        concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool,
     ):
         record(1, v_curr, v_prev)
         record(2, v_curr, v_prev)

@@ -165,6 +165,12 @@ def test_nonconstant_momentum_family_label():
     assert config.momenta[0][0] == "theta_harmonic"
 
 
+def test_harmonic_offset_that_rounds_theta_1_to_one_names_its_line():
+    text = TINY_RUN.replace("mom.sweep = 0,0.5", "mom.family = harmonic\nmom.s = 1e-17")
+    with pytest.raises(ConfigurationError, match="line 11: .*theta_1 = 1/"):
+        parse_config(text)
+
+
 def test_seeds_validation():
     with pytest.raises(ConfigurationError, match="malformed seed"):
         parse_config(TINY_RUN.replace("1,2", "1,x"))

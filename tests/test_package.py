@@ -31,7 +31,8 @@ def test_every_all_name_resolves(module_name):
 def test_cli_lemma_suite_and_run_import_no_scipy(tmp_path):
     """In a fresh interpreter, importing nagsa.cli, printing an algebra
     table, running a 3-path lemma suite and a short lsq-ssgd run import no
-    scipy module."""
+    scipy module, and nothing before the run imports concurrent or logging,
+    which only the run's objective pass worker needs."""
     src = str(Path(nagsa.__file__).resolve().parents[1])
     (tmp_path / "lemma.cfg").write_text("lemmas = all\npaths = 3\nbranches = 30\n")
     (tmp_path / "run.cfg").write_text("preset = lsq-ssgd\nN = 500\nseeds = 1\nmom.sweep = 0.5\n")
@@ -43,6 +44,8 @@ def test_cli_lemma_suite_and_run_import_no_scipy(tmp_path):
         # finished suite whose checks failed
         f"assert main(['lemma', '--config', {str(tmp_path / 'lemma.cfg')!r},"
         f" '--out', {str(tmp_path / 'lemma')!r}]) in (0, 1)\n"
+        "early = sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging'))\n"
+        "assert not early, early\n"
         f"assert main(['run', '--config', {str(tmp_path / 'run.cfg')!r},"
         f" '--out', {str(tmp_path / 'run')!r}]) == 0\n"
         "leaked = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"

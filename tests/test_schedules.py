@@ -57,6 +57,14 @@ def test_harmonic_momentum_values():
     assert sched.at(97) == 0.01
 
 
+def test_harmonic_momentum_refuses_an_offset_that_rounds_theta_1_to_one():
+    """1/(1 + s) rounds to 1.0 for s <= 2^-53, so s > 0 alone does not keep
+    theta_1 below 1."""
+    with pytest.raises(ValueError, match="theta_1 = 1/\\(1 \\+ s\\) < 1, got s = 1e-17"):
+        harmonic_momentum(1e-17)
+    assert harmonic_momentum(1.2e-16).at(1) < 1.0
+
+
 def test_momentum_power_family():
     sched = power_momentum(0.5, 2.0, 0.75)
     expected = _power_value(0.5, 2, 0.75, 7)

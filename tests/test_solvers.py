@@ -4,6 +4,7 @@ reference loop, and the solver contract details:
 checkpoint placement, divergence flagging, constraint feasibility, and the
 extrapolation identity."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import itertools
@@ -577,31 +578,35 @@ def test_queued_passes_keep_the_checkpoint_bits(case, batch, monkeypatch):
 
 
 def test_loop_waits_while_the_queue_is_full(monkeypatch):
-    """With passes slower than the steps, the queue of batches handed over
-    fills to _PASSES_IN_FLIGHT and the loop waits for the helper, so the
-    batches handed over and not yet taken never pass _PASSES_IN_FLIGHT + 1
-    (the queue and the pass under way) for any N and stride."""
-    queued = []
-    taken = []
-    hand_over = solvers._PassHelper.hand_over
+    """With passes slower than the steps, the batches handed over and not
+    yet finished reach _PASSES_IN_FLIGHT + 1 (the queue and the pass under
+    way) and the loop then waits for the worker, so they never pass it for
+    any N and stride."""
+    handed = []
+    finished = []
+    unfinished = []
+    submit = concurrent.futures.ThreadPoolExecutor.submit
     values = solvers._objective_values
 
-    def counted(self, points):
-        hand_over(self, points)
-        queued.append(self._queue.qsize())
+    def counted(self, fn, *args):
+        handed.append(fn)
+        future = submit(self, fn, *args)
+        unfinished.append(len(handed) - len(finished))
+        return future
 
     def slow(inst, points, residual):
-        taken.append(len(queued) - len(taken))
+        unfinished.append(len(handed) - len(finished))
         time.sleep(0.001)
-        return values(inst, points, residual)
+        result = values(inst, points, residual)
+        finished.append(result)
+        return result
 
-    monkeypatch.setattr(solvers._PassHelper, "hand_over", counted)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", counted)
     monkeypatch.setattr(solvers, "_objective_values", slow)
     monkeypatch.setattr(solvers, "_pass_shape", lambda m, n: (1, 64))
     trace = run(_small_config(iterations=100, stride=1.0 + 1e-9), _case_instance("least_squares"))
-    assert len(trace.checkpoints) == len(queued) == len(taken) == 100
-    assert max(queued) == solvers._PASSES_IN_FLIGHT
-    assert max(taken) <= solvers._PASSES_IN_FLIGHT + 1
+    assert len(trace.checkpoints) == len(handed) == len(finished) == 100
+    assert max(unfinished) == solvers._PASSES_IN_FLIGHT + 1
 
 
 def test_finished_and_diverged_runs_leave_no_thread():
@@ -675,8 +680,9 @@ def test_changing_an_array_handed_to_an_instance_leaves_its_runs_unchanged():
 
 
 def test_failed_pass_is_raised_by_run(monkeypatch):
-    """A pass that raises ends its helper's work: the passes queued after it
-    are drained without computing, the thread ends, and run raises the same
+    """A pass that raises stops the loop at its next wait for the worker:
+    the passes queued after the failed one still run, at most
+    _PASSES_IN_FLIGHT of them, the thread ends, and run raises the same
     exception."""
     failure = ArithmeticError("pass failed")
     calls = []
@@ -695,7 +701,8 @@ def test_failed_pass_is_raised_by_run(monkeypatch):
     with pytest.raises(ArithmeticError) as raised:
         run(config, _case_instance("least_squares"))
     assert raised.value is failure
-    assert calls == [1, 1]
+    assert calls[:2] == [1, 1]
+    assert len(calls) <= 2 + solvers._PASSES_IN_FLIGHT
     assert threading.active_count() == before
 
 
