@@ -77,13 +77,11 @@ import numpy as np
 from ._rng import STREAM_BRANCH, STREAM_PATH, seed_words, word_doubles
 from .errors import ConfigurationError, DivergenceError
 from .momentum_algebra import tail_coefficients
-from .schedules import MomentumSchedule, constant_momentum, harmonic_momentum
+from .schedules import MomentumSchedule
 
 __all__ = [
     "LEMMA_IDS",
     "SummableSequence",
-    "zero_sequence",
-    "geometric_sequence",
     "CheckReport",
     "relay",
     "Scratch",
@@ -147,14 +145,6 @@ class SummableSequence:
             return np.zeros(count)
         scale, ratio = self.scale, self.ratio
         return np.array([scale * ratio**n / (1.0 - ratio) for n in range(1, count + 1)])
-
-
-def zero_sequence() -> SummableSequence:
-    return SummableSequence("zero")
-
-
-def geometric_sequence(ratio: float, scale: float = 1.0) -> SummableSequence:
-    return SummableSequence("geometric", scale=scale, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +249,29 @@ class _Delayed:
     rho_ratio); (0, 0, 0) is no drive."""
 
     momentum: MomentumSchedule
-    eta: SummableSequence = zero_sequence()
-    beta: SummableSequence = zero_sequence()
+    eta: SummableSequence = SummableSequence("zero")
+    beta: SummableSequence = SummableSequence("zero")
     h: float = 0.0
     drive: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
 
 _DELAYED = {
-    "drift": _Delayed(harmonic_momentum(3.0)),
-    "drift_const": _Delayed(constant_momentum(0.5)),
+    "drift": _Delayed(MomentumSchedule("harmonic", s=3.0)),
+    "drift_const": _Delayed(MomentumSchedule("constant", theta=0.5)),
     "slack": _Delayed(
-        harmonic_momentum(3.0),
-        eta=geometric_sequence(0.97, scale=1e-3),
-        beta=geometric_sequence(0.97, scale=1e-3),
+        MomentumSchedule("harmonic", s=3.0),
+        eta=SummableSequence("geometric", scale=1e-3, ratio=0.97),
+        beta=SummableSequence("geometric", scale=1e-3, ratio=0.97),
     ),
-    "coupled": _Delayed(constant_momentum(0.5), eta=geometric_sequence(0.97, scale=1e-4), h=1.0),
+    "coupled": _Delayed(
+        MomentumSchedule("constant", theta=0.5),
+        eta=SummableSequence("geometric", scale=1e-4, ratio=0.97),
+        h=1.0,
+    ),
     "coupled_weighted": _Delayed(
-        constant_momentum(0.5),
-        eta=geometric_sequence(0.97, scale=1e-4),
-        beta=geometric_sequence(0.97, scale=1e-5),
+        MomentumSchedule("constant", theta=0.5),
+        eta=SummableSequence("geometric", scale=1e-4, ratio=0.97),
+        beta=SummableSequence("geometric", scale=1e-5, ratio=0.97),
         h=1.0,
         drive=(0.97, 0.05, 0.85),
     ),

@@ -176,10 +176,11 @@ _LEMMA_KEYS = frozenset(
 _MAX_DETAIL_ROWS = 1 << 21
 
 
-def _read_key_values(text: str, known: frozenset[str]) -> tuple[dict[str, str], dict[str, int]]:
-    """Flat key = value lines; returns values and the line each key came from."""
+def _read_key_values(text: str, known: frozenset[str]) -> tuple[dict[str, str], dict[str, str]]:
+    """Flat key = value lines; returns values and where each key came from
+    ("line N")."""
     values: dict[str, str] = {}
-    lines: dict[str, int] = {}
+    origins: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -204,8 +205,8 @@ def _read_key_values(text: str, known: frozenset[str]) -> tuple[dict[str, str], 
         if not value:
             raise ConfigurationError(f"line {lineno}: empty value for {key!r}")
         values[key] = value
-        lines[key] = lineno
-    return values, lines
+        origins[key] = f"line {lineno}"
+    return values, origins
 
 
 # a plain decimal integer literal, read exactly by int()
@@ -215,21 +216,19 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+")
 class _KeyedValues:
     """Effective config values with per-key provenance for error messages."""
 
-    def __init__(self, values: dict[str, str], lines: dict[str, int], preset: str | None):
+    def __init__(self, values: dict[str, str], origins: dict[str, str], preset: str | None):
         self.values = values
-        self.lines = lines
+        self.origins = origins
         self.preset = preset
 
     def where(self, key: str) -> str:
-        if key in self.lines:
-            return f"line {self.lines[key]}"
-        return f"preset {self.preset!r}"
+        return self.origins.get(key) or f"preset {self.preset!r}"
 
     def error(self, key: str, why: str, *others: str) -> ConfigurationError:
-        """An error naming the lines of key and of others that the file gave,
-        or key's origin when it gave none of them."""
+        """An error naming the lines (or overrides) of key and of others that
+        gave a value, or key's origin when none of them did."""
         keys = (key, *others)
-        where = ", ".join(self.where(k) for k in keys if k in self.lines) or self.where(key)
+        where = ", ".join(self.where(k) for k in keys if k in self.origins) or self.where(key)
         return ConfigurationError(f"{where}: {why}")
 
     def refuse(self, fault: tuple[tuple[str, ...], str] | None) -> None:
@@ -360,26 +359,26 @@ def _parse_constraint(spec: str, kv: _KeyedValues) -> ConstraintSet:
 
 
 def _override(
-    values: dict[str, str], lines: dict[str, int], overrides: Mapping[str, str] | None
+    values: dict[str, str], origins: dict[str, str], overrides: Mapping[str, str] | None
 ) -> None:
-    """Give each key of overrides its value, as if the file's line for it
-    said so (the CLI's --seed)."""
+    """Give each key of overrides its value in place of the file's line for
+    it (the CLI's --seed); an error about it names "override KEY"."""
     for key, value in (overrides or {}).items():
         values[key] = value
-        lines.pop(key, None)
+        origins[key] = f"override {key}"
 
 
 def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> ExperimentConfig:
     """Parse and validate an experiment config, expanding any preset; a key
-    of overrides counts as a line of the file that sets it, echo included."""
-    explicit, lines = _read_key_values(text, _RUN_KEYS)
-    _override(explicit, lines, overrides)
+    of overrides takes the place of the file's line for it, echo included."""
+    explicit, origins = _read_key_values(text, _RUN_KEYS)
+    _override(explicit, origins, overrides)
 
     preset_name = explicit.pop("preset", None)
     if preset_name is not None:
         if preset_name not in PRESETS:
             raise ConfigurationError(
-                f"line {lines['preset']}: unknown preset {_quote(preset_name)} "
+                f"{origins['preset']}: unknown preset {_quote(preset_name)} "
                 f"(known: {', '.join(sorted(PRESETS))})"
             )
         effective = {**PRESETS[preset_name], **explicit}
@@ -392,7 +391,7 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> Exper
     if missing:
         raise ConfigurationError(f"missing required keys: {', '.join(missing)}")
 
-    kv = _KeyedValues(effective, lines, preset_name)
+    kv = _KeyedValues(effective, origins, preset_name)
 
     method = effective["method"]
     iterations = kv.integer("N")
@@ -461,7 +460,6 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> Exper
             momenta.append((f"theta_{_fmt_theta(value)}", schedule))
     else:
         family = effective["mom.family"]
-        mom_loc = "mom.theta" if "mom.theta" in effective else "mom.family"
         try:
             schedule = MomentumSchedule(
                 family=family,
@@ -471,7 +469,8 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> Exper
                 p=kv.number("mom.p", 0.0),
             )
         except ValueError as exc:
-            raise kv.error(mom_loc, f"invalid momentum schedule: {exc}") from None
+            why = f"invalid momentum schedule: {exc}"
+            raise kv.error("mom.family", why, "mom.theta", "mom.c", "mom.s", "mom.p") from None
         if family == "constant":
             label = f"theta_{_fmt_theta(schedule.theta)}"
         else:
@@ -509,11 +508,11 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> Exper
 def parse_lemma_config(text: str, overrides: Mapping[str, str] | None = None) -> LemmaSuiteConfig:
     """Parse a lemma-suite config: which scenarios, ensemble sizes, control;
     overrides as in parse_config."""
-    values, lines = _read_key_values(text, _LEMMA_KEYS)
-    _override(values, lines, overrides)
+    values, origins = _read_key_values(text, _LEMMA_KEYS)
+    _override(values, origins, overrides)
     if "lemmas" not in values:
         raise ConfigurationError("missing required key 'lemmas' (use `lemmas = all`)")
-    kv = _KeyedValues(values, lines, None)
+    kv = _KeyedValues(values, origins, None)
 
     raw = values["lemmas"]
     if raw == "all":

@@ -31,10 +31,10 @@ For C-contiguous 2x2 float64 arrays np.dot and the matmul
 ``p @ M(theta)`` call the same BLAS dgemm with the same arguments, so every
 bit equals the one-factor-at-a-time fold; np.dot costs about 0.6 us a
 product against 1.0 us for np.matmul, which goes through the ufunc dispatch.
-head_product and the ``nagsa algebra`` table read their products from it;
-the table writes each block as it comes. It holds theta and t_n (16 bytes
-per row) plus one block and its text; README's algebra section gives its
-timings.
+P_n is the n-th row it yields, the last one of head_blocks(thetas[:n]).
+The ``nagsa algebra`` table writes each block as it comes. It holds theta
+and t_n (16 bytes per row) plus one block and its text; README's algebra
+section gives its timings.
 """
 
 from __future__ import annotations
@@ -49,11 +49,9 @@ from .errors import DivergenceError
 from .schedules import _PIECE, MomentumSchedule
 
 __all__ = [
-    "ProductState",
     "TailCoefficients",
     "companion_matrix",
     "head_blocks",
-    "head_product",
     "fixed_point_matrix",
     "tail_coefficients",
 ]
@@ -74,20 +72,6 @@ def companion_matrix(theta: float) -> np.ndarray:
     if not 0.0 <= theta < 1.0:
         raise ValueError(f"momentum must lie in [0, 1), got {theta}")
     return np.array([[0.0, -theta], [1.0, 1.0 + theta]])
-
-
-@dataclass(frozen=True)
-class ProductState:
-    """A head product P_n: entries is the 2x2 matrix, index its n."""
-
-    entries: np.ndarray
-    index: int
-
-    def __post_init__(self):
-        if self.entries.shape != (2, 2):
-            raise ValueError("product entries must be 2x2")
-        if self.index < 1:
-            raise ValueError("product index must be >= 1")
 
 
 def head_blocks(
@@ -127,18 +111,6 @@ def head_blocks(
             prev = p[-1]
         if bad.size:
             raise ValueError(f"momentum must lie in [0, 1), got {float(block[stop])}")
-
-
-def head_product(thetas: Sequence[float], n: int) -> ProductState:
-    """P_n = M(theta_1) ... M(theta_n), multiplying new factors on the right:
-    the last row of head_blocks, which raises as head_blocks does."""
-    if n < 1:
-        raise ValueError(f"head product needs n >= 1, got {n}")
-    if len(thetas) < n:
-        raise ValueError(f"need at least {n} momentum values, got {len(thetas)}")
-    for p, _, _ in head_blocks(thetas[:n]):
-        pass
-    return ProductState(entries=p[-1], index=n)
 
 
 def fixed_point_matrix(t: float) -> np.ndarray:

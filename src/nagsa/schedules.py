@@ -36,11 +36,6 @@ __all__ = [
     "StepSchedule",
     "MomentumSchedule",
     "ValidityReport",
-    "constant_step",
-    "power_step",
-    "constant_momentum",
-    "harmonic_momentum",
-    "power_momentum",
     "classify",
 ]
 
@@ -176,26 +171,6 @@ class MomentumSchedule:
 class ValidityReport:
     diverges_sum: bool
     square_summable: bool
-
-
-def constant_step(c: float) -> StepSchedule:
-    return StepSchedule("constant", c)
-
-
-def power_step(c: float, s: float, p: float) -> StepSchedule:
-    return StepSchedule("power", c, s, p)
-
-
-def constant_momentum(theta: float) -> MomentumSchedule:
-    return MomentumSchedule("constant", theta=theta)
-
-
-def harmonic_momentum(s: float) -> MomentumSchedule:
-    return MomentumSchedule("harmonic", s=s)
-
-
-def power_momentum(c: float, s: float, p: float) -> MomentumSchedule:
-    return MomentumSchedule("power", c=c, s=s, p=p)
 
 
 def classify(schedule: StepSchedule) -> ValidityReport:

@@ -19,7 +19,7 @@ from nagsa.harness import PRESETS, parse_config, run_experiment
 from nagsa.momentum_algebra import (
     companion_matrix,
     fixed_point_matrix,
-    head_product,
+    head_blocks,
     tail_coefficients,
 )
 from nagsa.problems import (
@@ -31,19 +31,14 @@ from nagsa.problems import (
     subgrad,
     with_reference,
 )
-from nagsa.schedules import (
-    constant_momentum,
-    harmonic_momentum,
-    power_momentum,
-    power_step,
-)
+from nagsa.schedules import MomentumSchedule, StepSchedule
 from nagsa.solvers import SolverConfig, run
 
 FOUR_SCHEDULES = (
-    constant_momentum(0.25),
-    constant_momentum(0.5),
-    constant_momentum(0.9),
-    harmonic_momentum(3.0),
+    MomentumSchedule("constant", theta=0.25),
+    MomentumSchedule("constant", theta=0.5),
+    MomentumSchedule("constant", theta=0.9),
+    MomentumSchedule("harmonic", s=3.0),
 )
 
 GROUP_LABELS = ("theta_0", "theta_0.5", "theta_0.9")
@@ -78,7 +73,8 @@ def test_criterion_1_momentum_product_algebra():
             assert np.linalg.norm(nxt - prod) <= 2.0 * theta_prod + 1e-12
             prod = nxt
             theta_prod *= float(thetas[n])
-        assert np.array_equal(head_product(thetas, 201).entries, prod)
+        *_, (last, _, _) = head_blocks(thetas)
+        assert np.array_equal(last[-1], prod)
 
     draw = np.random.default_rng(20260819)
     for _ in range(100):
@@ -95,7 +91,7 @@ def test_criterion_1_momentum_product_algebra():
             assert residual < 1e-10
 
     for theta in (0.25, 0.5, 0.9):
-        tc = tail_coefficients(constant_momentum(theta), 200)
+        tc = tail_coefficients(MomentumSchedule("constant", theta=theta), 200)
         limit = theta / (1.0 - theta)
         assert max(abs(tc.t(n) - limit) for n in range(1, 201)) <= 1e-12
 
@@ -298,9 +294,24 @@ def test_criterion_8_extrapolation_identity():
     lasso = gen("lasso", 300, 8, 5, lam=0.7)
     lasso = with_reference(lasso, lasso_reference(lasso))
     setups = (
-        ("ssgd", ls, power_step(1 / 16, 3.0, 8 / 9), constant_momentum(0.9)),
-        ("prox_rm", lad, power_step(1 / 4, 3.0, 8 / 9), harmonic_momentum(3.0)),
-        ("composite", lasso, power_step(1 / 20, 3.0, 8 / 9), power_momentum(0.9, 2.0, 0.3)),
+        (
+            "ssgd",
+            ls,
+            StepSchedule("power", 1 / 16, 3.0, 8 / 9),
+            MomentumSchedule("constant", theta=0.9),
+        ),
+        (
+            "prox_rm",
+            lad,
+            StepSchedule("power", 1 / 4, 3.0, 8 / 9),
+            MomentumSchedule("harmonic", s=3.0),
+        ),
+        (
+            "composite",
+            lasso,
+            StepSchedule("power", 1 / 20, 3.0, 8 / 9),
+            MomentumSchedule("power", c=0.9, s=2.0, p=0.3),
+        ),
     )
     for method, inst, step, momentum in setups:
         cfg = SolverConfig(

@@ -20,14 +20,12 @@ from nagsa.diagnostics import (
     Scratch,
     _lyapunov_form,
     convergence_check,
-    geometric_sequence,
     negative_controls,
     relay,
     run_lemma_check,
     summability_check,
     supermartingale_check,
     synth_paths,
-    zero_sequence,
     SummableSequence,
 )
 from nagsa.errors import ConfigurationError
@@ -39,7 +37,7 @@ from nagsa.momentum_algebra import fixed_point_matrix, tail_coefficients
 
 
 def test_geometric_tail_closed_form():
-    seq = geometric_sequence(0.5)
+    seq = SummableSequence("geometric", scale=1.0, ratio=0.5)
     assert seq.values(3)[2] == 0.125
     assert seq.tails(4).tolist() == [1.0, 0.5, 0.25, 0.125]  # sum_{k>=n} 0.5^k
     assert abs(float(seq.values(59).sum()) - seq.tails(1)[0]) <= 1e-15
@@ -50,7 +48,7 @@ def test_geometric_values_and_tails_equal_the_scalar_forms(ratio):
     """values and tails keep every bit of the scalar closed forms over 2000
     terms; np.power would change some of them, and with them the lemma CSVs."""
     for scale in (1.0, 1e-3, 1e-5):
-        seq = geometric_sequence(ratio, scale=scale)
+        seq = SummableSequence("geometric", scale=scale, ratio=ratio)
         values = [scale * ratio**k for k in range(1, 2001)]
         tails = [scale * ratio**n / (1.0 - ratio) for n in range(1, 2001)]
         assert seq.values(2000).tobytes() == np.array(values).tobytes()
@@ -58,7 +56,7 @@ def test_geometric_values_and_tails_equal_the_scalar_forms(ratio):
 
 
 def test_zero_sequence():
-    seq = zero_sequence()
+    seq = SummableSequence("zero")
     assert np.all(seq.values(10) == 0.0)
     assert np.all(seq.tails(10) == 0.0)
 
@@ -67,9 +65,9 @@ def test_summable_sequence_validation():
     with pytest.raises(ValueError):
         SummableSequence("arithmetic")
     with pytest.raises(ValueError):
-        geometric_sequence(1.0)
+        SummableSequence("geometric", scale=1.0, ratio=1.0)
     with pytest.raises(ValueError):
-        geometric_sequence(-0.1)
+        SummableSequence("geometric", scale=1.0, ratio=-0.1)
     with pytest.raises(ValueError):
         SummableSequence("power", scale=1.0)
     with pytest.raises(ValueError):
@@ -77,7 +75,7 @@ def test_summable_sequence_validation():
 
 
 def test_tails_match_values_sum():
-    seq = geometric_sequence(0.9, scale=2.0)
+    seq = SummableSequence("geometric", scale=2.0, ratio=0.9)
     tails = seq.tails(5)
     # tail(n) - tail(n+1) telescopes back to the term
     diffs = tails[:-1] - tails[1:]

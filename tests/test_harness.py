@@ -167,7 +167,13 @@ def test_nonconstant_momentum_family_label():
 
 def test_harmonic_offset_that_rounds_theta_1_to_one_names_its_line():
     text = TINY_RUN.replace("mom.sweep = 0,0.5", "mom.family = harmonic\nmom.s = 1e-17")
-    with pytest.raises(ConfigurationError, match="line 11: .*theta_1 = 1/"):
+    with pytest.raises(ConfigurationError, match="^line 11, line 12: .*theta_1 = 1/"):
+        parse_config(text)
+
+
+def test_power_momentum_error_names_every_momentum_line():
+    text = TINY_RUN.replace("mom.sweep = 0,0.5", "mom.family = power\nmom.c = 2")
+    with pytest.raises(ConfigurationError, match="^line 11, line 12: .*must start below 1$"):
         parse_config(text)
 
 
@@ -178,6 +184,18 @@ def test_seeds_validation():
         parse_config(TINY_RUN.replace("1,2", "-1"))
     with pytest.raises(ConfigurationError, match="duplicate seeds"):
         parse_config(TINY_RUN.replace("1,2", "1,1"))
+
+
+def test_run_config_errors_name_the_override():
+    with pytest.raises(ConfigurationError, match="^override seeds: malformed seed list 'x'$"):
+        parse_config(TINY_RUN, {"seeds": "x"})
+    with pytest.raises(ConfigurationError, match="^override seeds: duplicate seeds$"):
+        parse_config("preset = lsq-ssgd\n", {"seeds": "1,1"})
+
+
+def test_lemma_config_errors_name_the_override():
+    with pytest.raises(ConfigurationError, match="^override seed: seed must be non-negative"):
+        parse_lemma_config("lemmas = all\n", {"seed": "-1"})
 
 
 def test_non_integer_count_rejected():
@@ -768,6 +786,25 @@ def test_lemma_suite_writes_csvs(tmp_path):
     assert len(detail) == 1 + reports[0].checks
 
 
+def test_cli_lemma_control_notes_expected_failures(tmp_path, capsys):
+    config = _write(
+        tmp_path / "c.txt",
+        "lemmas = relay\ncontrol = drift\npaths = 10\nlength = 300\nbranches = 40\n",
+    )
+    assert main(["lemma", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("FAIL relay: ")
+    assert err == "control=drift: expecting failures\n"
+
+
+def test_cli_lemma_without_output_directory_exits_two(tmp_path, capsys):
+    config = _write(tmp_path / "c.txt", "lemmas = relay\npaths = 10\nlength = 300\nbranches = 40\n")
+    assert main(["lemma", "--config", config]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "configuration error: no output directory (give out = PATH or --out)\n"
+
+
 def test_lemma_suite_control_inverts_success(tmp_path):
     config = parse_lemma_config(
         "lemmas = relay\ncontrol = drift\npaths = 10\nlength = 300\nbranches = 40\n"
@@ -1249,6 +1286,21 @@ def test_cli_negative_seed_flag_exits_two(tmp_path, capsys, command):
     assert exc.value.code == 2
     assert "argument --seed: expected a non-negative integer, got '-3'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["algebra", "--n", "abc"], "argument --n: expected an integer from 0 to "),
+        (["run", "--config", "c.txt", "--seed", "abc"], "argument --seed: expected a non-negative"),
+    ],
+    ids=["rows", "seed"],
+)
+def test_cli_non_integer_flag_exits_two(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["gen", "run", "lemma"])

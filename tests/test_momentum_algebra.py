@@ -27,14 +27,12 @@ from nagsa import momentum_algebra
 from nagsa.cli import build_parser, main
 from nagsa.errors import DivergenceError
 from nagsa.momentum_algebra import (
-    ProductState,
     companion_matrix,
     fixed_point_matrix,
     head_blocks,
-    head_product,
     tail_coefficients,
 )
-from nagsa.schedules import constant_momentum, harmonic_momentum, power_momentum
+from nagsa.schedules import MomentumSchedule
 
 
 def test_companion_matrix_half():
@@ -69,11 +67,9 @@ def _rows(thetas):
 
 def test_head_product_constant_half_n3():
     """P_3 for theta = 0.5, multiplied out by hand."""
-    state = head_product([0.5, 0.5, 0.5], 3)
-    expected = np.array([[-0.75, -0.875], [1.75, 1.875]])
-    assert np.allclose(state.entries, expected, atol=1e-12)
     entries, d, c = _rows([0.5, 0.5, 0.5])[-1]
-    assert np.array_equal(entries, state.entries)
+    expected = np.array([[-0.75, -0.875], [1.75, 1.875]])
+    assert np.allclose(entries, expected, atol=1e-12)
     assert abs(d - 0.75) <= 1e-12
     assert abs(c - 0.875) <= 1e-12
 
@@ -84,23 +80,24 @@ def test_head_product_matches_direct_multiplication():
     direct = companion_matrix(thetas[0])
     for theta in thetas[1:]:
         direct = direct @ companion_matrix(theta)
-    state = head_product(thetas, 12)
-    assert np.max(np.abs(state.entries - direct)) <= 1e-12
+    entries = _rows(thetas)[-1][0]
+    assert np.max(np.abs(entries - direct)) <= 1e-12
 
 
 def test_head_product_zero_momentum_is_idempotent():
-    state = head_product([0.0] * 6, 6)
-    assert np.allclose(state.entries, [[0.0, 0.0], [1.0, 1.0]], atol=0.0)
+    entries = _rows([0.0] * 6)[-1][0]
+    assert np.allclose(entries, [[0.0, 0.0], [1.0, 1.0]], atol=0.0)
 
 
 def test_head_products_fold_equals_each_head_product():
-    """head_blocks rows are P_1 .. P_n, each equal to its own head_product,
-    with d and c read off the top row and negative zero normalized."""
-    thetas = harmonic_momentum(2.0).values(40)
+    """head_blocks rows are P_1 .. P_n, each equal to the last row of the
+    fold of its own prefix, with d and c read off the top row and negative
+    zero normalized."""
+    thetas = MomentumSchedule("harmonic", s=2.0).values(40)
     rows = _rows(thetas)
     assert len(rows) == 40
     for n, (entries, d, c) in enumerate(rows, 1):
-        assert np.array_equal(entries, head_product(thetas, n).entries)
+        assert np.array_equal(entries, _rows(thetas[:n])[-1][0])
         assert (d, c) == (-entries[0, 0] + 0.0, -entries[0, 1] + 0.0)
     assert list(head_blocks([])) == []
     entries, d, c = _rows([0.0])[0]
@@ -141,7 +138,7 @@ def test_head_products_block_fold_is_bitwise_the_direct_fold(thetas, block):
         for n, ((entries, d, c), p) in enumerate(zip(rows, direct), 1):
             assert np.array_equal(entries.view(np.uint64), p.view(np.uint64))
             assert (d, c) == (-p[0, 0] + 0.0, -p[0, 1] + 0.0)
-            nth = head_product(thetas, n).entries
+            nth = _rows(thetas[:n])[-1][0]
             assert np.array_equal(nth.view(np.uint64), p.view(np.uint64))
 
 
@@ -168,11 +165,11 @@ def test_head_products_stop_before_a_bad_momentum(thetas, block, bad, data):
 @pytest.mark.parametrize(
     "argv, schedule",
     [
-        (["--family", "constant", "--theta", "0.9"], constant_momentum(0.9)),
-        (["--family", "harmonic", "--s", "2"], harmonic_momentum(2.0)),
+        (["--family", "constant", "--theta", "0.9"], MomentumSchedule("constant", theta=0.9)),
+        (["--family", "harmonic", "--s", "2"], MomentumSchedule("harmonic", s=2.0)),
         (
             ["--family", "power", "--c", "0.9", "--s", "1", "--p", "0.7"],
-            power_momentum(0.9, 1.0, 0.7),
+            MomentumSchedule("power", c=0.9, s=1.0, p=0.7),
         ),
     ],
     ids=["constant", "harmonic", "power"],
@@ -335,7 +332,7 @@ def test_tail_horizon_past_the_limit_is_refused_at_once(capsys):
     by the CLI (exit 2)."""
     started = time.perf_counter()
     with pytest.raises(DivergenceError, match="more than the limit of 33554432"):
-        tail_coefficients(harmonic_momentum(1e-7), 3)
+        tail_coefficients(MomentumSchedule("harmonic", s=1e-7), 3)
     assert main(["algebra", "--family", "harmonic", "--s", "1e-7", "--n", "3"]) == 2
     assert time.perf_counter() - started < 1.0
     captured = capsys.readouterr()
@@ -380,26 +377,12 @@ def test_cli_algebra_writes_bounded_chunks(monkeypatch):
     assert peak < 5 * 2**20
 
 
-def test_head_product_validation():
-    with pytest.raises(ValueError):
-        head_product([0.5], 0)
-    with pytest.raises(ValueError):
-        head_product([0.5, 0.5], 3)
-
-
-def test_product_state_validation():
-    with pytest.raises(ValueError):
-        ProductState(entries=np.eye(3), index=1)
-    with pytest.raises(ValueError):
-        ProductState(entries=np.eye(2), index=0)
-
-
 def test_column_sums_are_one():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(1, 30))
         thetas = rng.uniform(0.0, 0.95, n)
-        sums = head_product(thetas, n).entries.sum(axis=0)
+        sums = _rows(thetas)[-1][0].sum(axis=0)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
@@ -510,19 +493,19 @@ def test_residual_decays_like_squared_product():
 
 def test_tail_constant_closed_form():
     for theta in (0.1, 0.5, 0.9):
-        tc = tail_coefficients(constant_momentum(theta), 50)
+        tc = tail_coefficients(MomentumSchedule("constant", theta=theta), 50)
         expected = theta / (1.0 - theta)
         assert np.max(np.abs(tc.values - expected)) <= 1e-12
         assert tc.horizon == 0
 
 
 def test_tail_zero_momentum():
-    tc = tail_coefficients(constant_momentum(0.0), 10)
+    tc = tail_coefficients(MomentumSchedule("constant", theta=0.0), 10)
     assert np.all(tc.values == 0.0)
 
 
 def test_tail_constant_half_is_one():
-    tc = tail_coefficients(constant_momentum(0.5), 5)
+    tc = tail_coefficients(MomentumSchedule("constant", theta=0.5), 5)
     assert tc.t(1) == 1.0
     assert tc.t(5) == 1.0
 
@@ -542,17 +525,17 @@ def test_tail_harmonic_first_coefficient():
     the closed form 6(e - 8/3)."""
     series = _harmonic_t1_exact()
     assert abs(series - 6.0 * (math.e - 8.0 / 3.0)) <= 1e-14
-    tc = tail_coefficients(harmonic_momentum(3.0), 100)
+    tc = tail_coefficients(MomentumSchedule("harmonic", s=3.0), 100)
     assert abs(tc.t(1) - series) <= 1e-10
 
 
 @pytest.mark.parametrize(
     "schedule",
     [
-        constant_momentum(0.5),
-        constant_momentum(0.9),
-        harmonic_momentum(3.0),
-        power_momentum(0.5, 2.0, 0.75),
+        MomentumSchedule("constant", theta=0.5),
+        MomentumSchedule("constant", theta=0.9),
+        MomentumSchedule("harmonic", s=3.0),
+        MomentumSchedule("power", c=0.5, s=2.0, p=0.75),
     ],
     ids=["const-0.5", "const-0.9", "harmonic", "power"],
 )
@@ -566,7 +549,7 @@ def test_tail_recursion_residual(schedule):
 
 def test_tail_chain_identity():
     # Q_n = M_n Q_{n+1} links adjacent rank-one tails through one step
-    schedule = harmonic_momentum(3.0)
+    schedule = MomentumSchedule("harmonic", s=3.0)
     tc = tail_coefficients(schedule, 51)
     for n in range(1, 50):
         q_n = fixed_point_matrix(tc.t(n))
@@ -575,13 +558,17 @@ def test_tail_chain_identity():
 
 
 def test_tail_monotone_for_nonincreasing_momentum():
-    tc = tail_coefficients(harmonic_momentum(3.0), 300)
+    tc = tail_coefficients(MomentumSchedule("harmonic", s=3.0), 300)
     assert np.all(np.diff(tc.values) <= 0.0)
 
 
 @pytest.mark.parametrize(
     "schedule",
-    [harmonic_momentum(2.0), power_momentum(0.9, 1.0, 0.7), constant_momentum(0.5)],
+    [
+        MomentumSchedule("harmonic", s=2.0),
+        MomentumSchedule("power", c=0.9, s=1.0, p=0.7),
+        MomentumSchedule("constant", theta=0.5),
+    ],
     ids=["harmonic", "power", "constant"],
 )
 def test_tail_coefficients_walk_pieces_from_the_top(schedule):
@@ -609,7 +596,7 @@ def test_tail_coefficients_walk_pieces_from_the_top(schedule):
 
 
 def test_tail_index_bounds():
-    tc = tail_coefficients(constant_momentum(0.5), 10)
+    tc = tail_coefficients(MomentumSchedule("constant", theta=0.5), 10)
     with pytest.raises(ValueError):
         tc.t(0)
     with pytest.raises(ValueError):
@@ -633,15 +620,18 @@ def test_tail_divergence_for_supremum_one():
 
 def test_tail_validation():
     with pytest.raises(ValueError):
-        tail_coefficients(constant_momentum(0.5), 0)
+        tail_coefficients(MomentumSchedule("constant", theta=0.5), 0)
 
 
 def test_tail_product_matches_fixed_point_matrix():
     """The tail product Q_n = M_n M_{n+1} ... is the limit of head products
     started at n, so 60 factors from n reach fixed_point_matrix(t_n)."""
-    for schedule, atol in ((constant_momentum(0.5), 1e-15), (harmonic_momentum(3.0), 1e-12)):
+    for schedule, atol in (
+        (MomentumSchedule("constant", theta=0.5), 1e-15),
+        (MomentumSchedule("harmonic", s=3.0), 1e-12),
+    ):
         tc = tail_coefficients(schedule, 5)
         thetas = schedule.values(70)
         for n in range(1, 6):
-            q_n = head_product(thetas[n - 1 :], 60).entries
+            q_n = _rows(thetas[n - 1 : n + 59])[-1][0]
             assert np.max(np.abs(q_n - fixed_point_matrix(tc.t(n)))) <= atol

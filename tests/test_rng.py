@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nagsa._rng import make_generator, normals, seed_words, word_doubles
+from nagsa._word_seed import WordSeed
 
 EDGE_COMPONENTS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64 + 1)
 
@@ -224,3 +225,11 @@ def test_normals_zero_draws_nothing():
 def test_normals_refuse_negative_size():
     with pytest.raises(ValueError, match="non-negative"):
         normals(make_generator(5), -1)
+
+
+def test_word_seed_gives_only_four_uint64_words():
+    seed = WordSeed(np.arange(4, dtype=np.uint64))
+    assert seed.generate_state(4, np.uint64) is seed.words
+    for n_words, dtype in ((8, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError, match="^seed words are four uint64 values$"):
+            seed.generate_state(n_words, dtype)

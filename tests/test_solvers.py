@@ -30,13 +30,7 @@ from nagsa.problems import (
     objective,
     with_reference,
 )
-from nagsa.schedules import (
-    constant_momentum,
-    constant_step,
-    harmonic_momentum,
-    power_momentum,
-    power_step,
-)
+from nagsa.schedules import MomentumSchedule, StepSchedule
 from nagsa.solvers import (
     _DRAW_BLOCK,
     _MAX_CHECKPOINTS,
@@ -71,8 +65,8 @@ def _every_step(method, inst, alpha, theta, iterations=6, seed=2, **kw):
     """
     config = SolverConfig(
         method=method,
-        step=constant_step(alpha),
-        momentum=constant_momentum(theta),
+        step=StepSchedule("constant", alpha),
+        momentum=MomentumSchedule("constant", theta=theta),
         iterations=iterations,
         seed=seed,
         stride=1.0 + 1e-9,
@@ -170,8 +164,8 @@ def test_divergence_records_first_nonfinite_step():
 def _small_config(method="ssgd", theta=0.5, iterations=300, seed=1, **kw):
     return SolverConfig(
         method=method,
-        step=power_step(1.0 / 16.0, 3.0, 8.0 / 9.0),
-        momentum=constant_momentum(theta),
+        step=StepSchedule("power", 1.0 / 16.0, 3.0, 8.0 / 9.0),
+        momentum=MomentumSchedule("constant", theta=theta),
         iterations=iterations,
         seed=seed,
         **kw,
@@ -215,12 +209,13 @@ def _case_config(case, **kw):
         kw["composite_order"] = case.variant
     config = _small_config(method=case.method, iterations=case.iterations, seed=4, **kw)
     if case.step is not None:
-        config = dataclasses.replace(config, step=constant_step(case.step))
+        config = dataclasses.replace(config, step=StepSchedule("constant", case.step))
     if case.power is not None:
-        return dataclasses.replace(config, momentum=power_momentum(*case.power))
+        c, s, p = case.power
+        return dataclasses.replace(config, momentum=MomentumSchedule("power", c=c, s=s, p=p))
     if case.theta is None:
-        return dataclasses.replace(config, momentum=harmonic_momentum(2.0))
-    return dataclasses.replace(config, momentum=constant_momentum(case.theta))
+        return dataclasses.replace(config, momentum=MomentumSchedule("harmonic", s=2.0))
+    return dataclasses.replace(config, momentum=MomentumSchedule("constant", theta=case.theta))
 
 
 def _reference_update(case, inst, x, i, alpha):
@@ -833,9 +828,12 @@ def test_block_index_draws_equal_scalar_draws(m):
 @pytest.mark.parametrize(
     "step, momentum",
     [
-        (constant_step(0.3), constant_momentum(0.5)),
-        (power_step(1.0 / 16.0, 3.0, 8.0 / 9.0), harmonic_momentum(2.0)),
-        (power_step(0.5, 0.0, 0.7), power_momentum(0.9, 1.0, 8.0 / 9.0)),
+        (StepSchedule("constant", 0.3), MomentumSchedule("constant", theta=0.5)),
+        (StepSchedule("power", 1.0 / 16.0, 3.0, 8.0 / 9.0), MomentumSchedule("harmonic", s=2.0)),
+        (
+            StepSchedule("power", 0.5, 0.0, 0.7),
+            MomentumSchedule("power", c=0.9, s=1.0, p=8.0 / 9.0),
+        ),
     ],
     ids=["constant", "power-harmonic", "power-power"],
 )
@@ -960,8 +958,8 @@ def test_run_flags_divergence_instead_of_raising():
     inst = gen("least_squares", m=50, n=6, seed=8)
     config = SolverConfig(
         method="ssgd",
-        step=constant_step(10.0),
-        momentum=constant_momentum(0.9),
+        step=StepSchedule("constant", 10.0),
+        momentum=MomentumSchedule("constant", theta=0.9),
         iterations=5000,
         seed=1,
     )
@@ -1000,8 +998,8 @@ def test_prox_rm_stays_bounded_with_large_momentum():
     inst = gen("least_squares", m=100, n=8, seed=14)
     config = SolverConfig(
         method="prox_rm",
-        step=power_step(1.0 / 16.0, 3.0, 8.0 / 9.0),
-        momentum=constant_momentum(0.9),
+        step=StepSchedule("power", 1.0 / 16.0, 3.0, 8.0 / 9.0),
+        momentum=MomentumSchedule("constant", theta=0.9),
         iterations=2000,
         seed=1,
     )
@@ -1036,7 +1034,9 @@ def test_extrapolate_zero_momentum():
 
 
 @pytest.mark.parametrize(
-    "momentum", [constant_momentum(0.0), power_momentum(0.0, 1.0, 0.5)], ids=["constant", "power"]
+    "momentum",
+    [MomentumSchedule("constant", theta=0.0), MomentumSchedule("power", c=0.0, s=1.0, p=0.5)],
+    ids=["constant", "power"],
 )
 def test_momentum_free_step_takes_the_iterate_itself(momentum):
     """With theta_k = 0 at every k the step takes x_{k+1} = v_k. Here
@@ -1049,7 +1049,7 @@ def test_momentum_free_step_takes_the_iterate_itself(momentum):
         _hand_instance("lasso", [[1.0]], [0.0], lam=np.finfo(float).max)
     )
     config = SolverConfig(
-        method="composite", step=constant_step(0.7), momentum=momentum, iterations=30,
+        method="composite", step=StepSchedule("constant", 0.7), momentum=momentum, iterations=30,
         seed=2, stride=1.0 + 1e-9, composite_order="implicit_first",
     )
     trace = run(config, inst)
@@ -1091,8 +1091,8 @@ def test_metadata_records_validity_profile():
 
     config = SolverConfig(
         method="ssgd",
-        step=power_step(1.0 / 16.0, 3.0, 8.0 / 9.0),
-        momentum=harmonic_momentum(3.0),
+        step=StepSchedule("power", 1.0 / 16.0, 3.0, 8.0 / 9.0),
+        momentum=MomentumSchedule("harmonic", s=3.0),
         iterations=10,
         seed=1,
     )
@@ -1100,8 +1100,8 @@ def test_metadata_records_validity_profile():
 
     config = SolverConfig(
         method="ssgd",
-        step=constant_step(0.01),
-        momentum=constant_momentum(0.5),
+        step=StepSchedule("constant", 0.01),
+        momentum=MomentumSchedule("constant", theta=0.5),
         iterations=10,
         seed=1,
     )
@@ -1116,8 +1116,8 @@ def test_metadata_has_composite_order_for_composite():
 
 
 def test_solver_config_validation():
-    step = power_step(1.0 / 16.0, 3.0, 8.0 / 9.0)
-    mom = constant_momentum(0.5)
+    step = StepSchedule("power", 1.0 / 16.0, 3.0, 8.0 / 9.0)
+    mom = MomentumSchedule("constant", theta=0.5)
     with pytest.raises(ConfigurationError):
         SolverConfig(method="sgd", step=step, momentum=mom, iterations=10, seed=1)
     with pytest.raises(ConfigurationError):
