@@ -27,6 +27,12 @@ Exit codes:
 The parser is built on the first `main` call and kept for the rest of the
 process (`build_parser` is cached), so a script or test that calls `main`
 many times only parses; `import nagsa.cli` builds nothing.
+
+`import nagsa.cli` loads only what algebra runs: errors, momentum_algebra,
+schedules and the number format (with numpy). gen, run, lemma and plotdata
+import harness (and with it problems, solvers, diagnostics and _rng) when
+they start, so the algebra table and `--help` never load them; README's CLI
+section gives the start-up times.
 """
 
 from __future__ import annotations
@@ -36,18 +42,9 @@ import functools
 import os
 import sys
 
+from ._format import _fmt_rows
 from .errors import ConfigurationError, DivergenceError
-from .harness import (
-    _MAX_ENTRIES,
-    _referenced,
-    parse_config,
-    parse_lemma_config,
-    plotdata,
-    run_experiment,
-    run_lemma_suite,
-)
-from .momentum_algebra import head_blocks, tail_coefficients
-from .problems import _fmt_rows, dump_instance, gen
+from .momentum_algebra import _MAX_HORIZON, head_blocks, tail_coefficients
 from .schedules import MomentumSchedule
 
 
@@ -72,6 +69,9 @@ def _seed_key(args, key: str) -> dict[str, str]:
 
 
 def _cmd_gen(args) -> int:
+    from .harness import _referenced, parse_config
+    from .problems import dump_instance, gen
+
     config = parse_config(_read_config(args.config), _seed_key(args, "problem.seed"))
     out_dir = args.out or config.out
     path = config.instance_path or (
@@ -89,6 +89,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .harness import parse_config, run_experiment
+
     config = parse_config(_read_config(args.config), _seed_key(args, "seeds"))
     bundle = run_experiment(config, out_dir=args.out)
     print(bundle.root)
@@ -103,6 +105,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
+    from .harness import parse_lemma_config, run_lemma_suite
+
     config = parse_lemma_config(_read_config(args.config), _seed_key(args, "seed"))
     if args.out is None and config.out is None:
         raise ConfigurationError("no output directory (give out = PATH or --out)")
@@ -151,6 +155,8 @@ def _cmd_algebra(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
+    from .harness import parse_config, plotdata
+
     root = args.out
     if root is None and args.config is not None:
         root = parse_config(_read_config(args.config)).out
@@ -171,15 +177,15 @@ def _seed(text: str) -> int:
 
 
 def _rows(text: str) -> int:
-    # a table above the harness's array limit would hold gigabytes of
-    # momentum and tail values before printing its first row
+    # a table above the tail recursion's horizon limit would hold gigabytes
+    # of momentum and tail values before printing its first row
     try:
         value = int(text)
     except ValueError:
         value = -1
-    if not 0 <= value <= _MAX_ENTRIES:
+    if not 0 <= value <= _MAX_HORIZON:
         raise argparse.ArgumentTypeError(
-            f"expected an integer from 0 to {_MAX_ENTRIES}, got {text!r}"
+            f"expected an integer from 0 to {_MAX_HORIZON}, got {text!r}"
         )
     return value
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._format import _fmt, _fmt_rows
 from ._rng import RNG_ID
 from .diagnostics import (
     _PROBES,
@@ -39,8 +40,6 @@ from .problems import (
     KINDS,
     ConstraintSet,
     ProblemInstance,
-    _fmt,
-    _fmt_rows,
     _rows_fault,
     ball,
     box,
@@ -359,11 +358,17 @@ def _parse_constraint(spec: str, kv: _KeyedValues) -> ConstraintSet:
 
 
 def _override(
-    values: dict[str, str], origins: dict[str, str], overrides: Mapping[str, str] | None
+    values: dict[str, str],
+    origins: dict[str, str],
+    overrides: Mapping[str, str] | None,
+    known: frozenset[str],
 ) -> None:
     """Give each key of overrides its value in place of the file's line for
-    it (the CLI's --seed); an error about it names "override KEY"."""
+    it (the CLI's --seed); an error about it names "override KEY". A key the
+    file could not hold is refused, as its line would be."""
     for key, value in (overrides or {}).items():
+        if key not in known:
+            raise ConfigurationError(f"override {key}: unknown key {_quote(key)}")
         values[key] = value
         origins[key] = f"override {key}"
 
@@ -372,7 +377,7 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> Exper
     """Parse and validate an experiment config, expanding any preset; a key
     of overrides takes the place of the file's line for it, echo included."""
     explicit, origins = _read_key_values(text, _RUN_KEYS)
-    _override(explicit, origins, overrides)
+    _override(explicit, origins, overrides, _RUN_KEYS)
 
     preset_name = explicit.pop("preset", None)
     if preset_name is not None:
@@ -509,7 +514,7 @@ def parse_lemma_config(text: str, overrides: Mapping[str, str] | None = None) ->
     """Parse a lemma-suite config: which scenarios, ensemble sizes, control;
     overrides as in parse_config."""
     values, origins = _read_key_values(text, _LEMMA_KEYS)
-    _override(values, origins, overrides)
+    _override(values, origins, overrides, _LEMMA_KEYS)
     if "lemmas" not in values:
         raise ConfigurationError("missing required key 'lemmas' (use `lemmas = all`)")
     kv = _KeyedValues(values, origins, None)

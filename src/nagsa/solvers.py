@@ -110,12 +110,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from ._format import _fmt
 from ._rng import RNG_ID, STREAM_RUN, make_generator, normals
 from .errors import ConfigurationError, _quote
 from .problems import (
     ConstraintSet,
     ProblemInstance,
-    _fmt,
     _norm,
     _objective_values,
     _pass_shape,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nagsa
-from nagsa import cli, diagnostics, harness, problems, solvers
+from nagsa import diagnostics, harness, problems, solvers
 from nagsa.cli import main
 from nagsa.errors import ConfigurationError
 from nagsa.harness import (
@@ -196,6 +196,21 @@ def test_run_config_errors_name_the_override():
 def test_lemma_config_errors_name_the_override():
     with pytest.raises(ConfigurationError, match="^override seed: seed must be non-negative"):
         parse_lemma_config("lemmas = all\n", {"seed": "-1"})
+
+
+def test_run_config_refuses_an_unknown_override():
+    """An override key no config line may hold is refused, naming the
+    override, instead of landing in the echoed CSV headers."""
+    with pytest.raises(ConfigurationError, match="^override sedes: unknown key 'sedes'$"):
+        parse_config("preset = lsq-ssgd\n", {"sedes": "3"})
+
+
+def test_lemma_config_refuses_an_unknown_override():
+    with pytest.raises(ConfigurationError, match="^override sede: unknown key 'sede'$"):
+        parse_lemma_config("lemmas = all\n", {"sede": "3"})
+    # a run key is not a lemma key
+    with pytest.raises(ConfigurationError, match="^override seeds: unknown key 'seeds'$"):
+        parse_lemma_config("lemmas = all\n", {"seeds": "3"})
 
 
 def test_non_integer_count_rejected():
@@ -1330,7 +1345,7 @@ def test_cli_unexpected_exception_exits_four(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "run_lemma_suite", broken)
+    monkeypatch.setattr(harness, "run_lemma_suite", broken)
     config = _write(tmp_path / "c.txt", "lemmas = relay\n")
     rc = main(["lemma", "--config", config, "--out", str(tmp_path / "out")])
     assert rc == 4

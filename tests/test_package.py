@@ -76,8 +76,39 @@ def test_cli_import_builds_no_parser():
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_algebra_and_help_load_no_experiment_module(tmp_path):
+    """In a fresh interpreter, importing nagsa.cli, printing an algebra table
+    and asking for help load none of the modules behind gen, run, lemma and
+    plotdata; those load inside their commands, and a run afterwards works."""
+    src = str(Path(nagsa.__file__).resolve().parents[1])
+    (tmp_path / "run.cfg").write_text("preset = lsq-ssgd\nN = 300\nseeds = 1\nmom.sweep = 0\n")
+    code = (
+        "import contextlib, io, sys\n"
+        "from nagsa.cli import main\n"
+        "assert main(['algebra', '--n', '50']) == 0\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    main(['--help'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    main(['run', '--help'])\n"
+        "heavy = ('harness', 'diagnostics', 'solvers', 'problems', '_rng')\n"
+        "loaded = sorted(m for m in heavy if 'nagsa.' + m in sys.modules)\n"
+        "assert not loaded, loaded\n"
+        f"assert main(['run', '--config', {str(tmp_path / 'run.cfg')!r},"
+        f" '--out', {str(tmp_path / 'run')!r}]) == 0\n"
+        "assert 'nagsa.harness' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "run" / "theta_0" / "summary.csv").exists()
+
+
 def test_cli_imports_only_public_algebra_names():
-    """Every name cli.py imports from momentum_algebra is in its __all__."""
+    """Every name cli.py imports from momentum_algebra is in its __all__, but
+    for _MAX_HORIZON, the tail recursion's bound that `--n` shares: the table
+    reads only public functions."""
     from nagsa import momentum_algebra
 
     tree = ast.parse(Path(nagsa.__file__).with_name("cli.py").read_text(encoding="utf-8"))
@@ -88,7 +119,7 @@ def test_cli_imports_only_public_algebra_names():
         for alias in node.names
     ]
     assert imported
-    assert set(imported) <= set(momentum_algebra.__all__), sorted(
+    assert set(imported) - {"_MAX_HORIZON"} <= set(momentum_algebra.__all__), sorted(
         set(imported) - set(momentum_algebra.__all__)
     )
 
