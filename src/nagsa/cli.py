@@ -42,14 +42,15 @@ import functools
 import os
 import sys
 
-from ._format import _fmt_rows
+from ._format import _fmt, _fmt_distinct, _fmt_rows
 from .errors import ConfigurationError, DivergenceError
 from .momentum_algebra import _MAX_HORIZON, head_blocks, tail_coefficients
 from .schedules import MomentumSchedule
 
 
-# the format of one row of the algebra table
-_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g"
+# the format of one row of the algebra table: d, c and the residual come
+# in as text
+_ROW = "%d,%.17g,%s,%s,%s,%.17g"
 
 
 def _read_config(path: str) -> str:
@@ -133,6 +134,7 @@ def _cmd_algebra(args) -> int:
     tails = tail_coefficients(schedule, args.n + 1).values
     sys.stdout.write("k,theta,d,c,residual,t\n")
     lo = 0
+    last_c = None
     # one write per head_blocks block, so the text and the Python floats of
     # at most 2^10 rows are held at once; a bad theta raises after the rows
     # before it are written
@@ -141,16 +143,22 @@ def _cmd_algebra(args) -> int:
         # x * x is correctly rounded; libm pow, behind Python's x ** 2, broke
         # some exact ties away from even
         d_c = d - c
+        c_text = _fmt_distinct(c)
+        # d_n = p_{n-1}[0,1] * 1 + p_{n-1}[0,0] * 0, which the dgemm forms
+        # exactly, so d_n is c_{n-1} bit for bit and takes its text; only
+        # row 1 has no row before it
+        d_text = [_fmt(d[0]) if last_c is None else last_c, *c_text[:-1]]
         columns = [
             range(lo + 1, hi + 1),
             thetas[lo:hi].tolist(),
-            d.tolist(),
-            c.tolist(),
-            (d_c * d_c).tolist(),
+            d_text,
+            c_text,
+            _fmt_distinct(d_c * d_c),
             tails[lo:hi].tolist(),
         ]
         sys.stdout.write(_fmt_rows(_ROW, columns) + "\n")
         lo = hi
+        last_c = c_text[-1]
     return 0
 
 

@@ -10,12 +10,13 @@ Momentum families:
     power       theta_k = c / (k + s)^p
 
 Indices are 1-based. Momentum values must stay inside [0, 1); constructors
-refuse anything else. A power value whose (k + s)^p passes the float range
-is c / inf = 0.0. Each family's formula is written once, in ``block``,
-which evaluates it per index on Python floats; ``at`` and ``values`` take
-their values from it, so a block of values equals the scalar values bit for
-bit. (A vectorised ``c / (k + s) ** p`` over an index array does not: numpy's
-SIMD power differs from the scalar one in the last bit for some k.)
+refuse anything else, and any parameter that is inf or nan. A power value
+whose (k + s)^p passes the float range is c / inf = 0.0. Each family's
+formula is written once, in ``block``, which evaluates it per index on
+Python floats; ``at`` and ``values`` take their values from it, so a block
+of values equals the scalar values bit for bit. (A vectorised
+``c / (k + s) ** p`` over an index array does not: numpy's SIMD power
+differs from the scalar one in the last bit for some k.)
 
 ``classify`` reports the two summability properties the convergence
 arguments need: a divergent step sum and a convergent sum of
@@ -50,6 +51,15 @@ def _require_index(k: int) -> None:
         raise ValueError(f"schedule index must be >= 1, got {k}")
 
 
+def _require_finite(kind: str, **parameters: float) -> None:
+    # inf and nan pass the range checks below or evade them: 1.0 ** nan is
+    # 1.0, so power momentum with p = nan starts at theta_1 = c and turns to
+    # nan from theta_2 on
+    for name, value in parameters.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} parameter {name} must be finite, got {value!r}")
+
+
 def _power_block(c: float, s: float, p: float, start: int, count: int) -> list[float]:
     """c / (k + s)^p for k = start .. start + count - 1, the power family of
     both schedule kinds. Where (k + s)^p passes the float range, for which
@@ -80,6 +90,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.family not in ("constant", "power"):
             raise ValueError(f"unknown step family {_quote(self.family)}")
+        _require_finite("step", c=self.c, s=self.s, p=self.p)
         if not self.c > 0:
             raise ValueError("step constant c must be positive")
         if self.family == "power":
@@ -110,6 +121,7 @@ class MomentumSchedule:
     def __post_init__(self):
         if self.family not in ("constant", "harmonic", "power"):
             raise ValueError(f"unknown momentum family {_quote(self.family)}")
+        _require_finite("momentum", theta=self.theta, c=self.c, s=self.s, p=self.p)
         if self.family == "constant":
             if not 0.0 <= self.theta < 1.0:
                 raise ValueError(f"constant momentum must lie in [0, 1), got {self.theta}")

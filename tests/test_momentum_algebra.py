@@ -7,6 +7,7 @@ fractions.Fraction), and closed forms for constant momentum.
 
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nagsa import momentum_algebra
+from nagsa._format import _fmt_distinct
 from nagsa.cli import build_parser, main
 from nagsa.errors import DivergenceError
 from nagsa.momentum_algebra import (
@@ -140,6 +142,11 @@ def test_head_products_block_fold_is_bitwise_the_direct_fold(thetas, block):
             assert (d, c) == (-p[0, 0] + 0.0, -p[0, 1] + 0.0)
             nth = _rows(thetas[:n])[-1][0]
             assert np.array_equal(nth.view(np.uint64), p.view(np.uint64))
+        # d_n = P_{n-1}[0,1] * 1 + P_{n-1}[0,0] * 0 is c_{n-1} bit for bit,
+        # across block boundaries too: the table takes d's text from c's
+        d = np.array([row[1] for row in rows])
+        c = np.array([row[2] for row in rows])
+        assert np.array_equal(d[1:].view(np.uint64), c[:-1].view(np.uint64))
 
 
 @given(
@@ -190,6 +197,99 @@ def test_cli_algebra_table_equals_per_row_head_products(argv, schedule, capsys):
             f"{k},{thetas[k - 1]:.17g},{d:.17g},{c:.17g},{d_c * d_c:.17g},{tails.t(k):.17g}"
         )
     assert table == expected
+
+
+# momentum schedules for the table's text: constant ones at -0.0 and next
+# to 1 among them, harmonic ones whose tail horizon stays below 10^5
+# indices, and power ones, which start below 1 as c < 1 <= (1 + s)^p
+_SCHEDULES = st.one_of(
+    st.builds(
+        lambda theta: MomentumSchedule("constant", theta=theta),
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, 0.9, 0.999, math.nextafter(1.0, 0.0)]),
+            st.floats(0.0, 1.0, exclude_max=True),
+        ),
+    ),
+    st.builds(lambda s: MomentumSchedule("harmonic", s=s), st.floats(1e-3, 1e3)),
+    st.builds(
+        lambda c, s, p: MomentumSchedule("power", c=c, s=s, p=p),
+        st.floats(0.0, 0.99),
+        st.floats(0.0, 10.0),
+        st.floats(0.0, 3.0),
+    ),
+)
+
+# one and two rows, each side of the first and second 2^10-row block edge
+_TABLE_ROWS = st.one_of(st.sampled_from([0, 1, 1023, 1024, 1025, 2049]), st.integers(0, 2100))
+
+
+@given(_SCHEDULES, _TABLE_ROWS)
+def test_cli_algebra_table_is_each_field_formatted_on_its_own(schedule, n):
+    """The table takes d's text from the row before and formats each
+    distinct c and residual once; every line must still be the five
+    head_blocks and tail fields each formatted by %.17g, and d_k must be
+    c_{k-1} bit for bit, across block edges too."""
+    argv = ["algebra", "--family", schedule.family, "--n", str(n)]
+    for name in ("theta", "c", "s", "p"):
+        argv += [f"--{name}", repr(getattr(schedule, name))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    thetas = schedule.values(n)
+    tails = tail_coefficients(schedule, n + 1).values
+    blocks = list(head_blocks(thetas))
+    d = np.concatenate([np.empty(0), *(d for _, d, _ in blocks)])
+    c = np.concatenate([np.empty(0), *(c for _, _, c in blocks)])
+    assert np.array_equal(d[1:].view(np.uint64), c[:-1].view(np.uint64))
+    residual = (d - c) * (d - c)
+    fields = zip(thetas.tolist(), d.tolist(), c.tolist(), residual.tolist(), tails.tolist())
+    expected = ["k,theta,d,c,residual,t"] + [
+        "%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (k, *row) for k, row in enumerate(fields, 1)
+    ]
+    assert out.getvalue() == "\n".join(expected) + "\n"
+
+
+_NAN_BITS = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000]).view(np.float64)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [],
+        [0.25],
+        [0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+        [math.nan, math.nan, 1.0, math.nan, *_NAN_BITS, *_NAN_BITS],
+        [math.inf, math.inf, -math.inf, -math.inf, math.inf, 1.0, -math.inf],
+        [0.1 * k for k in range(50)],
+        [5e-324, -5e-324, 1.7976931348623157e308, 2.0**-1022, 1 / 3, 2 / 3, 1 / 3],
+    ],
+    ids=["empty", "one", "signed-zeros", "nans", "infinities", "no-repeats", "extremes"],
+)
+def test_fmt_distinct_is_each_entry_formatted(column):
+    """Formatting each distinct value once gives each entry's own %.17g:
+    -0.0 and 0.0 keep their texts, so do NaNs of every bit pattern."""
+    values = np.array(column, dtype=float)
+    assert _fmt_distinct(values) == ["%.17g" % x for x in values.tolist()]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "power", "--c", "0.5", "--s", "0", "--p", "nan"], "p must be finite, got nan"),
+        (["--family", "harmonic", "--s", "inf"], "s must be finite, got inf"),
+        (["--family", "power", "--c=-inf", "--p", "1"], "c must be finite, got -inf"),
+        (["--family", "constant", "--theta", "nan"], "theta must be finite, got nan"),
+    ],
+    ids=["power-p-nan", "harmonic-s-inf", "power-c-minus-inf", "constant-theta-nan"],
+)
+def test_cli_algebra_refuses_non_finite_parameters(argv, message, capsys):
+    """1.0 ** nan is 1.0, so power momentum with p = nan started at
+    theta_1 = c and printed its first row before theta_2 = nan stopped the
+    table; harmonic s = inf printed zeros. Both exit 2 before any row."""
+    assert main(["algebra", *argv, "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: momentum parameter {message}\n"
 
 
 # sha256 of the table's stdout as the per-row fold (one companion_matrix and

@@ -85,6 +85,39 @@ def test_unknown_family_is_quoted_short(make, family):
         make("linear")
 
 
+_NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=repr)
+@pytest.mark.parametrize(
+    "kind, make, name",
+    [
+        ("step", lambda v: StepSchedule("constant", v), "c"),
+        ("step", lambda v: StepSchedule("power", v, 1.0, 0.5), "c"),
+        ("step", lambda v: StepSchedule("power", 0.1, v, 0.5), "s"),
+        ("step", lambda v: StepSchedule("power", 0.1, 1.0, v), "p"),
+        ("step", lambda v: StepSchedule("constant", 0.1, p=v), "p"),
+        ("momentum", lambda v: MomentumSchedule("constant", theta=v), "theta"),
+        ("momentum", lambda v: MomentumSchedule("harmonic", s=v), "s"),
+        ("momentum", lambda v: MomentumSchedule("power", c=v, s=1.0, p=0.5), "c"),
+        ("momentum", lambda v: MomentumSchedule("power", c=0.5, s=v, p=0.5), "s"),
+        ("momentum", lambda v: MomentumSchedule("power", c=0.5, s=0.0, p=v), "p"),
+        ("momentum", lambda v: MomentumSchedule("constant", theta=0.5, c=v), "c"),
+    ],
+    ids=[
+        "step-constant-c", "step-power-c", "step-power-s", "step-power-p", "step-constant-p",
+        "momentum-constant-theta", "momentum-harmonic-s", "momentum-power-c",
+        "momentum-power-s", "momentum-power-p", "momentum-constant-c",
+    ],
+)
+def test_non_finite_parameters_are_refused_by_name(kind, make, name, value):
+    """inf and nan are refused whatever the family uses: 1.0 ** nan is 1.0,
+    so power momentum with p = nan passed as theta_1 = c before."""
+    with pytest.raises(ValueError) as info:
+        make(value)
+    assert str(info.value) == f"{kind} parameter {name} must be finite, got {value!r}"
+
+
 def test_step_validation():
     with pytest.raises(ValueError):
         StepSchedule("linear", 0.1)
