@@ -45,9 +45,9 @@ turned into numpy's uniform(lo, hi) draws by its own formula
 lo + (hi - lo) u.
 
 The hot loops are lean without changing a bit. Each Recursion decides once
-which of its terms are zero at every step and leaves them out of mean, whose
-one-step calls read their coefficients as Python floats; the walk scales all
-its noise by sigma in one pass and adds each step's row to the mean in place.
+which of its terms are zero at every step and leaves them out of mean; the
+walk scales all its noise by sigma in one pass and adds each step's row to
+the mean in place.
 word_doubles draws every stream straight into its row of one array. V is
 formed over blocks of whole paths, written into V's rows, so no full-size
 s = r + h z is held; a branch block forms V in place on its own noise, and
@@ -363,19 +363,13 @@ class Recursion:
             for op, values in ((add, self.beta), (sub, self.eta), (add, self.couple))
             if values.any()
         ]
-        # [scalar steps, array steps]: coefficients as Python floats for one
-        # step, as arrays to gather from for many
-        plans = [
-            ([a.tolist() for a in lags], [(op, v.tolist()) for op, v in terms]),
-            (list(lags), terms),
-        ]
-        object.__setattr__(self, "_plans", plans)
+        object.__setattr__(self, "_plan", (lags, terms))
 
     def mean(self, i, prev, curr):
         """(1 + theta_i) curr - theta_i prev + beta_i - eta_i + couple_i,
         left to right, without the terms that are zero at every step; i is
         one step or an array of steps, broadcast against prev and curr."""
-        lags, terms = self._plans[isinstance(i, np.ndarray)]
+        lags, terms = self._plan
         if lags:
             one_plus, theta = lags
             m = one_plus[i] * curr - theta[i] * prev

@@ -348,8 +348,7 @@ def objective(inst: ProblemInstance, x: np.ndarray) -> float:
     """Deterministic full objective at x: the one-point case of the blocked
     pass of ``_objective_values``, so it equals a checkpoint's value at the
     same point bit for bit, at any BLAS thread count."""
-    points = np.asarray(x, dtype=float)[None]
-    return _objective_values(inst, points, np.empty((1, inst.m)))[0]
+    return _objective_values(inst, np.asarray(x, dtype=float)[None])[0]
 
 
 def _pass_shape(m: int, n: int) -> tuple[int, int]:
@@ -398,28 +397,31 @@ def _row_products(rows: np.ndarray, points: np.ndarray, out: np.ndarray) -> np.n
     return out
 
 
-def _objective_values(
-    inst: ProblemInstance, points: np.ndarray, residual: np.ndarray
-) -> list[float]:
-    """The full objective at each row of ``points`` (a (count, n) array),
-    with the first count rows of ``residual`` (at least that many rows of m
-    entries) as scratch; the three per-kind formulas are written here once.
+def _objective_values(inst: ProblemInstance, points: np.ndarray) -> list[float]:
+    """The full objective at each row of ``points`` (a (count, n) array);
+    the three per-kind formulas are written here once. A pass allocates its
+    own (count, m) residual and ignores overflow and invalid operations, so
+    an iterate too large for the objective gets inf (or nan, where inf
+    products of both signs meet) under any numpy error state, on whichever
+    thread it runs (numpy keeps the error state per thread).
 
-    A is read once for the whole batch by ``_row_products``: each row block,
-    which stays in L2, is applied to every point in one matmul call. The
-    targets are then subtracted once, and each kind reduces the whole batch
-    in one call that treats every residual row as the formula does a fresh
-    residual vector: np.vecdot takes the BLAS dot of ``r @ r`` per row, and
-    a sum along the rows the pairwise sum of ``np.sum`` per row.
+    ``_row_products`` takes the whole batch in at most two matmul calls,
+    which numpy runs point by point: A is read once per point, and a batch
+    saves calls and hand-offs, not reads of A. The targets are then
+    subtracted once, and each kind reduces the whole batch in one call that
+    treats every residual row as the formula does a fresh residual vector:
+    np.vecdot takes the BLAS dot of ``r @ r`` per row, and a sum along the
+    rows the pairwise sum of ``np.sum`` per row.
     """
-    residual = _row_products(inst.rows, points, residual[: len(points)])
-    np.subtract(residual, inst.targets, out=residual)
-    if inst.kind == "least_squares":
-        return np.vecdot(residual, residual).tolist()
-    if inst.kind == "least_absolute":
-        return np.abs(residual, out=residual).sum(axis=1).tolist()
-    penalty = inst.lam * np.abs(points).sum(axis=1)
-    return (np.vecdot(residual, residual) / inst.m + penalty).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = _row_products(inst.rows, points, np.empty((len(points), inst.m)))
+        np.subtract(residual, inst.targets, out=residual)
+        if inst.kind == "least_squares":
+            return np.vecdot(residual, residual).tolist()
+        if inst.kind == "least_absolute":
+            return np.abs(residual, out=residual).sum(axis=1).tolist()
+        penalty = inst.lam * np.abs(points).sum(axis=1)
+        return (np.vecdot(residual, residual) / inst.m + penalty).tolist()
 
 
 # ISTA steps of the lasso reference at most

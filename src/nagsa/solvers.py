@@ -53,26 +53,26 @@ and no set of marks is built. A checkpoint takes k, dist, increment, alpha_k
 and theta_k at once and copies v_k into a pending batch of up to
 ``problems._pass_shape`` points (about 1 MB of points and of residuals,
 bounded by both m and n); each batch gets its objectives from one blocked
-pass over A, so A is read once per batch instead of once per checkpoint, in
-at most two matmul calls for the whole batch (``problems._row_products``).
-A full batch goes to the run's executor, a
-``concurrent.futures.ThreadPoolExecutor`` with one worker, which takes the
-passes in order while the loop steps on: the pass's matmul calls,
-subtraction and least-absolute reductions release the GIL, so a second core
-runs them beside the steps (they are about a fifth of a ``lad-proxrm`` run
-on one core). Before it hands over a batch, the loop waits for the pass
-``_PASSES_IN_FLIGHT + 1`` batches back, so at most ``_PASSES_IN_FLIGHT + 1``
-batches are handed over and unfinished and memory stays bounded for any N
-and stride. The rest of the points go when the run ends and before a
+pass over A in at most two matmul calls (``problems._row_products``);
+numpy runs them point by point, so A is still read once per point: a batch
+saves hand-offs and calls, not reads of A. A full batch goes to the run's
+executor, a ``concurrent.futures.ThreadPoolExecutor`` with one worker,
+which takes the passes in order while the loop steps on: the pass's matmul
+calls, subtraction and least-absolute reductions release the GIL, so a
+second core runs them beside the steps (they are about a fifth of a
+``lad-proxrm`` run on one core). Before it hands over a batch, the loop
+waits for the pass ``_PASSES_IN_FLIGHT + 1`` batches back, so at most
+``_PASSES_IN_FLIGHT + 1`` batches are handed over and unfinished and memory
+stays bounded for any N and stride. The rest of the points go when the run ends and before a
 diverged run returns; the main thread then reads the values of the passes
 in order and builds the checkpoints. Each value is bitwise the one
 ``objective`` gives at that point (see ``problems._objective_values``), on
-whichever thread. A pass sets the loop's numpy error state, which numpy
-keeps per thread, and calls only private functions. ``run`` raises a failed
-pass's exception when the loop next waits for that pass, or at the end of
-the run, after the passes already handed over have run: leaving the
-executor waits for its worker, after an exception in the loop as well, so
-no thread outlives a run.
+whichever thread. A pass allocates its own residual, sets its own numpy
+error state, which numpy keeps per thread, and calls only private
+functions. ``run`` raises a failed pass's exception when the loop next
+waits for that pass, or at the end of the run, after the passes already
+handed over have run: leaving the executor waits for its worker, after an
+exception in the loop as well, so no thread outlives a run.
 Row indices and the schedule values alpha_k, theta_k come in blocks of at
 most ``_DRAW_BLOCK`` steps, so memory stays bounded for any N; the
 schedules' ``block`` applies their scalar formula per index, so the values
@@ -282,13 +282,6 @@ def _checkpoint_indices(n_final: int, stride: float) -> Iterator[int]:
     yield n_final
 
 
-def _pass(inst: ProblemInstance, points: np.ndarray, residual: np.ndarray) -> list[float]:
-    """One objective pass on the run's worker thread."""
-    # numpy's error state is per thread: the loop's is set again here
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _objective_values(inst, points, residual)
-
-
 def _validity_metadata(cfg: SolverConfig) -> dict[str, str]:
     report = classify(cfg.step)
     lo, hi = cfg.momentum.bounds
@@ -368,11 +361,9 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
     # ``pending`` until the batch is full, which then goes to the run's
     # worker thread for one blocked pass over A, and a fresh buffer takes the
     # next points; the rest go when the run ends or diverges, and the
-    # checkpoints are built from the passes' values in order. The worker
-    # takes one pass at a time, so they all share one residual buffer
+    # checkpoints are built from the passes' values in order
     batch = _pass_shape(inst.m, inst.n)[0]
     pending = np.empty((batch, inst.n))
-    residual = np.empty((batch, inst.m))
     held: list[tuple[int, float, float, float, float]] = []
     values: list[float] = []
     passes: list[concurrent.futures.Future] = []
@@ -383,7 +374,7 @@ def run(config: SolverConfig, inst: ProblemInstance) -> SolverTrace:
         # the pass's exception, if any. The caller leaves ``points`` alone
         if len(passes) > _PASSES_IN_FLIGHT:
             values.extend(passes.pop(0).result())
-        passes.append(pool.submit(_pass, inst, points, residual))
+        passes.append(pool.submit(_objective_values, inst, points))
 
     def record(k: int, v_curr: np.ndarray, v_prev: np.ndarray) -> None:
         nonlocal pending

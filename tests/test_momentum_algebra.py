@@ -353,9 +353,9 @@ for argv in json.loads(sys.argv[1]):
 
 def test_cli_algebra_table_does_not_depend_on_blas_threads():
     """The pinned tables come out the same at one and at two BLAS threads:
-    the fold's np.dot and the reference's matmul reach the same dgemm either
-    way. OpenBLAS fixes its thread count when it loads, so each count gets a
-    fresh interpreter."""
+    the fold's ndarray.dot and the reference's matmul reach the same dgemm
+    either way. OpenBLAS fixes its thread count when it loads, so each count
+    gets a fresh interpreter."""
     src = str(Path(momentum_algebra.__file__).resolve().parents[1])
     argvs = json.dumps([argv for argv, _ in _TABLE_SHA256])
     for threads in ("1", "2"):

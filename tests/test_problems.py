@@ -126,7 +126,7 @@ import numpy as np
 from nagsa import problems
 inst = problems.gen("least_absolute", 10000, 100, 10)
 points = np.random.default_rng(3).standard_normal((13, 100))
-values = problems._objective_values(inst, points, np.empty((13, 10000)))
+values = problems._objective_values(inst, points)
 print(hashlib.sha256(" ".join(map(float.hex, values)).encode()).hexdigest())
 """
 
@@ -589,6 +589,17 @@ def test_objective_at_reference_is_zero():
         assert objective(inst, inst.reference_optimum) == 0.0
 
 
+def test_objective_past_the_float_range_is_inf_under_any_error_state():
+    """A point too large for the objective gets inf, the value a checkpoint
+    records for it, also where the caller's numpy error state raises on
+    overflow and invalid operations: the pass sets its own."""
+    inst = gen("least_squares", m=20, n=3, seed=12)
+    x = np.full(3, 1e300)
+    with np.errstate(over="raise", invalid="raise"):
+        assert objective(inst, x) == math.inf
+        assert problems._objective_values(inst, np.stack([x, -x])) == [math.inf, math.inf]
+
+
 def test_lasso_objective_displayed_form():
     inst = _hand_instance("lasso", [[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0], lam=2.0)
     x = np.array([0.5, 0.5])
@@ -646,10 +657,9 @@ def test_objective_pass_equals_per_point_formulas(
         lam=0.7 if kind == "lasso" else 0.0,
         seed=0,
     )
-    residual = np.full((batch, m), np.nan)  # scratch: what it held must not matter
     with np.errstate(all="ignore"):
         points = rng.standard_normal((count, n)) * scale
-        values = problems._objective_values(inst, points, residual)
+        values = problems._objective_values(inst, points)
         singles = [objective(inst, x) for x in points]
         expected = []
         for x in points:

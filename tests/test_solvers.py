@@ -589,10 +589,10 @@ def test_loop_waits_while_the_queue_is_full(monkeypatch):
         unfinished.append(len(handed) - len(finished))
         return future
 
-    def slow(inst, points, residual):
+    def slow(inst, points):
         unfinished.append(len(handed) - len(finished))
         time.sleep(0.001)
-        result = values(inst, points, residual)
+        result = values(inst, points)
         finished.append(result)
         return result
 
@@ -683,11 +683,11 @@ def test_failed_pass_is_raised_by_run(monkeypatch):
     calls = []
     values = solvers._objective_values
 
-    def failing(inst, points, residual):
+    def failing(inst, points):
         calls.append(len(points))
         if len(calls) == 2:
             raise failure
-        return values(inst, points, residual)
+        return values(inst, points)
 
     monkeypatch.setattr(solvers, "_objective_values", failing)
     monkeypatch.setattr(solvers, "_pass_shape", lambda m, n: (1, 64))
