@@ -75,7 +75,7 @@ from operator import add, sub
 import numpy as np
 
 from ._rng import STREAM_BRANCH, STREAM_PATH, seed_words, word_doubles
-from .errors import ConfigurationError, DivergenceError
+from .errors import _MAX_ENTRIES, ConfigurationError, DivergenceError, _count
 from .momentum_algebra import tail_coefficients
 from .schedules import MomentumSchedule
 
@@ -726,6 +726,50 @@ def negative_controls(lemma_id: str) -> tuple[str, ...]:
 # geometric steps repeat), and the z-score above which a probe is a violation
 _PROBES = 24
 _TOL_Z = 3.0
+# most detail rows a lemma suite may hold (up to _PROBES per path and
+# scenario, 40 B each in a report's five arrays, so 80 MiB)
+_MAX_DETAIL_ROWS = 1 << 21
+
+
+def _suite_fault(
+    lemmas: tuple[str, ...], paths: int, length: int, branches: int, control: str | None
+) -> tuple[tuple[str, ...], str] | None:
+    """(config keys at fault, reason) when these scenarios may not be checked
+    at these sizes or under this negative control, else None: every lemma id
+    known, a path at least, a length that holds the plateau window, enough
+    branches for a standard error, the path arrays, one path's probe block
+    and the suite's detail rows within their limits, and the control defined
+    for every scenario."""
+    unknown = [lid for lid in lemmas if lid not in LEMMA_IDS]
+    if unknown:
+        return ("lemmas",), f"unknown lemma ids {unknown} (known: {', '.join(LEMMA_IDS)})"
+    if paths < 1:
+        return ("paths",), "need at least one path"
+    if length < 100:
+        return ("length",), "need length >= 100 (the plateau window is max(100, length // 10))"
+    if branches < 30:
+        return ("branches",), "need at least 30 branches"
+    if paths * length > _MAX_ENTRIES:
+        return ("paths", "length"), (
+            f"paths x length = {_count(paths * length)} entries exceeds the limit of {_MAX_ENTRIES}"
+        )
+    # one path's probe block draws its branches for up to _PROBES steps at once
+    if _PROBES * branches > _MAX_ENTRIES:
+        return ("branches",), (
+            f"branches x {_PROBES} probes = {_count(_PROBES * branches)} entries "
+            f"exceeds the limit of {_MAX_ENTRIES}"
+        )
+    # a suite holds every scenario's detail rows until its CSVs are written
+    rows = paths * _PROBES * len(lemmas)
+    if rows > _MAX_DETAIL_ROWS:
+        return ("paths", "lemmas"), (
+            f"paths x {_PROBES} probes x {len(lemmas)} scenarios = {rows} detail rows "
+            f"exceeds the limit of {_MAX_DETAIL_ROWS}"
+        )
+    for lid in lemmas:
+        if control is not None and control not in negative_controls(lid):
+            return ("control",), f"control {control!r} is not defined for scenario {lid!r}"
+    return None
 
 
 def supermartingale_check(
@@ -849,7 +893,11 @@ def run_lemma_check(
 ) -> CheckReport:
     """Full pipeline for one scenario: build, branch-check, convergence,
     summability, each check at its fixed tolerance. The ensemble is built
-    and checked on `scratch` (see Scratch), a new one by default."""
+    and checked on `scratch` (see Scratch), a new one by default. Sizes and
+    control are checked first (_suite_fault), so a refused one raises
+    ConfigurationError before anything is built."""
+    if fault := _suite_fault((lemma_id,), paths, length, branches, (params or {}).get("control")):
+        raise ConfigurationError(fault[1])
     if scratch is None:
         scratch = Scratch(paths, length)
     ensemble = synth_paths(lemma_id, params, seed, paths, length, scratch)

@@ -25,22 +25,12 @@ import numpy as np
 
 from ._format import _fmt, _fmt_rows
 from ._rng import RNG_ID
-from .diagnostics import (
-    _PROBES,
-    LEMMA_IDS,
-    CheckReport,
-    Scratch,
-    negative_controls,
-    run_lemma_check,
-)
+from .diagnostics import LEMMA_IDS, CheckReport, Scratch, _suite_fault, run_lemma_check
 from .errors import _QUOTE_CHARS, ConfigurationError, _quote
 from .problems import (
-    _MAX_ENTRIES,
-    _MAX_ROWS,
-    KINDS,
     ConstraintSet,
     ProblemInstance,
-    _rows_fault,
+    _instance_fault,
     ball,
     box,
     dump_instance,
@@ -170,10 +160,6 @@ _LEMMA_KEYS = frozenset(
     {"lemmas", "paths", "length", "branches", "seed", "control", "out"}
 )
 
-# most detail rows a lemma suite may hold (up to _PROBES per path and
-# scenario, 40 B each in a report's five arrays, so 80 MiB)
-_MAX_DETAIL_ROWS = 1 << 21
-
 
 def _read_key_values(text: str, known: frozenset[str]) -> tuple[dict[str, str], dict[str, str]]:
     """Flat key = value lines; returns values and where each key came from
@@ -231,7 +217,8 @@ class _KeyedValues:
         return ConfigurationError(f"{where}: {why}")
 
     def refuse(self, fault: tuple[tuple[str, ...], str] | None) -> None:
-        """Raise a solvers fault (keys at fault, reason) naming its lines."""
+        """Raise a fault (keys at fault, reason) of solvers, problems or
+        diagnostics naming its lines."""
         if fault is not None:
             keys, why = fault
             raise self.error(keys[0], why, *keys[1:])
@@ -263,15 +250,6 @@ class _KeyedValues:
             why = f"expected an integer (at most 2^53 unless written in digits), got {_quote(raw)}"
             raise self.error(key, why)
         return int(value)
-
-
-def _check_entries(kv: _KeyedValues, keys: tuple[str, ...], sizes: tuple[int, ...]) -> None:
-    """Refuse an array of prod(sizes) entries above _MAX_ENTRIES, naming the
-    lines the sizes came from, before anything of that size is allocated."""
-    total = math.prod(sizes)
-    if total > _MAX_ENTRIES:
-        why = f"{' x '.join(keys)} = {total} entries exceeds the limit of {_MAX_ENTRIES}"
-        raise kv.error(keys[0], why, *keys[1:])
 
 
 def _float(text: str) -> float:
@@ -337,6 +315,8 @@ def _fmt_theta(value: float) -> str:
 
 
 def _parse_constraint(spec: str, kv: _KeyedValues) -> ConstraintSet:
+    """The constraint set of spec; ball and box refuse their own bounds, and
+    their refusal names the constraint line as a malformed spec does."""
     if spec == "none":
         return whole_space()
     if spec.startswith("ball:"):
@@ -344,17 +324,21 @@ def _parse_constraint(spec: str, kv: _KeyedValues) -> ConstraintSet:
             radius = _parse_number(spec[len("ball:"):])
         except ValueError:
             raise kv.error("constraint", f"malformed ball radius in {_quote(spec)}") from None
-        return ball(radius=radius)
-    if spec.startswith("box:"):
+        make, bounds = ball, (radius,)
+    elif spec.startswith("box:"):
         parts = spec[len("box:"):].split(":")
         if len(parts) != 2:
             raise kv.error("constraint", f"box needs lo:hi, got {_quote(spec)}")
         try:
-            lo, hi = _parse_number(parts[0]), _parse_number(parts[1])
+            make, bounds = box, (_parse_number(parts[0]), _parse_number(parts[1]))
         except ValueError:
             raise kv.error("constraint", f"malformed box bounds in {_quote(spec)}") from None
-        return box(lo=lo, hi=hi)
-    raise kv.error("constraint", f"unknown constraint {_quote(spec)} (none, ball:R, box:LO:HI)")
+    else:
+        raise kv.error("constraint", f"unknown constraint {_quote(spec)} (none, ball:R, box:LO:HI)")
+    try:
+        return make(*bounds)
+    except ConfigurationError as exc:
+        raise kv.error("constraint", str(exc)) from None
 
 
 def _override(
@@ -406,20 +390,10 @@ def parse_config(text: str, overrides: Mapping[str, str] | None = None) -> Exper
     kv.refuse(_settings_fault(method, iterations, stride, composite_order, init))
     kv.refuse(_checkpoint_fault(iterations, stride))
     kind = effective["kind"]
-    if kind not in KINDS:
-        raise kv.error("kind", f"unknown problem kind {_quote(kind)} (known: {', '.join(KINDS)})")
-
     m = kv.integer("m")
     n = kv.integer("n")
-    for key, size in (("m", m), ("n", n)):
-        if size < 1:
-            raise kv.error(key, f"{key} must be positive, got {size}")
-    _check_entries(kv, ("m", "n"), (m, n))
-    if m > _MAX_ROWS:
-        raise kv.error("m", _rows_fault(m))
     lam = kv.number("lambda", 0.0)
-    if lam < 0:
-        raise kv.error("lambda", f"lambda must be non-negative, got {lam:g}")
+    kv.refuse(_instance_fault(kind, m, n, lam))
     problem_seed = kv.integer("problem.seed", 10)
     if problem_seed < 0:
         raise kv.error("problem.seed", f"problem.seed must be non-negative, got {problem_seed}")
@@ -520,57 +494,16 @@ def parse_lemma_config(text: str, overrides: Mapping[str, str] | None = None) ->
     kv = _KeyedValues(values, origins, None)
 
     raw = values["lemmas"]
-    if raw == "all":
-        lemmas = LEMMA_IDS
-    else:
-        lemmas = tuple(tok.strip() for tok in raw.split(","))
-        unknown = [lid for lid in lemmas if lid not in LEMMA_IDS]
-        if unknown:
-            raise kv.error(
-                "lemmas",
-                f"unknown lemma ids {unknown} (known: {', '.join(LEMMA_IDS)})",
-            )
-
+    lemmas = LEMMA_IDS if raw == "all" else tuple(tok.strip() for tok in raw.split(","))
     paths = kv.integer("paths", 200)
     length = kv.integer("length", 2000)
     branches = kv.integer("branches", 200)
     seed = kv.integer("seed", 1)
-    if paths < 1:
-        raise kv.error("paths", "need at least one path")
-    if length < 100:
-        raise kv.error(
-            "length", "need length >= 100 (the plateau window is max(100, length // 10))"
-        )
-    if seed < 0:
-        raise kv.error("seed", f"seed must be non-negative, got {seed}")
-    if branches < 30:
-        raise kv.error("branches", "need at least 30 branches")
-    _check_entries(kv, ("paths", "length"), (paths, length))
-    # one path's probe block draws its branches for up to _PROBES steps at once
-    if _PROBES * branches > _MAX_ENTRIES:
-        why = (
-            f"branches x {_PROBES} probes = {_PROBES * branches} entries "
-            f"exceeds the limit of {_MAX_ENTRIES}"
-        )
-        raise kv.error("branches", why)
-    # the suite holds every scenario's detail rows until the CSVs are written
-    rows = paths * _PROBES * len(lemmas)
-    if rows > _MAX_DETAIL_ROWS:
-        why = (
-            f"paths x {_PROBES} probes x {len(lemmas)} scenarios = {rows} detail rows "
-            f"exceeds the limit of {_MAX_DETAIL_ROWS}"
-        )
-        raise kv.error("paths", why, "lemmas")
-
     control_raw = values.get("control", "none")
     control = None if control_raw == "none" else control_raw
-    if control is not None:
-        for lid in lemmas:
-            if control not in negative_controls(lid):
-                raise kv.error(
-                    "control",
-                    f"control {control!r} is not defined for scenario {lid!r}",
-                )
+    kv.refuse(_suite_fault(lemmas, paths, length, branches, control))
+    if seed < 0:
+        raise kv.error("seed", f"seed must be non-negative, got {seed}")
 
     return LemmaSuiteConfig(
         lemmas=lemmas,
@@ -608,7 +541,6 @@ class RunResult:
 @dataclass(frozen=True)
 class ThetaGroup:
     label: str
-    momentum: MomentumSchedule
     runs: tuple[RunResult, ...]
 
 
@@ -723,7 +655,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> Resu
                 init=config.init,
             )
             runs.append(RunResult(seed=seed, trace=run(solver_config, inst)))
-        groups.append(ThetaGroup(label=label, momentum=momentum, runs=tuple(runs)))
+        groups.append(ThetaGroup(label=label, runs=tuple(runs)))
 
     # single writer after all runs, ordered by group then seed
     for group in groups:

@@ -25,9 +25,10 @@ read-only and copies a writable one first. On its first solver run it
 builds a run table (the rows as a list of views, the targets and squared
 row norms as Python floats, the objective at the reference), which every
 later run reads and which lives as long as the instance. It holds about
-192 B per row, so m is at most _MAX_ROWS = 2^20: ``gen`` and both dump
-loaders refuse a larger m before anything is allocated, as does the
-harness's config parser.
+192 B per row, so m is at most _MAX_ROWS = 2^20, and m x n is at most
+_MAX_ENTRIES = 2^25. One rule, ``_instance_fault``, bounds every entry point:
+``gen``, both dump loaders and the harness's config parser refuse the same
+instances with the same reasons, before anything is allocated.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from ._format import _fmt
 from ._rng import STREAM_INSTANCE, make_generator, normals
-from .errors import ConfigurationError
+from .errors import _MAX_ENTRIES, ConfigurationError, _count, _quote
 
 __all__ = [
     "KINDS",
@@ -71,9 +72,6 @@ __all__ = [
 
 KINDS = ("least_squares", "least_absolute", "lasso")
 
-# largest float64 array a config or an instance cache may ask for (256 MB):
-# the m x n instance matrix, a paths x length lemma ensemble, a branch sample
-_MAX_ENTRIES = 1 << 25
 # rows an instance may have: its run table holds a row view and two Python
 # floats per row, about 192 B, so at most 192 MiB
 _MAX_ROWS = 1 << 20
@@ -203,22 +201,33 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _rows_fault(m: int) -> str:
-    return f"m = {m} rows exceeds the limit of {_MAX_ROWS}"
+def _instance_fault(kind: str, m: int, n: int, lam: float) -> tuple[tuple[str, ...], str] | None:
+    """(config keys at fault, reason) when no instance of this kind, shape
+    and lambda may be built, else None: the kind must be known, m and n
+    positive, m x n within _MAX_ENTRIES, m within _MAX_ROWS and lambda
+    finite and non-negative."""
+    if kind not in KINDS:
+        return ("kind",), f"unknown problem kind {_quote(kind)} (known: {', '.join(KINDS)})"
+    for key, size in (("m", m), ("n", n)):
+        if size < 1:
+            return (key,), f"{key} must be positive, got {size}"
+    if m * n > _MAX_ENTRIES:
+        return ("m", "n"), f"m x n = {_count(m * n)} entries exceeds the limit of {_MAX_ENTRIES}"
+    if m > _MAX_ROWS:
+        return ("m",), f"m = {m} rows exceeds the limit of {_MAX_ROWS}"
+    if not math.isfinite(lam):
+        return ("lambda",), "non-finite lambda"
+    if lam < 0:
+        return ("lambda",), f"lambda must be non-negative, got {lam:g}"
+    return None
 
 
 def gen(kind: str, m: int, n: int, seed: int, lam: float = 0.0) -> ProblemInstance:
     """Generate an instance. Draw order: v, then G, then x0 (or b for lasso).
     G v and A x0 go through ``_row_products``, so the instance has the same
     bits at any BLAS thread count."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be positive, got m={m} n={n}")
-    if m > _MAX_ROWS:
-        raise ValueError(_rows_fault(m))
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
+    if fault := _instance_fault(kind, m, n, lam):
+        raise ValueError(fault[1])
     g = make_generator(STREAM_INSTANCE, seed)
     v = g.random(n)
     gauss = normals(g, m * n).reshape(m, n)
@@ -551,14 +560,8 @@ def _parse_header(head: list[str]) -> tuple[str, int, int, int, float]:
         m, n, seed, lam = int(head[1]), int(head[2]), int(head[3]), float(head[4])
     except ValueError as exc:
         raise ValueError(f"bad instance header: {exc}") from None
-    if kind not in KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be positive, got m={m} n={n}")
-    if m > _MAX_ROWS:
-        raise ValueError(_rows_fault(m))
-    if not np.isfinite(lam):
-        raise ValueError("non-finite lambda")
+    if fault := _instance_fault(kind, m, n, lam):
+        raise ValueError(fault[1])
     return kind, m, n, seed, lam
 
 
@@ -569,10 +572,11 @@ def load_instance(path) -> ProblemInstance:
     the arrays are read from the cache, bit for bit what parsing the text
     gives, without parsing a number. The cache is trusted only when it opens,
     the text's byte size and sha256 (hashed in chunks of 256 KiB) match its
-    header, its m x n is within _MAX_ENTRIES and its file has exactly the
-    size the header implies (both checked before anything is allocated), its
-    payload matches its sha256, and every value in it is finite. In every
-    other case the text is parsed, as `_load_text` describes.
+    header, its header fields pass the instance rule (_instance_fault) and its
+    file has exactly the size the header implies (both checked before
+    anything is allocated), its payload matches its sha256, and every value
+    in it is finite. In every other case the text is parsed, as `_load_text`
+    describes.
     """
     inst = _load_cache(path)
     return _load_text(path) if inst is None else inst
@@ -596,8 +600,6 @@ def _load_cache(path) -> ProblemInstance | None:
                 return None
             has_ref, text_size = fields[2] == "1", int(fields[3])
             kind, m, n, seed, lam = _parse_header(fields[6:])
-            if m * n > _MAX_ENTRIES:
-                return None
             entries = m * n + m + (n if has_ref else 0)
             if (
                 os.fstat(text.fileno()).st_size != text_size
@@ -654,9 +656,9 @@ def _load_text(path) -> ProblemInstance:
 
     A malformed file raises ConfigurationError naming the offending line.
     The file is read twice, a line at a time, so loading holds the matrix and
-    one line of text. The first pass checks the header, counts the lines and
-    parses the first row, which bounds n, before the matrix is allocated;
-    the second fills the matrix row by row.
+    one line of text. The first pass checks the header (so m x n is within
+    _MAX_ENTRIES), counts the lines and parses the first row before the
+    matrix is allocated; the second fills the matrix row by row.
     """
 
     def fail(lineno: int, message: str) -> ConfigurationError:
@@ -688,7 +690,7 @@ def _load_text(path) -> ProblemInstance:
         count = 1 + (first is not None) + sum(1 for _ in lines)
     if count != m + 2:
         raise fail(head_no, f"{m} rows need {m + 2} non-blank lines, found {count}")
-    row_values(*first, 0)  # a real row bounds n before the matrix is allocated
+    row_values(*first, 0)  # a real row of n + 1 values before the matrix is allocated
 
     rows = np.empty((m, n))
     targets = np.empty(m)

@@ -112,7 +112,7 @@ import numpy as np
 from . import __version__
 from ._format import _fmt
 from ._rng import RNG_ID, STREAM_RUN, make_generator, normals
-from .errors import ConfigurationError, _quote
+from .errors import ConfigurationError, _count, _quote
 from .problems import (
     ConstraintSet,
     ProblemInstance,
@@ -223,11 +223,8 @@ def _settings_fault(
     if method not in METHODS:
         return ("method",), f"unknown method {_quote(method)} (known: {', '.join(METHODS)})"
     if not 2 <= iterations <= _MAX_ITERATIONS:
-        # the schedules evaluate k + s in float64, which is exact up to 2^53
-        # only; an integer too long for str() is told by its size
-        bits = iterations.bit_length()
-        got = iterations if bits <= 64 else f"an integer of {bits} bits"
-        return ("N",), f"iteration budget N must lie in [2, 2^53], got {got}"
+        # the schedules evaluate k + s in float64, which is exact up to 2^53 only
+        return ("N",), f"iteration budget N must lie in [2, 2^53], got {_count(iterations)}"
     if not 1.0 < stride < math.inf:
         return ("stride",), f"checkpoint stride must be finite and exceed 1, got {stride}"
     if composite_order not in COMPOSITE_ORDERS:

@@ -862,6 +862,31 @@ def test_run_lemma_check_tests_convergence_in_one_call(monkeypatch):
     assert report.converged_fraction is not None
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ({"paths": 3, "length": 50, "branches": 40}, r"need length >= 100 \(the plateau window"),
+        ({"paths": 0, "length": 200, "branches": 40}, "need at least one path"),
+        ({"paths": 3, "length": 200, "branches": 29}, "need at least 30 branches"),
+        ({"paths": 3, "length": 1 << 24, "branches": 40}, "paths x length = 50331648 entries"),
+        ({"paths": 87382, "length": 100, "branches": 40}, "= 2097168 detail rows"),
+        ({"params": {"control": "theta"}}, "control 'theta' is not defined for scenario 'relay'"),
+    ],
+)
+def test_run_lemma_check_refuses_before_building(monkeypatch, args, message):
+    """The suite rule runs first, so a refused size or control builds no
+    Scratch and no ensemble (length 50 used to be refused by
+    convergence_check, after the whole scenario was built and branch-checked)."""
+
+    def unreachable(*args, **kwargs):
+        pytest.fail("built before the suite rule was checked")
+
+    monkeypatch.setattr(diagnostics, "Scratch", unreachable)
+    monkeypatch.setattr(diagnostics, "synth_paths", unreachable)
+    with pytest.raises(ConfigurationError, match=message):
+        run_lemma_check("relay", **args)
+
+
 def test_summability_check_examples():
     ks = np.arange(1, 10**5 + 1, dtype=float)
     assert summability_check(2.0**-ks)

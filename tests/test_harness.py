@@ -438,6 +438,37 @@ def test_cli_oversized_config_exits_two(tmp_path, capsys, command, text):
     assert not (tmp_path / "out").exists()
 
 
+def test_sizes_too_long_for_str_are_refused_by_line():
+    """Two sizes of 4000 digits each multiply to more digits than str()
+    takes; the refusal names their lines and gives the product's size."""
+    big = "9" * 4000
+    with pytest.raises(
+        ConfigurationError, match=r"^line 2, line 3: m x n = an integer of 26576 bits entries"
+    ):
+        parse_config(f"preset = lsq-ssgd\nm = {big}\nn = {big}\n")
+    with pytest.raises(
+        ConfigurationError,
+        match=r"^line 2, line 3: paths x length = an integer of 26576 bits entries",
+    ):
+        parse_lemma_config(f"lemmas = all\npaths = {big}\nlength = {big}\n")
+
+
+@pytest.mark.parametrize(
+    "constraint, message",
+    [
+        ("ball:-1", "ball radius must be positive, got -1.0"),
+        ("ball:0", "ball radius must be positive, got 0.0"),
+        ("box:2:1", "box lower bounds must not exceed upper bounds"),
+    ],
+)
+def test_cli_constraint_bounds_name_their_line(tmp_path, capsys, constraint, message):
+    config = _write(tmp_path / "c.txt", f"preset = lsq-ssgd\nconstraint = {constraint}\n")
+    rc = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"configuration error: line 2: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_branches_bounded_by_one_probe_block(tmp_path, capsys):
     """One path's probe block draws 24 x branches samples at once, so
     branches stops at floor(2^25 / 24) = 1398101; only the parser runs."""

@@ -5,6 +5,7 @@ prox results against a 1-D ternary search on the actual sampled objective,
 subgradients against finite differences and the subgradient inequality.
 """
 
+import dataclasses
 import functools
 import hashlib
 import math
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nagsa import problems
+from nagsa import harness, problems
 from nagsa._rng import make_generator
 from nagsa.cli import main
 from nagsa.errors import ConfigurationError
@@ -182,6 +183,75 @@ def test_gen_refuses_rows_past_the_limit_before_allocating():
         tracemalloc.stop()
     assert problems._MAX_ROWS == 1 << 20
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_gen_refuses_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="^non-finite lambda$"):
+        gen("lasso", 5, 3, 1, lam=lam)
+
+
+def test_gen_refuses_entries_past_the_limit_before_allocating():
+    """2^20 rows of 33 entries keep within the row limit but not within the
+    entry limit, so no 264 MiB matrix is drawn."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match=r"^m x n = 34603008 entries exceeds the limit of 33554432$"
+        ):
+            gen("least_squares", m=problems._MAX_ROWS, n=33, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# instances that no entry point may build: (kind, m, n, lambda)
+_REFUSED_INSTANCES = {
+    "kind": ("ridge", 4, 3, 0.0),
+    "zero-rows": ("least_squares", 0, 3, 0.0),
+    "negative-width": ("least_squares", 4, -2, 0.0),
+    "entries": ("least_squares", 1 << 20, 33, 0.0),
+    "rows": ("least_absolute", (1 << 20) + 1, 1, 0.0),
+    "negative-lambda": ("lasso", 4, 3, -1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED_INSTANCES))
+def test_gen_loader_and_parser_refuse_an_instance_alike(tmp_path, case):
+    """gen, the text loader and the config parser refuse the same instance
+    with the same reason; the loader and the parser add only the line."""
+    kind, m, n, lam = _REFUSED_INSTANCES[case]
+    with pytest.raises(ValueError) as info:
+        gen(kind, m, n, 1, lam=lam)
+    why = str(info.value)
+    path = tmp_path / "instance.txt"
+    path.write_text(f"{kind} {m} {n} 1 {lam!r}\n1 2 3 4\nunset\n")
+    with pytest.raises(ConfigurationError) as info:
+        load_instance(path)
+    assert str(info.value) == f"{path} line 1: {why}"
+    config = (
+        f"method = ssgd\nkind = {kind}\nm = {m}\nn = {n}\nlambda = {lam!r}\nN = 10\n"
+        "seeds = 1\nstep.family = constant\nstep.c = 0.01\nmom.family = constant\n"
+    )
+    with pytest.raises(ConfigurationError) as info:
+        harness.parse_config(config)
+    assert re.fullmatch(rf"line \d(, line \d)?: {re.escape(why)}", str(info.value))
+
+
+def test_dump_with_negative_lambda_is_refused(tmp_path):
+    """A dump whose header lambda is -1 is refused naming line 1, and its
+    cache, which would describe the same text, is ignored."""
+    inst = gen("lasso", m=4, n=3, seed=23, lam=0.5)
+    path = tmp_path / "instance.txt"
+    dump_instance(dataclasses.replace(inst, lam=-1.0), path)
+    assert path.read_text().split("\n", 1)[0] == "lasso 4 3 23 -1"
+    assert _cache(path).exists()
+    assert problems._load_cache(path) is None
+    with pytest.raises(
+        ConfigurationError, match=r"line 1: lambda must be non-negative, got -1$"
+    ):
+        load_instance(path)
 
 
 def test_instance_copies_the_writable_arrays_it_is_given():
@@ -801,8 +871,8 @@ MALFORMED_DUMPS = {
     "header-word-seed": (lambda ls: [_replace_field(ls[0], 3, "x")] + ls[1:], 1),
     "header-four-fields": (lambda ls: [ls[0].rsplit(" ", 1)[0]] + ls[1:], 1),
     "header-zero-width": (lambda ls: [_replace_field(ls[0], 2, "0")] + ls[1:], 1),
-    # refused at the first row, before an m x n matrix is allocated
-    "header-huge-width": (lambda ls: [_replace_field(ls[0], 2, str(10**12))] + ls[1:], 2),
+    # refused at the header by the entry limit, before an m x n matrix is allocated
+    "header-huge-width": (lambda ls: [_replace_field(ls[0], 2, str(10**12))] + ls[1:], 1),
     "missing-row": (lambda ls: ls[:2] + ls[3:], 1),
     "short-first-row": (lambda ls: ls[:1] + [ls[1].rsplit(" ", 1)[0]] + ls[2:], 2),
     "short-row": (lambda ls: ls[:2] + [ls[2].rsplit(" ", 1)[0]] + ls[3:], 3),
@@ -1052,7 +1122,8 @@ _EDGE_FLOATS = st.one_of(
     m=st.integers(1, 4),
     n=st.integers(1, 3),
     seed=st.integers(-(2**70), 2**70),
-    lam=_EDGE_FLOATS,
+    # both loaders refuse a negative lambda (test_dump_with_negative_lambda_is_refused)
+    lam=_EDGE_FLOATS.filter(lambda v: v >= 0),
     with_ref=st.booleans(),
     data=st.data(),
 )
